@@ -86,6 +86,6 @@ from .experiments import (
     run_tree_experiment,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,8 +7,10 @@ Exit codes: 0 success / claim holds, 1 claim fails, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import sys
 
 from .constructions import (
@@ -32,17 +34,45 @@ from .graphs import (
 from .reproduce import available_sets, matrix_json, matrix_table, run_claims
 from .transfer import check_pst, pgst_witness, search_pst, sedentary_estimate
 
-_TIME_NAMES = {"pi": math.pi, "sqrt": math.sqrt, "__builtins__": {}}
+_TIME_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def _time_value(node: ast.AST) -> float:
+    """Value of a time expression built from numbers, pi, sqrt(...), the
+    binary operators + - * / ** and unary minus; anything else is rejected."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_time_value(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _TIME_OPS:
+        return _TIME_OPS[type(node.op)](_time_value(node.left),
+                                        _time_value(node.right))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1
+            and not node.keywords):
+        return math.sqrt(_time_value(node.args[0]))
+    raise ValueError(f"unsupported term {ast.unparse(node)!r}")
 
 
 def parse_time(text: str) -> float:
     """Times as decimals or small symbolic forms: pi/2, pi/sqrt2, pi/(2*sqrt2)."""
     cleaned = text.strip().replace("sqrt2", "sqrt(2)")
     try:
-        value = eval(cleaned, dict(_TIME_NAMES))  # noqa: S307 - names whitelisted
-        return float(value)
-    except Exception as exc:
+        value = _time_value(ast.parse(cleaned, mode="eval").body)
+    except (SyntaxError, ValueError, TypeError, ArithmeticError,
+            RecursionError) as exc:
         raise QwalkError(f"cannot parse time {text!r}: {exc}") from exc
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise QwalkError(f"time {text!r} is not a finite real number")
+    return value
 
 
 def _parse_pair(text: str) -> tuple[int, int]:

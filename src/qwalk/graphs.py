@@ -66,8 +66,10 @@ class WeightedGraph:
                 raise SelfLoop(f"self-loop at vertex {a}")
             if not (0 <= a < self.n and 0 <= b < self.n):
                 raise ParseError(f"edge ({a},{b}) out of range for n={self.n}")
-            if w == 0:
-                raise ZeroWeight(f"edge ({a},{b}) has zero weight")
+            if not 0 < abs(w) < math.inf:
+                if w == 0:
+                    raise ZeroWeight(f"edge ({a},{b}) has zero weight")
+                raise ParseError(f"edge ({a},{b}) has non-finite weight {w}")
             key = _edge_key(a, b)
             if key in seen:
                 raise DuplicateEdgeConflict(f"edge {key} declared twice")
@@ -77,6 +79,8 @@ class WeightedGraph:
         for t in self.tails:
             if not 0 <= t.attach < self.n:
                 raise ParseError(f"tail attach vertex {t.attach} out of range")
+            if not all(math.isfinite(w) for w in t.prefix):
+                raise ParseError("tail prefix contains a non-finite weight")
             if any(w == 0 for w in t.prefix):
                 raise ZeroWeight("tail prefix contains a zero weight")
 
@@ -144,7 +148,8 @@ class PureState:
         if len(set(verts)) != len(verts):
             raise ParseError("pure state support vertices must be distinct")
         norm2 = sum(abs(c) ** 2 for _, c in self.support)
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        # written so that a NaN or infinite amplitude fails too
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ParseError(f"pure state is not unit (|u|^2 = {norm2})")
 
     def vector(self, dim: int) -> np.ndarray:
@@ -185,13 +190,6 @@ def plus_state(a: int, b: int) -> PureState:
         raise SameVertex("plus state needs two distinct vertices")
     s = 1.0 / math.sqrt(2.0)
     return PureState(((a, s + 0j), (b, s + 0j)))
-
-
-def state_from_vector(vec: np.ndarray, tol: float = 1e-12) -> PureState:
-    support = tuple(
-        (int(i), complex(vec[i])) for i in np.nonzero(np.abs(vec) > tol)[0]
-    )
-    return PureState(support)
 
 
 # -- degree / boundedness ------------------------------------------------

@@ -19,6 +19,9 @@ from .graphs import DegreeProfile, PureState, WeightedGraph, degree_profile
 
 DEFAULT_TAIL_TOL = 1e-9
 MAX_TRUNCATION = 2 ** 16
+EIGEN_MERGE = 1e-12     # adjacent eigenvalues closer than this share an eigenspace
+ZERO_WEIGHT = 1e-17     # curve weights at or below this are roundoff
+CURVE_BLOCK = 1 << 18   # phase-matrix entries evaluated per block
 
 
 def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
@@ -72,8 +75,47 @@ class SpectralDecomposition:
 
     def amplitude_curve(self, u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """v* U(t) u for an array of times, vectorized over t."""
-        w = np.conj(self.eigenvectors.T.conj() @ v) * (self.eigenvectors.T.conj() @ u)
-        return np.exp(1j * np.outer(np.asarray(ts), self.eigenvalues)) @ w
+        return FidelityCurve.of(self, u, v)(ts)
+
+
+@dataclass(frozen=True)
+class FidelityCurve:
+    """t -> v* U(t) u as the finite sum  sum_k w_k exp(i t lambda_k)  over the
+    eigenvalue support of (u, v): w_k is the product of the projections of v
+    and u onto the k-th eigenspace, and eigenvalues with w_k = 0 are dropped.
+    """
+
+    eigenvalues: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, decomp: SpectralDecomposition, u: np.ndarray, v: np.ndarray
+           ) -> "FidelityCurve":
+        # the eigenvectors are real: project the real and imaginary parts of
+        # u and v in one real product instead of a complex copy of the matrix
+        uv = np.empty((len(u), 2), dtype=complex)
+        uv[:, 0], uv[:, 1] = u, v
+        p = (decomp.eigenvectors.T @ uv.view(float)).view(complex)
+        w = p[:, 1].conj() * p[:, 0]
+        # eigenvalues split only by eigensolver roundoff form one eigenspace
+        lam = decomp.eigenvalues
+        first = np.ones(lam.size, dtype=bool)
+        first[1:] = lam[1:] - lam[:-1] > EIGEN_MERGE
+        starts = first.nonzero()[0]
+        w = np.add.reduceat(w, starts)
+        keep = np.abs(w) > ZERO_WEIGHT
+        return cls(lam[starts[keep]], w[keep])
+
+    def __call__(self, ts) -> np.ndarray:
+        """v* U(t) u at each time in ts."""
+        ts = np.asarray(ts, dtype=float).ravel()
+        out = np.empty(ts.shape, dtype=complex)
+        # bound the (times x support) phase matrix held at once
+        rows = max(1, CURVE_BLOCK // max(1, self.eigenvalues.size))
+        for i in range(0, ts.size, rows):
+            phases = np.exp(np.multiply.outer(ts[i:i + rows], 1j * self.eigenvalues))
+            out[i:i + rows] = phases @ self.weights
+        return out
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Transfer detectors: perfect state transfer at a time, PST time search,
 periodicity, high-fidelity witnesses, and sedentariness estimation.
 
-All searches run on the fidelity curve t -> |v* U(t) u|, a finite trigonometric
-polynomial with frequencies bounded by twice the maximum absolute degree M; the
-default grids sample above that Nyquist rate so no peak is missed.
+All searches run on the fidelity curve t -> |v* U(t) u|, a finite sum
+sum_k w_k exp(i t lambda_k) over the eigenvalue support of (u, v).  Each query
+projects u and v once into a FidelityCurve and evaluates that one object on its
+scan grid and in golden-section refinement.  The curve's frequencies are
+bounded by twice the maximum absolute degree M; the grids sample above that
+Nyquist rate so no peak is missed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, lcm, pi
 
 import numpy as np
 
@@ -18,15 +21,18 @@ from .errors import NoTransfer, Unreached
 from .graphs import PureState, WeightedGraph, degree_profile, state_to_document
 from .spectral import (
     DEFAULT_TAIL_TOL,
-    SpectralDecomposition,
+    FidelityCurve,
     TruncationCertificate,
     prepare,
+    transfer_amplitude,
 )
 
 PST_TOL = 1e-9
 TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
 GOLDEN = (np.sqrt(5.0) - 1) / 2
+SEDENTARY_GRID = 20_000
+PGST_WINDOW = 200_000  # grid points scanned per pass of pgst_witness
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,8 @@ class SedentaryEstimate:
         }
 
 
-def _curve_context(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
-                   tol: float):
-    decomp, cert = prepare(g, t_max, tol)
-    dim = decomp.eigenvalues.shape[0]
-    return decomp, cert, u.vector(dim), v.vector(dim)
-
-
-def _refine_max(decomp: SpectralDecomposition, uvec, vvec,
-                lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of the fidelity over [lo, hi]."""
-    def f(t: float) -> float:
-        return float(np.abs(decomp.amplitude_curve(uvec, vvec, np.array([t]))[0]))
-
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization of the scalar function f over [lo, hi]."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -118,28 +113,6 @@ def _refine_max(decomp: SpectralDecomposition, uvec, vvec,
     return t, f(t)
 
 
-def _refine_min(decomp: SpectralDecomposition, uvec, vvec,
-                lo: float, hi: float) -> tuple[float, float]:
-    def f(t: float) -> float:
-        return float(np.abs(decomp.amplitude_curve(uvec, vvec, np.array([t]))[0]))
-
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > TIME_RESOLUTION:
-        if fc > fd:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-    t = (a + b) / 2
-    return t, f(t)
-
-
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
               pst_tol: float = PST_TOL, tol: float = DEFAULT_TAIL_TOL
               ) -> TransferReport:
@@ -148,24 +121,18 @@ def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
     Raises NoTransfer, carrying the achieved fidelity, when the transfer
     fails the tolerance.
     """
-    decomp, cert, uvec, vvec = _curve_context(g, u, v, tau, tol)
-    amp = complex(decomp.amplitude_curve(uvec, vvec, np.array([tau]))[0])
+    amp, cert = transfer_amplitude(g, u, v, tau, tol)
     f = abs(amp)
-    if f < 1 - pst_tol:
+    if not f >= 1 - pst_tol:
         raise NoTransfer(f)
     gamma = amp / f if f > 0 else 1.0 + 0j
     kind = "periodic" if u.is_parallel_to(v) else "PST"
     return TransferReport(u, v, tau, gamma, f, kind, cert)
 
 
-def _grid_size(t_max: float, m: float, grid_n: int | None) -> int:
-    auto = int(64 * t_max * max(m, 1.0))
-    return max(4096, auto if grid_n is None else max(grid_n, auto))
-
-
 def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
-               grid_n: int | None = None, pst_tol: float = PST_TOL,
-               tol: float = DEFAULT_TAIL_TOL) -> list[TransferReport]:
+               pst_tol: float = PST_TOL, tol: float = DEFAULT_TAIL_TOL
+               ) -> list[TransferReport]:
     """All PST times in (0, t_max], found by grid scan plus local refinement.
 
     Returns refined local fidelity maxima reaching 1 - pst_tol, deduplicated
@@ -173,26 +140,26 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    decomp, cert, uvec, vvec = _curve_context(g, u, v, t_max, tol)
-    n = _grid_size(t_max, degree_profile(g).m, grid_n)
+    decomp, cert = prepare(g, t_max, tol)
+    dim = decomp.eigenvalues.size
+    curve = FidelityCurve.of(decomp, u.vector(dim), v.vector(dim))
+    n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
     ts = np.linspace(0.0, t_max, n + 1)[1:]
-    f = np.abs(decomp.amplitude_curve(uvec, vvec, ts))
+    f = np.abs(curve(ts))
 
     step = ts[1] - ts[0]
+    padded = np.concatenate(([0.0], f, [0.0]))
+    peaks = np.flatnonzero((f >= 0.99) & (f >= padded[:-2]) & (f >= padded[2:]))
     reports: list[TransferReport] = []
-    for i in range(len(ts)):
-        left = f[i - 1] if i > 0 else 0.0
-        right = f[i + 1] if i + 1 < len(ts) else 0.0
-        if f[i] < 0.99 or f[i] < left or f[i] < right:
-            continue
-        t_star, f_star = _refine_max(decomp, uvec, vvec,
+    for i in peaks:
+        t_star, f_star = _golden_max(lambda t: abs(curve(t)[0]),
                                      max(ts[i] - step, TIME_RESOLUTION),
                                      min(ts[i] + step, t_max))
-        if f_star < 1 - pst_tol:
+        if not f_star >= 1 - pst_tol:
             continue
         if reports and abs(reports[-1].tau - t_star) < DEDUP_TIME:
             continue
-        amp = complex(decomp.amplitude_curve(uvec, vvec, np.array([t_star]))[0])
+        amp = complex(curve(t_star)[0])
         gamma = amp / abs(amp)
         kind = "periodic" if u.is_parallel_to(v) else "PST"
         reports.append(TransferReport(u, v, t_star, gamma, f_star, kind, cert))
@@ -201,8 +168,7 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
 
 def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
                  target_fidelity: float, t_cap: float,
-                 tol: float = DEFAULT_TAIL_TOL,
-                 chunk: int = 200_000) -> TransferReport:
+                 tol: float = DEFAULT_TAIL_TOL) -> TransferReport:
     """First time t <= t_cap with fidelity >= target_fidelity, or Unreached.
 
     This only witnesses high fidelity at a finite time; it does not decide the
@@ -211,7 +177,9 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     """
     if not target_fidelity < 1:
         raise ValueError("target fidelity must be below 1")
-    decomp, cert, uvec, vvec = _curve_context(g, u, v, t_cap, tol)
+    decomp, cert = prepare(g, t_cap, tol)
+    dim = decomp.eigenvalues.size
+    curve = FidelityCurve.of(decomp, u.vector(dim), v.vector(dim))
     m = max(degree_profile(g).m, 1.0)
     step = 1.0 / (64 * m)
     total = int(np.ceil(t_cap / step))
@@ -220,10 +188,10 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
 
     start = 1
     while start <= total:
-        stop = min(start + chunk, total + 1)
+        stop = min(start + PGST_WINDOW, total + 1)
         ts = np.arange(start, stop) * step
         ts[-1] = min(ts[-1], t_cap)
-        f = np.abs(decomp.amplitude_curve(uvec, vvec, ts))
+        f = np.abs(curve(ts))
         if skipping:
             # wait until fidelity falls below the refine threshold too, so the
             # tail of the initial plateau cannot be reported as a return
@@ -243,13 +211,12 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
             run = hits[hits <= stop_i]
             i = int(run[np.argmax(f[run])])
             hits = hits[hits > stop_i]
-            t_star, f_star = _refine_max(decomp, uvec, vvec,
+            t_star, f_star = _golden_max(lambda t: abs(curve(t)[0]),
                                          max(ts[i] - step, TIME_RESOLUTION),
                                          min(ts[i] + step, t_cap))
             best_f = max(best_f, f_star)
             if f_star >= target_fidelity:
-                amp = complex(decomp.amplitude_curve(
-                    uvec, vvec, np.array([t_star]))[0])
+                amp = complex(curve(t_star)[0])
                 gamma = amp / abs(amp)
                 return TransferReport(u, v, t_star, gamma, f_star,
                                       "PGST-witness", cert)
@@ -257,20 +224,14 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     raise Unreached(best_f)
 
 
-def _exact_period(eigenvalues: np.ndarray, weights: np.ndarray) -> float | None:
-    """Period of the autocorrelation when the support eigenvalue differences
-    are commensurable; None otherwise."""
-    support = eigenvalues[np.abs(weights) > 1e-8]
-    if support.size == 0:
+def _exact_period(support: np.ndarray) -> float | None:
+    """Period of the autocorrelation when the differences of the (sorted)
+    support eigenvalues are commensurable; None otherwise."""
+    vals = support[np.diff(support, prepend=-np.inf) > 1e-8]
+    if vals.size < 2:
         return None
-    vals: list[float] = []
-    for lam in support:
-        if not any(abs(lam - x) < 1e-8 for x in vals):
-            vals.append(float(lam))
-    diffs = [v - vals[0] for v in vals[1:] if abs(v - vals[0]) > 1e-8]
-    if not diffs:
-        return None
-    f0 = min(abs(d) for d in diffs)
+    diffs = vals[1:] - vals[0]
+    f0 = diffs[0]
     fracs = []
     for d in diffs:
         # small denominators only: a rational fit with a large denominator is
@@ -279,23 +240,15 @@ def _exact_period(eigenvalues: np.ndarray, weights: np.ndarray) -> float | None:
         if abs(d / f0 - fr) > 1e-9:
             return None
         fracs.append(fr)
-    q = 1
-    for fr in fracs:
-        q = q * fr.denominator // gcd(q, fr.denominator)
-        if q > 10 ** 6:
-            return None
-    ms = [fr.numerator * (q // fr.denominator) for fr in fracs]
-    gg = 0
-    for v in ms:
-        gg = gcd(gg, abs(v))
-    if gg == 0:
+    q = lcm(*(fr.denominator for fr in fracs))
+    if q > 10 ** 6:
         return None
+    gg = gcd(*(fr.numerator * (q // fr.denominator) for fr in fracs))
     period = 2 * pi * q / (f0 * gg)
     return period if period < 1e6 else None
 
 
 def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
-                       grid_n: int = 20_000,
                        lower_bound_claim: float | None = None,
                        tol: float = DEFAULT_TAIL_TOL) -> SedentaryEstimate:
     """Grid minimum of the autocorrelation |u* U(t) u| over (0, horizon].
@@ -306,22 +259,23 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    decomp, _, uvec, _ = _curve_context(g, u, u, horizon, tol)
-    weights = np.abs(decomp.eigenvectors.T.conj() @ uvec)
-    period = _exact_period(decomp.eigenvalues, weights)
+    decomp, _ = prepare(g, horizon, tol)
+    uvec = u.vector(decomp.eigenvalues.size)
+    curve = FidelityCurve.of(decomp, uvec, uvec)
+    # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
+    period = _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])
     if period is not None and (period < horizon or not g.tails):
         # snap to exactly one period (for tailed graphs only ever shrink, so
         # the truncation certificate stays valid)
         horizon = period
 
-    ts = np.linspace(0.0, horizon, grid_n + 1)[1:]
-    f = np.abs(decomp.amplitude_curve(uvec, uvec, ts))
+    ts = np.linspace(0.0, horizon, SEDENTARY_GRID + 1)[1:]
+    f = np.abs(curve(ts))
     step = ts[1] - ts[0]
     grid_min = float(f.min())
-    order = np.argsort(f)
-    for i in order[:32]:
-        _, f_star = _refine_min(decomp, uvec, uvec,
-                                max(ts[i] - step, TIME_RESOLUTION),
-                                min(ts[i] + step, horizon))
-        grid_min = min(grid_min, f_star)
+    for i in np.argsort(f)[:32]:
+        _, neg_f = _golden_max(lambda t: -abs(curve(t)[0]),
+                               max(ts[i] - step, TIME_RESOLUTION),
+                               min(ts[i] + step, horizon))
+        grid_min = min(grid_min, -neg_f)
     return SedentaryEstimate(u, grid_min, lower_bound_claim, horizon, period)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qwalk.cli import main, parse_time
+from qwalk.errors import QwalkError
 import math
 
 
@@ -11,6 +12,17 @@ def test_parse_time_symbolic():
     assert parse_time("pi/sqrt2") == math.pi / math.sqrt(2)
     assert parse_time("pi/(2*sqrt2)") == math.pi / (2 * math.sqrt(2))
     assert parse_time("1.25") == 1.25
+    assert parse_time("1e4") == 1e4
+    assert parse_time("-pi/2") == -math.pi / 2
+    assert parse_time("sqrt(3)*pi") == math.sqrt(3) * math.pi
+    assert parse_time("2**-1 + 3*pi") == 0.5 + 3 * math.pi
+
+
+def test_parse_time_rejects_non_arithmetic():
+    for text in ("(1).__class__.__name__.__len__()", "1e999", "__import__('os')",
+                 "sqrt(-1)", "1/0", "(-8)**(1/3)", "e", ""):
+        with pytest.raises(QwalkError):
+            parse_time(text)
 
 
 def test_construct_and_check_pst(tmp_path, capsys):
@@ -86,6 +98,22 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     # missing dst state
     assert main(["check", "pst", str(gfile), "--pair", "0,1",
                  "--tau", "1"]) == 2
+
+
+def test_non_finite_and_unsafe_inputs_exit_2(tmp_path, capsys):
+    gfile = tmp_path / "nan.json"
+    gfile.write_text('{"n": 2, "edges": [[0, 1, NaN]]}')
+    assert main(["check", "pst", str(gfile), "--vertex", "0",
+                 "--vertex-dst", "1", "--tau", "1"]) == 2
+    main(["construct", "path", "--n", "2", "-o", str(gfile)])
+    sfile = tmp_path / "state.json"
+    sfile.write_text('{"amplitudes": [[0, NaN, 0]]}')
+    assert main(["check", "pst", str(gfile), "--state", str(sfile),
+                 "--vertex-dst", "1", "--tau", "pi/2"]) == 2
+    assert main(["check", "pst", str(gfile), "--vertex", "0",
+                 "--vertex-dst", "1",
+                 "--tau", "(1).__class__.__name__.__len__()"]) == 2
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_reproduce_subset(tmp_path, capsys):

@@ -47,6 +47,20 @@ def test_invalid_graphs_rejected():
         WeightedGraph(2, ((0, 1, 1.0), (1, 0, 2.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ParseError):
+        WeightedGraph(2, ((0, 1, bad),))
+    with pytest.raises(ParseError):
+        WeightedGraph(2, ((0, 1, 1.0),), (TailSpec(1, (1.0, bad)),))
+    with pytest.raises(ParseError):
+        PureState(((0, complex(bad, 0.0)),))
+    with pytest.raises(ParseError):
+        PureState(((0, complex(0.0, bad)),))
+    with pytest.raises(ParseError):
+        build_graph(json.dumps({"n": 2, "edges": [[0, 1, bad]]}))
+
+
 def test_document_roundtrip():
     g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, -1.5)), (TailSpec(2, (0.5,)),))
     doc = graph_to_document(g)

@@ -13,6 +13,7 @@ from qwalk import (
     WeightedGraph,
     build_graph,
     coarsest_equitable,
+    exp_oracle,
     fidelity,
     graph_to_document,
     pair_state,
@@ -21,7 +22,7 @@ from qwalk import (
     switch,
 )
 from qwalk.partition import EquitableFailure, check_equitable
-from qwalk.spectral import SpectralDecomposition
+from qwalk.spectral import FidelityCurve, SpectralDecomposition
 from conftest import random_twin_instance
 
 
@@ -56,6 +57,21 @@ def test_switching_covariance(g, seed):
     f2 = fidelity(switch(g, sv), sv.apply_to_state(u), sv.apply_to_state(v),
                   sv.delta * t)
     assert abs(f1 - f2) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.integers(0, 10 ** 6))
+def test_fidelity_curve_matches_exp_oracle(g, seed):
+    rng = np.random.default_rng(seed)
+    a = g.core_adjacency()
+    u = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    u /= np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    ts = rng.uniform(-5.0, 5.0, size=4)
+    curve = FidelityCurve.of(SpectralDecomposition.of(a), u, v)
+    expected = [np.conj(v) @ exp_oracle(a, t) @ u for t in ts]
+    np.testing.assert_allclose(curve(ts), expected, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

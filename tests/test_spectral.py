@@ -7,17 +7,22 @@ from qwalk import (
     TailSpec,
     WeightedGraph,
     adjacency,
+    complete_graph,
     evolve,
     exp_oracle,
     fidelity,
+    named_gadget,
     pair_state,
     path_graph,
     prepare,
+    sedentary_estimate,
     transfer_amplitude,
     vertex_state,
 )
 from qwalk.errors import NonConvergent, TailsRequireTruncation
 from qwalk.spectral import (
+    CURVE_BLOCK,
+    FidelityCurve,
     SpectralDecomposition,
     required_truncation,
     series_tail,
@@ -102,3 +107,56 @@ def test_pair_state_fidelity_symmetry():
     u, v = pair_state(0, 4), pair_state(1, 3)
     t = math.pi / 2
     assert abs(fidelity(g, u, v, t) - fidelity(g, v, u, t)) < 1e-12
+
+
+def _dense_curve(decomp, u, v, ts):
+    # the pre-FidelityCurve formula: every eigenvalue, no merging or chunking
+    w = np.conj(decomp.eigenvectors.T @ v) * (decomp.eigenvectors.T @ u)
+    return np.exp(1j * np.outer(ts, decomp.eigenvalues)) @ w
+
+
+@pytest.mark.parametrize("name, kwargs, vertex, t_max, max_support", [
+    # the pair state sees 3 of the 1033 eigenvalues of the truncation
+    ("flyswatter", {"tail_len": 0}, None, 50.0, 3),
+    # the attach vertex couples to the tail: most of the 522 stay
+    ("h2p", {"p": 5, "tail_len": 0}, 5, 30.0, 521),
+])
+def test_fidelity_curve_matches_dense_formula(name, kwargs, vertex, t_max,
+                                              max_support):
+    gd = named_gadget(name, **kwargs)
+    src, dst = (gd.src, gd.dst) if vertex is None else (vertex_state(vertex),) * 2
+    decomp, _ = prepare(gd.graph, t_max)
+    dim = decomp.eigenvalues.size
+    u, v = src.vector(dim), dst.vector(dim)
+    curve = FidelityCurve.of(decomp, u, v)
+    assert curve.eigenvalues.size <= max_support
+    ts = np.linspace(0.0, t_max, 2001)
+    np.testing.assert_allclose(curve(ts), _dense_curve(decomp, u, v, ts),
+                               rtol=0, atol=1e-12)
+
+
+def test_fidelity_curve_blocks_match_one_product():
+    gd = named_gadget("h2p", p=5, tail_len=0)
+    decomp, _ = prepare(gd.graph, 30.0)
+    dim = decomp.eigenvalues.size
+    u = vertex_state(5).vector(dim)
+    curve = FidelityCurve.of(decomp, u, u)
+    n = 3 * CURVE_BLOCK // curve.eigenvalues.size + 7
+    ts = np.linspace(0.0, 30.0, n)
+    one = np.exp(1j * np.outer(ts, curve.eigenvalues)) @ curve.weights
+    np.testing.assert_allclose(curve(ts), one, rtol=0, atol=1e-13)
+    assert curve(ts[5]).shape == (1,)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_kn_degenerate_eigenspace_merged(n):
+    # eigenvalue -1 has multiplicity n-1: its n-1 eigenvectors form one term
+    decomp, _ = prepare(complete_graph(n), 10.0)
+    u = vertex_state(0).vector(n)
+    curve = FidelityCurve.of(decomp, u, u)
+    np.testing.assert_allclose(curve.eigenvalues, [-1, n - 1], atol=1e-12)
+    np.testing.assert_allclose(curve.weights, [(n - 1) / n, 1 / n], atol=1e-12)
+    est = sedentary_estimate(complete_graph(n), vertex_state(0), 10.0)
+    assert abs(est.period - 2 * math.pi / n) < 1e-12
+    assert abs(est.horizon - est.period) < 1e-12
+    assert abs(est.grid_min - (n - 2) / n) < 1e-9
