@@ -1,10 +1,22 @@
 """Adjacency materialization, transition matrices U(t)=exp(itA), fidelities.
 
 The primary route is a dense symmetric eigendecomposition.  Tail-extended
-graphs are evaluated on certified truncations: a state supported on the core
-needs at least L applications of A to reach tail depth L, so the discrepancy
-between the depth-L and infinite evolutions is at most twice the Taylor tail
-of exp(M|t|) past order L, with M the maximum absolute degree.
+graphs are evaluated on certified truncations, sized by the Chebyshev
+expansion of the walk (Tal-Ezer & Kosloff 1984; Weisse et al., "The kernel
+polynomial method", Rev. Mod. Phys. 2006):
+
+    exp(itA) = J_0(Mt) + 2 sum_{k>=1} i^k J_k(Mt) T_k(A/M),
+
+with M the maximum absolute degree, so that ||A/M|| <= 1 on the depth-L
+truncation and on the infinite graph alike.  From a core-supported state a
+walk needs L+1 steps to reach tail depth L+1, where the two graphs first
+differ, and L+1 more to come back to the core.  So the two expansions share
+every term up to order L for the evolved state U(t)u, and up to order 2L+1 for
+an amplitude v* U(t) u between core states.  Each later term differs by at
+most 4|J_k(Mt)| <= 4 (M|t|/2)^k / k!  (DLMF 10.14.4), and the certified depth
+is the smallest L whose summed tail is below the tolerance: `prepare`
+certifies amplitudes, which is all that the transfer detectors read, and
+`evolve` certifies the 2-norm of the full state.
 """
 
 from __future__ import annotations
@@ -14,11 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent, TailsRequireTruncation
+from .errors import BadParam, NonConvergent, ParseError, TailsRequireTruncation
 from .graphs import DegreeProfile, PureState, WeightedGraph, degree_profile
 
 DEFAULT_TAIL_TOL = 1e-9
-MAX_TRUNCATION = 2 ** 16
+# tail vertices materialized at most: a dense eigh at dim 4105 takes ~17 s on
+# one BLAS thread and a 135 MB matrix
+MAX_TRUNCATION = 2 ** 12
+STATE, AMPLITUDE = 1, 2   # legs of a core walk that a truncation must certify
 EIGEN_MERGE = 1e-12     # adjacent eigenvalues closer than this share an eigenspace
 ZERO_WEIGHT = 1e-17     # curve weights at or below this are roundoff
 CURVE_BLOCK = 1 << 18   # phase-matrix entries evaluated per block
@@ -65,17 +80,31 @@ class SpectralDecomposition:
         return cls(vals, vecs)
 
     def unitary(self, t: float) -> np.ndarray:
-        """exp(itA) from the decomposition."""
-        phases = np.exp(1j * t * self.eigenvalues)
-        return (self.eigenvectors * phases) @ self.eigenvectors.T.conj()
+        """exp(itA) from the decomposition, as two real products:
+        V cos(t lam) V^T + i V sin(t lam) V^T."""
+        vecs, lam = self.eigenvectors, t * self.eigenvalues
+        out = np.empty(vecs.shape, dtype=complex)
+        out.real = (vecs * np.cos(lam)) @ vecs.T
+        out.imag = (vecs * np.sin(lam)) @ vecs.T
+        return out
 
     def apply(self, t: float, u: np.ndarray) -> np.ndarray:
-        coeff = self.eigenvectors.T.conj() @ u
-        return self.eigenvectors @ (np.exp(1j * t * self.eigenvalues) * coeff)
+        """exp(itA) u for a vector u."""
+        u = np.ascontiguousarray(u, dtype=complex)
+        coeff = _real_product(self.eigenvectors.T, u)[:, 0]
+        return _real_product(self.eigenvectors,
+                             np.exp(1j * t * self.eigenvalues) * coeff)[:, 0]
 
     def amplitude_curve(self, u: np.ndarray, v: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """v* U(t) u for an array of times, vectorized over t."""
         return FidelityCurve.of(self, u, v)(ts)
+
+
+def _real_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat @ x as a 2-D array, for a real matrix and a C-contiguous complex
+    vector or matrix x: one real product over the real and imaginary parts of
+    x, so mat is never copied to complex."""
+    return (mat @ x.view(float).reshape(len(x), -1)).view(complex)
 
 
 @dataclass(frozen=True)
@@ -91,11 +120,9 @@ class FidelityCurve:
     @classmethod
     def of(cls, decomp: SpectralDecomposition, u: np.ndarray, v: np.ndarray
            ) -> "FidelityCurve":
-        # the eigenvectors are real: project the real and imaginary parts of
-        # u and v in one real product instead of a complex copy of the matrix
         uv = np.empty((len(u), 2), dtype=complex)
         uv[:, 0], uv[:, 1] = u, v
-        p = (decomp.eigenvectors.T @ uv.view(float)).view(complex)
+        p = _real_product(decomp.eigenvectors.T, uv)
         w = p[:, 1].conj() * p[:, 0]
         # eigenvalues split only by eigensolver roundoff form one eigenspace
         lam = decomp.eigenvalues
@@ -120,45 +147,74 @@ class FidelityCurve:
 
 @dataclass(frozen=True)
 class TruncationCertificate:
-    """Guaranteed 2-norm bound on the evolution error of a depth-L truncation."""
+    """Error bound of an evaluation on the depth-L truncation (L = 0 for a
+    graph without tails), valid for every time s with |s| <= |t|.
+
+    From `prepare`, `bound` covers the error of v* U(s) u for states u and v
+    on the core; from `evolve`, the 2-norm error of the evolved state.  The
+    truncation part is rigorous; `bound` is never below an estimate of the
+    eigensolver roundoff.
+    """
 
     L: int
     t: float
     bound: float
 
 
-def series_tail(x: float, k0: int, terms: int = 400) -> float:
-    """Sum of x^k / k! for k >= k0 (x >= 0)."""
+def series_tail(x: float, k0: int) -> float:
+    """An upper bound, tight to double precision, on the sum of x^k / k! for
+    k >= k0 (x >= 0); inf when that sum overflows or x is not finite."""
+    if not 0 <= x < math.inf:
+        return math.inf
     if x == 0:
         return 0.0 if k0 > 0 else 1.0
     total = 0.0
     logx = math.log(x)
-    for k in range(k0, k0 + terms):
+    k = k0
+    while True:
         exponent = k * logx - math.lgamma(k + 1)
         if exponent > 700.0:  # exp() would overflow; the tail is huge anyway
             return math.inf
         term = math.exp(exponent)
         total += term
-        if term < 1e-300 or (total > 0 and term < total * 1e-18):
-            break
-    return total
+        # past the peak the terms fall at least geometrically, by r per step;
+        # the slack covers the roundoff of the exponents and of the sum
+        if k > x and term <= total * 1e-18:
+            r = x / (k + 1)
+            slack = 4e-16 * (k * abs(logx) + math.lgamma(k + 1) + k + 1)
+            return (total + term * r / (1 - r)) * (1 + slack)
+        k += 1
 
 
-def truncation_bound(m: float, t: float, L: int) -> float:
-    return 2.0 * series_tail(m * abs(t), L)
+def truncation_bound(m: float, t: float, order: int) -> float:
+    """Error bound of a truncation whose Chebyshev expansion agrees with the
+    infinite graph's up to `order`: 4 sum_{k > order} (m|t|/2)^k / k!."""
+    return 4.0 * series_tail(m * abs(t) / 2.0, order + 1)
 
 
-def required_truncation(m: float, t: float, tol: float, start: int = 8,
+def required_truncation(m: float, t: float, tol: float, legs: int,
                         cap: int = MAX_TRUNCATION) -> int:
-    """Smallest L in the doubling schedule with certified error below tol."""
-    L = start
-    while truncation_bound(m, t, L) >= tol:
-        L *= 2
-        if L > cap:
-            raise NonConvergent(
-                f"truncation beyond {cap} needed for t={t} (M={m}, tol={tol})"
-            )
-    return L
+    """Smallest depth L with certified error below tol, for a walk from the
+    core with `legs` legs (STATE or AMPLITUDE): its expansion is exact up to
+    order legs*(L+1) - 1.  Found by doubling, then bisection."""
+    def certified(L: int) -> bool:
+        return truncation_bound(m, t, legs * (L + 1) - 1) < tol
+
+    if not certified(cap):
+        raise NonConvergent(
+            f"truncation beyond {cap} needed for t={t} (M={m}, tol={tol})"
+        )
+    hi = 1
+    while not certified(hi):
+        hi = min(2 * hi, cap)
+    lo = hi // 2  # uncertified, or 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:
@@ -168,16 +224,25 @@ def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:
 
 def prepare(g: WeightedGraph, t: float, tol: float = DEFAULT_TAIL_TOL
             ) -> tuple[SpectralDecomposition, TruncationCertificate]:
-    """Decomposition of a truncation certified for evolution up to time |t|."""
+    """Decomposition of a truncation certified for amplitudes v* U(s) u between
+    core states, for every |s| <= |t|."""
+    return _prepare(g, t, tol, AMPLITUDE)
+
+
+def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
+             ) -> tuple[SpectralDecomposition, TruncationCertificate]:
+    if not math.isfinite(t):
+        raise BadParam(f"time must be finite, got {t}")
     profile = degree_profile(g)
     if g.tails:
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        L = required_truncation(profile.m, t, tol)
+        if not tol > 0:
+            raise BadParam(f"tol must be positive, got {tol}")
+        L = required_truncation(profile.m, t, tol, legs,
+                                cap=MAX_TRUNCATION // len(g.tails))
         # the series bound can undershoot plain eigensolver roundoff; report
         # whichever dominates so the certificate stays honest
-        bound = max(truncation_bound(profile.m, t, L),
-                    _finite_bound(profile, g.n + L, t))
+        bound = max(truncation_bound(profile.m, t, legs * (L + 1) - 1),
+                    _finite_bound(profile, g.n + L * len(g.tails), t))
     else:
         L = 0
         bound = _finite_bound(profile, g.n, t)
@@ -185,11 +250,22 @@ def prepare(g: WeightedGraph, t: float, tol: float = DEFAULT_TAIL_TOL
     return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound)
 
 
+def core_vector(g: WeightedGraph, state: PureState, dim: int) -> np.ndarray:
+    """The state as a length-dim vector.  Its vertices must lie on the core:
+    a tail vertex has no fixed index, and the certificates assume core
+    support."""
+    for vertex, _ in state.support:
+        if not 0 <= vertex < g.n:
+            raise ParseError(f"state vertex {vertex} is not a core vertex (n={g.n})")
+    return state.vector(dim)
+
+
 def evolve(g: WeightedGraph, state: PureState, t: float, tol: float = DEFAULT_TAIL_TOL
            ) -> tuple[np.ndarray, TruncationCertificate]:
-    """U(t) applied to a core-supported state, on core + truncated tails."""
-    decomp, cert = prepare(g, t, tol)
-    u = state.vector(decomp.eigenvalues.shape[0])
+    """U(t) applied to a core-supported state, on core + truncated tails; the
+    certificate bounds the 2-norm error of the whole returned vector."""
+    decomp, cert = _prepare(g, t, tol, STATE)
+    u = core_vector(g, state, decomp.eigenvalues.size)
     return decomp.apply(t, u), cert
 
 
@@ -198,8 +274,9 @@ def transfer_amplitude(g: WeightedGraph, u: PureState, v: PureState, t: float,
                        ) -> tuple[complex, TruncationCertificate]:
     """v* U(t) u, with the truncation certificate used for the evaluation."""
     decomp, cert = prepare(g, t, tol)
-    dim = decomp.eigenvalues.shape[0]
-    amp = decomp.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
+    dim = decomp.eigenvalues.size
+    amp = decomp.amplitude_curve(core_vector(g, u, dim), core_vector(g, v, dim),
+                                 np.array([t]))[0]
     return complex(amp), cert
 
 

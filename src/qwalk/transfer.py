@@ -17,12 +17,13 @@ from math import gcd, lcm, pi
 
 import numpy as np
 
-from .errors import NoTransfer, Unreached
+from .errors import BadParam, NoTransfer, Unreached
 from .graphs import PureState, WeightedGraph, degree_profile, state_to_document
 from .spectral import (
     DEFAULT_TAIL_TOL,
     FidelityCurve,
     TruncationCertificate,
+    core_vector,
     prepare,
     transfer_amplitude,
 )
@@ -138,11 +139,11 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     Returns refined local fidelity maxima reaching 1 - pst_tol, deduplicated
     within 1e-6 in t.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not t_max > 0:
+        raise BadParam(f"t_max must be positive, got {t_max}")
     decomp, cert = prepare(g, t_max, tol)
     dim = decomp.eigenvalues.size
-    curve = FidelityCurve.of(decomp, u.vector(dim), v.vector(dim))
+    curve = FidelityCurve.of(decomp, core_vector(g, u, dim), core_vector(g, v, dim))
     n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
     ts = np.linspace(0.0, t_max, n + 1)[1:]
     f = np.abs(curve(ts))
@@ -176,10 +177,12 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     skipped and the first return is reported.
     """
     if not target_fidelity < 1:
-        raise ValueError("target fidelity must be below 1")
+        raise BadParam(f"target fidelity must be below 1, got {target_fidelity}")
+    if not t_cap > 0:
+        raise BadParam(f"t_cap must be positive, got {t_cap}")
     decomp, cert = prepare(g, t_cap, tol)
     dim = decomp.eigenvalues.size
-    curve = FidelityCurve.of(decomp, u.vector(dim), v.vector(dim))
+    curve = FidelityCurve.of(decomp, core_vector(g, u, dim), core_vector(g, v, dim))
     m = max(degree_profile(g).m, 1.0)
     step = 1.0 / (64 * m)
     total = int(np.ceil(t_cap / step))
@@ -257,10 +260,10 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     periodic; the horizon is then snapped to one exact period, making the
     refined grid minimum an estimate of the true infimum over all t > 0.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not horizon > 0:
+        raise BadParam(f"horizon must be positive, got {horizon}")
     decomp, _ = prepare(g, horizon, tol)
-    uvec = u.vector(decomp.eigenvalues.size)
+    uvec = core_vector(g, u, decomp.eigenvalues.size)
     curve = FidelityCurve.of(decomp, uvec, uvec)
     # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
     period = _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import StructureViolation
 from .graphs import WeightedGraph
 from .partition import Partition, coarsest_equitable, quotient
-from .spectral import SpectralDecomposition, adjacency, required_truncation
+from .spectral import STATE, SpectralDecomposition, adjacency, required_truncation
 from .graphs import degree_profile
 
 WEIGHT_TOL = 1e-12
@@ -129,7 +129,8 @@ def _materialize(g: WeightedGraph) -> tuple[np.ndarray, int]:
     if not g.tails:
         return g.core_adjacency(), 0
     m = degree_profile(g).m
-    L = required_truncation(m, max(CHECK_TIMES) + 0.5, 1e-10)
+    # the checks read whole blocks of U(t), so certify the full state
+    L = required_truncation(m, max(CHECK_TIMES) + 0.5, 1e-10, STATE)
     return adjacency(g, L), L
 
 

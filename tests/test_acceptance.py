@@ -37,8 +37,9 @@ from qwalk.graphs import WeightedGraph
 from qwalk.spectral import (
     SpectralDecomposition,
     adjacency,
+    evolve,
     exp_oracle,
-    prepare,
+    transfer_amplitude,
 )
 from conftest import random_twin_instance
 
@@ -156,7 +157,6 @@ def test_criterion_05_cayley_examples():
 
 def test_criterion_06_tails():
     fids = []
-    certs = []
     for tail_len in (1, 2, 4, 8, 0):
         gd = named_gadget("flyswatter", tail_len=tail_len)
         fids.append(_pst_ok(gd.graph, gd.src, gd.dst, gd.tau))
@@ -167,20 +167,27 @@ def test_criterion_06_tails():
     gd = named_gadget("p3_twins_spur", tail_len=0)
     fids.append(_pst_ok(gd.graph, gd.src, gd.dst, gd.tau))
 
-    # certificate honesty: observed drift when doubling L stays below the bound
-    g = named_gadget("flyswatter", tail_len=0).graph
+    # certificate honesty, like with like, against a 4x deeper truncation:
+    # the whole evolved state against evolve's certificate, and the pair
+    # amplitude against prepare's
+    gd = named_gadget("flyswatter", tail_len=0)
+    g, src, dst = gd.graph, gd.src, gd.dst
     tau = pi / sqrt(2.0)
-    decomp, cert = prepare(g, tau)
-    certs.append(cert)
-    src = pair_state(0, 6).vector(g.n + cert.L)
-    small = decomp.apply(tau, src)
-    big_d = SpectralDecomposition.of(adjacency(g, 2 * cert.L))
-    big = big_d.apply(tau, pair_state(0, 6).vector(g.n + 2 * cert.L))
-    drift = float(np.linalg.norm(big[: small.shape[0]] - small))
-    ok = min(fids) >= 1 - PST_TOL and drift < cert.bound
+    state, scert = evolve(g, src, tau)
+    dim = g.n + 4 * scert.L
+    ref = SpectralDecomposition.of(adjacency(g, 4 * scert.L)).apply(tau, src.vector(dim))
+    state_drift = float(np.linalg.norm(ref - np.pad(state, (0, dim - state.size))))
+    amp, acert = transfer_amplitude(g, src, dst, tau)
+    dim = g.n + 4 * acert.L
+    deep = SpectralDecomposition.of(adjacency(g, 4 * acert.L))
+    ref_amp = deep.amplitude_curve(src.vector(dim), dst.vector(dim), np.array([tau]))[0]
+    amp_drift = abs(ref_amp - amp)
+    ok = (min(fids) >= 1 - PST_TOL and state_drift < scert.bound
+          and amp_drift < acert.bound)
     _report(6, "tail families", ok,
-            f"worst fidelity {min(fids):.12f}; L={cert.L}, "
-            f"drift {drift:.3g} < bound {cert.bound:.3g}")
+            f"worst fidelity {min(fids):.12f}; state L={scert.L}, drift "
+            f"{state_drift:.3g} < bound {scert.bound:.3g}; amplitude "
+            f"L={acert.L}, drift {amp_drift:.3g} < bound {acert.bound:.3g}")
 
 
 def test_criterion_07_structure_property_suites():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,39 @@ def test_non_finite_and_unsafe_inputs_exit_2(tmp_path, capsys):
                  "--vertex-dst", "1",
                  "--tau", "(1).__class__.__name__.__len__()"]) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+def test_bad_parameters_exit_2(tmp_path, capsys):
+    gfile = tmp_path / "p2.json"
+    main(["construct", "path", "--n", "2", "-o", str(gfile)])
+    pair = ["--vertex", "0", "--vertex-dst", "1"]
+    assert main(["check", "pgst", str(gfile), *pair, "--target", "nan"]) == 2
+    assert main(["check", "search", str(gfile), *pair, "--t-max", "0"]) == 2
+    assert main(["check", "sedentary", str(gfile), "--vertex", "0",
+                 "--horizon", "0"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_tailed_graph_rejects_off_core_state(tmp_path, capsys):
+    gfile = tmp_path / "fly.json"
+    main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])
+    assert json.loads(gfile.read_text())["n"] == 9
+    # vertex 12 would be a tail vertex, whose index depends on the truncation
+    assert main(["check", "pst", str(gfile), "--vertex", "12",
+                 "--vertex-dst", "0", "--tau", "1"]) == 2
+    assert main(["check", "search", str(gfile), "--vertex", "0",
+                 "--vertex-dst", "9", "--t-max", "2"]) == 2
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_uncertifiable_horizon_exits_2_at_once(tmp_path, capsys):
+    gfile = tmp_path / "fly.json"
+    main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])
+    t0 = time.perf_counter()
+    assert main(["check", "pgst", str(gfile), "--pair", "0,6",
+                 "--pair-dst", "2,4", "--t-cap", "1e4"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "truncation beyond" in capsys.readouterr().err
 
 
 def test_reproduce_subset(tmp_path, capsys):

@@ -10,9 +10,12 @@ from qwalk import (
     Partition,
     PureState,
     SignVector,
+    TailSpec,
     WeightedGraph,
+    adjacency,
     build_graph,
     coarsest_equitable,
+    evolve,
     exp_oracle,
     fidelity,
     graph_to_document,
@@ -20,6 +23,7 @@ from qwalk import (
     plus_state,
     reduced_hamiltonian,
     switch,
+    transfer_amplitude,
 )
 from qwalk.partition import EquitableFailure, check_equitable
 from qwalk.spectral import FidelityCurve, SpectralDecomposition
@@ -36,6 +40,61 @@ def small_graphs(draw):
         min_size=len(chosen), max_size=len(chosen)))
     return WeightedGraph(n, tuple((a, b, w)
                                   for (a, b), w in zip(chosen, weights)))
+
+
+@st.composite
+def tailed_instances(draw):
+    """A small signed graph with one or two tails (random prefixes), two random
+    core states and a time."""
+    g = draw(small_graphs())
+    weights = st.sampled_from([1.0, -1.0, 2.0, 0.5])
+    tails = tuple(
+        TailSpec(draw(st.integers(0, g.n - 1)),
+                 tuple(draw(st.lists(weights, max_size=2))))
+        for _ in range(draw(st.integers(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    states = []
+    for _ in range(2):
+        size = int(rng.integers(1, g.n + 1))
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+        verts = rng.permutation(g.n)[:size]
+        states.append(PureState(tuple((int(a), complex(c))
+                                      for a, c in zip(verts, amps))))
+    t = draw(st.floats(-6.0, 6.0))
+    return WeightedGraph(g.n, g.edges, tails), states[0], states[1], t
+
+
+def _deep(g, L):
+    # a 4x deeper truncation than the certified one, as an independent reference
+    return SpectralDecomposition.of(adjacency(g, 4 * L)), g.n + 4 * L * len(g.tails)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tailed_instances())
+def test_certified_amplitude_matches_deeper_truncation(inst):
+    g, u, v, t = inst
+    amp, cert = transfer_amplitude(g, u, v, t)
+    deep, dim = _deep(g, cert.L)
+    ref = deep.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
+    assert abs(ref - amp) <= cert.bound + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(tailed_instances())
+def test_certified_state_matches_deeper_truncation(inst):
+    g, u, _, t = inst
+    out, cert = evolve(g, u, t)
+    deep, dim = _deep(g, cert.L)
+    # the truncation's tail vertices sit in blocks of L per tail; place them
+    # at their depths in the deeper truncation, zero beyond
+    placed = np.zeros(dim, dtype=complex)
+    placed[:g.n] = out[:g.n]
+    for i in range(len(g.tails)):
+        start = g.n + 4 * cert.L * i
+        placed[start:start + cert.L] = out[g.n + cert.L * i:g.n + cert.L * (i + 1)]
+    ref = deep.apply(t, u.vector(dim))
+    assert np.linalg.norm(ref - placed) <= cert.bound + 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,7 +21,9 @@ from qwalk import (
 )
 from qwalk.errors import NonConvergent, TailsRequireTruncation
 from qwalk.spectral import (
+    AMPLITUDE,
     CURVE_BLOCK,
+    STATE,
     FidelityCurve,
     SpectralDecomposition,
     required_truncation,
@@ -69,25 +71,53 @@ def test_series_tail_and_bound():
     assert truncation_bound(3.0, 1.0, 2) > truncation_bound(3.0, 1.0, 8)
 
 
-def test_required_truncation_doubles():
-    L = required_truncation(4.0, 2.0, 1e-9)
-    assert L in (16, 32, 64)
-    assert truncation_bound(4.0, 2.0, L) < 1e-9
+def test_series_tail_is_an_upper_bound():
+    # the geometric remainder keeps the truncated sum above the exact tail
+    for x, k0 in ((0.5, 3), (9.6, 10), (40.0, 41), (40.0, 120)):
+        exact = math.fsum(math.exp(k * math.log(x) - math.lgamma(k + 1))
+                          for k in range(k0, k0 + 2000))
+        assert exact <= series_tail(x, k0) <= exact * (1 + 1e-11)
+    assert series_tail(math.nan, 3) == math.inf
+    assert series_tail(1e6, 10) == math.inf
+
+
+def test_required_truncation_is_minimal():
+    for m, t, tol in ((4.0, 2.0, 1e-9), (4.0, 50.0, 1e-9), (3.0, 30.0, 1e-12),
+                      (2.0, 0.1, 1e-6), (2.5, 7.3, 1e-3)):
+        for legs in (STATE, AMPLITUDE):
+            def bound(L):
+                return truncation_bound(m, t, legs * (L + 1) - 1)
+            L = required_truncation(m, t, tol, legs)
+            assert bound(L) < tol
+            assert L == 1 or bound(L - 1) >= tol
+            # the cap is inclusive: L itself is allowed, L - 1 is not enough
+            assert required_truncation(m, t, tol, legs, cap=L) == L
+            if L > 1:
+                with pytest.raises(NonConvergent):
+                    required_truncation(m, t, tol, legs, cap=L - 1)
+    # an amplitude needs roughly half the depth of a state
+    assert (required_truncation(4.0, 50.0, 1e-9, AMPLITUDE)
+            < 0.6 * required_truncation(4.0, 50.0, 1e-9, STATE))
     with pytest.raises(NonConvergent):
-        required_truncation(1e6, 1e6, 1e-9, cap=64)
+        required_truncation(1e6, 1e6, 1e-9, STATE, cap=64)
 
 
 def test_certificate_bound_dominates_observed_drift():
     g = WeightedGraph(2, ((0, 1, 1.0),), (TailSpec(1),))
-    t = 2.0
-    decomp, cert = prepare(g, t, tol=1e-9)
-    out, _ = evolve(g, vertex_state(0), t)
-    # doubling the truncation changes the answer by less than the bound
-    from qwalk.spectral import adjacency as adj
-    big = SpectralDecomposition.of(adj(g, 2 * cert.L))
-    ref = big.apply(t, vertex_state(0).vector(2 + 2 * cert.L))
-    drift = np.linalg.norm(ref[: out.shape[0]] - out)
+    t, u, v = 2.0, vertex_state(0), vertex_state(1)
+    # the whole state from evolve, against evolve's certificate, in 2-norm
+    out, cert = evolve(g, u, t, tol=1e-9)
+    dim = 2 + 4 * cert.L
+    ref = SpectralDecomposition.of(adjacency(g, 4 * cert.L)).apply(t, u.vector(dim))
+    drift = np.linalg.norm(ref - np.pad(out, (0, dim - out.size)))
     assert drift < cert.bound
+    # an amplitude between core states, against prepare's certificate
+    amp, acert = transfer_amplitude(g, u, v, t, tol=1e-9)
+    assert acert.L < cert.L
+    dim = 2 + 4 * acert.L
+    deep = SpectralDecomposition.of(adjacency(g, 4 * acert.L))
+    ref_amp = deep.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
+    assert abs(ref_amp - amp) < acert.bound
 
 
 def test_exp_oracle_matches_spectral():
@@ -116,9 +146,10 @@ def _dense_curve(decomp, u, v, ts):
 
 
 @pytest.mark.parametrize("name, kwargs, vertex, t_max, max_support", [
-    # the pair state sees 3 of the 1033 eigenvalues of the truncation
+    # the pair state sees 3 of the 154 eigenvalues of the truncation
     ("flyswatter", {"tail_len": 0}, None, 50.0, 3),
-    # the attach vertex couples to the tail: most of the 522 stay
+    # the attach vertex couples to the tail: 76 of the 80 stay (521, the
+    # bound below, is what a depth-512 truncation kept of its 522)
     ("h2p", {"p": 5, "tail_len": 0}, 5, 30.0, 521),
 ])
 def test_fidelity_curve_matches_dense_formula(name, kwargs, vertex, t_max,
