@@ -99,7 +99,7 @@ def _state_from_flags(args, suffix: str):
         return pair_state(*_parse_pair(pair))
     if plus is not None:
         return plus_state(*_parse_pair(plus))
-    with open(state) as fh:
+    with open(state, "rb") as fh:
         return build_state(fh.read())
 
 
@@ -112,7 +112,8 @@ def _add_state_flags(parser: argparse.ArgumentParser, suffix: str) -> None:
 
 
 def _load_graph(path: str):
-    with open(path) as fh:
+    # bytes: the JSON parser reports a bad encoding as a ParseError
+    with open(path, "rb") as fh:
         return build_graph(fh.read())
 
 

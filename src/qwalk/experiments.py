@@ -52,19 +52,21 @@ def random_tree(n: int, seed) -> WeightedGraph:
     return prufer_decode(seq, n)
 
 
-def _assert_tree(g: WeightedGraph) -> None:
+def _assert_tree(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
+    """The graph's neighbour lists, once it is known to be a finite tree."""
     if g.tails or len(g.edges) != g.n - 1:
         raise NotATree("graph is not a finite tree")
+    nbrs = g.adjacency_lists
     seen = {0}
     stack = [0]
     while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
+        for v in nbrs[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
     if len(seen) != g.n:
         raise NotATree("graph is not connected")
+    return nbrs
 
 
 def find_p5_limb(g: WeightedGraph) -> TwinStructure | None:
@@ -72,21 +74,21 @@ def find_p5_limb(g: WeightedGraph) -> TwinStructure | None:
 
     Looks for a vertex c with two neighbors of degree 2 whose other neighbor
     is a leaf; the two leaf+midpoint arms form twin P_2 subgraphs, giving pair
-    transfer leaves -> midpoints at pi/2.
+    transfer leaves -> midpoints at pi/2.  The first such c in vertex order
+    and its first two arms in neighbour order are returned.
     """
-    _assert_tree(g)
-    deg = {v: len(g.neighbors(v)) for v in range(g.n)}
+    nbrs = _assert_tree(g)
     for c in range(g.n):
         arms = []
-        for m in g.neighbors(c):
-            if deg[m] != 2:
+        for m in nbrs[c]:
+            mid = nbrs[m]
+            if len(mid) != 2:
                 continue
-            other = [x for x in g.neighbors(m) if x != c]
-            if len(other) == 1 and deg[other[0]] == 1:
-                arms.append((other[0], m))
-        if len(arms) >= 2:
-            (l1, m1), (l2, m2) = arms[0], arms[1]
-            return TwinStructure.of(g, (l1, m1), (l2, m2))
+            leaf = mid[1] if mid[0] == c else mid[0]
+            if len(nbrs[leaf]) == 1:
+                arms.append((leaf, m))
+                if len(arms) == 2:
+                    return TwinStructure.of(g, *arms)
     return None
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class WeightedGraph:
     tails: tuple[TailSpec, ...] = ()
 
     def __post_init__(self):
-        seen = {}
+        seen = set()
+        canon = []
         for a, b, w in self.edges:
             if a == b:
                 raise SelfLoop(f"self-loop at vertex {a}")
@@ -73,9 +75,10 @@ class WeightedGraph:
             key = _edge_key(a, b)
             if key in seen:
                 raise DuplicateEdgeConflict(f"edge {key} declared twice")
-            seen[key] = w
-        canon = tuple(sorted((min(a, b), max(a, b), float(w)) for a, b, w in self.edges))
-        object.__setattr__(self, "edges", canon)
+            seen.add(key)
+            canon.append((*key, float(w)))
+        canon.sort()
+        object.__setattr__(self, "edges", tuple(canon))
         for t in self.tails:
             if not 0 <= t.attach < self.n:
                 raise ParseError(f"tail attach vertex {t.attach} out of range")
@@ -85,15 +88,23 @@ class WeightedGraph:
                 raise ZeroWeight("tail prefix contains a zero weight")
 
     # -- queries ---------------------------------------------------------
+    # Derived structures are cached on first use; cached_property writes the
+    # instance __dict__ directly, so it works on the frozen dataclass.
 
-    @property
+    @cached_property
     def weight_map(self) -> dict[tuple[int, int], float]:
-        try:
-            return self._wm  # type: ignore[attr-defined]
-        except AttributeError:
-            wm = {_edge_key(a, b): w for a, b, w in self.edges}
-            object.__setattr__(self, "_wm", wm)
-            return wm
+        return {(a, b): w for a, b, w in self.edges}
+
+    @cached_property
+    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the sorted tuple of its neighbours."""
+        lists: list[list[int]] = [[] for _ in range(self.n)]
+        # the canonical edge order reaches each vertex's smaller neighbours
+        # in ascending order, then its larger ones: every list comes sorted
+        for a, b, _ in self.edges:
+            lists[a].append(b)
+            lists[b].append(a)
+        return tuple(map(tuple, lists))
 
     def weight(self, a: int, b: int) -> float:
         if a == b:
@@ -104,18 +115,14 @@ class WeightedGraph:
         return _edge_key(a, b) in self.weight_map
 
     def neighbors(self, a: int) -> list[int]:
-        out = []
-        for (u, v), _ in self.weight_map.items():
-            if u == a:
-                out.append(v)
-            elif v == a:
-                out.append(u)
-        return sorted(out)
+        """Sorted neighbours of a; none for a vertex outside the core."""
+        return list(self.adjacency_lists[a]) if 0 <= a < self.n else []
 
     def core_adjacency(self) -> np.ndarray:
         """Adjacency matrix of the finite core, tails ignored."""
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
+        if self.edges:
+            u, v, w = (np.array(col) for col in zip(*self.edges))
             a[u, v] = w
             a[v, u] = w
         return a
@@ -228,32 +235,61 @@ def negate_edges(g: WeightedGraph, edges) -> WeightedGraph:
 # -- interchange format --------------------------------------------------
 
 
+def _document(doc, what: str) -> dict:
+    """A qwalk/1 document (dict or JSON text) as a dict."""
+    if isinstance(doc, (str, bytes)):
+        try:
+            doc = json.loads(doc)
+        except (ValueError, RecursionError) as exc:  # bad syntax or encoding, or too deep
+            raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} document must be a JSON object")
+    fmt = doc.get("format", FORMAT_TAG)
+    if fmt != FORMAT_TAG:
+        raise ParseError(f"unsupported format {fmt!r}")
+    return doc
+
+
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{key!r} must be a list")
+    return value
+
+
+def _is_index(x) -> bool:
+    # JSON true/false arrive as bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _number(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(f"{what} {x!r} is not a number")
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ParseError(f"{what} {x!r} is out of range") from exc
+
+
 def build_graph(doc) -> WeightedGraph:
     """Build a graph from a qwalk/1 document (dict or JSON string).
 
     String vertex labels are accepted via an optional "labels" list and are
     mapped to their indices on load.
     """
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("graph document must be a JSON object")
-    fmt = doc.get("format", FORMAT_TAG)
-    if fmt != FORMAT_TAG:
-        raise ParseError(f"unsupported format {fmt!r}")
+    doc = _document(doc, "graph")
     if "n" not in doc:
         raise ParseError("graph document missing 'n'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_index(n) or n < 0:
         raise ParseError("'n' must be a nonnegative integer")
 
     labels = doc.get("labels")
     index = None
     if labels is not None:
-        if len(labels) != n or len(set(labels)) != n:
+        if (not isinstance(labels, (list, tuple)) or len(labels) != n
+                or not all(isinstance(x, str) for x in labels)
+                or len(set(labels)) != n):
             raise ParseError("'labels' must list n distinct names")
         index = {name: i for i, name in enumerate(labels)}
 
@@ -262,25 +298,20 @@ def build_graph(doc) -> WeightedGraph:
             if x not in index:
                 raise ParseError(f"unknown vertex label {x!r}")
             return index[x]
-        if not isinstance(x, int):
+        if not _is_index(x):
             raise ParseError(f"vertex reference {x!r} is not an index")
         if not 0 <= x < n:
             raise ParseError(f"vertex index {x} out of range")
         return x
 
     seen: dict[tuple[int, int], float] = {}
-    for entry in doc.get("edges", []):
-        if len(entry) == 2:
-            a, b = entry
-            w = 1.0
-        elif len(entry) == 3:
-            a, b, w = entry
-        else:
+    for entry in _list(doc, "edges"):
+        if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise ParseError(f"bad edge entry {entry!r}")
-        a, b = vid(a), vid(b)
+        a, b = vid(entry[0]), vid(entry[1])
         if a == b:
             raise SelfLoop(f"self-loop at vertex {a}")
-        w = float(w)
+        w = _number(entry[2], "edge weight") if len(entry) == 3 else 1.0
         if w == 0:
             raise ZeroWeight(f"edge ({a},{b}) has zero weight")
         key = _edge_key(a, b)
@@ -291,8 +322,11 @@ def build_graph(doc) -> WeightedGraph:
         seen[key] = w
 
     tails = []
-    for tdoc in doc.get("tails", []):
-        tails.append(TailSpec(vid(tdoc["attach"]), tuple(float(w) for w in tdoc.get("prefix", ()))))
+    for tdoc in _list(doc, "tails"):
+        if not isinstance(tdoc, dict) or "attach" not in tdoc:
+            raise ParseError(f"tail {tdoc!r} needs an 'attach' vertex")
+        prefix = tuple(_number(w, "tail weight") for w in _list(tdoc, "prefix"))
+        tails.append(TailSpec(vid(tdoc["attach"]), prefix))
 
     return WeightedGraph(n, tuple((a, b, w) for (a, b), w in seen.items()), tuple(tails))
 
@@ -316,14 +350,18 @@ def state_to_document(s: PureState) -> dict:
 
 
 def build_state(doc) -> PureState:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    if doc.get("format", FORMAT_TAG) != FORMAT_TAG:
-        raise ParseError(f"unsupported format {doc.get('format')!r}")
-    amps = doc.get("amplitudes")
+    """Build a state from a qwalk/1 document: "amplitudes" lists
+    [vertex, re, im] entries with nonnegative integer vertices."""
+    doc = _document(doc, "state")
+    amps = _list(doc, "amplitudes")
     if not amps:
         raise ParseError("state document missing 'amplitudes'")
-    return PureState(tuple((int(v), complex(re, im)) for v, re, im in amps))
+    support = []
+    for entry in amps:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"amplitude entry {entry!r} is not [vertex, re, im]")
+        v, re, im = entry
+        if not _is_index(v) or v < 0:
+            raise ParseError(f"state vertex {v!r} is not a nonnegative integer")
+        support.append((v, complex(_number(re, "amplitude"), _number(im, "amplitude"))))
+    return PureState(tuple(support))

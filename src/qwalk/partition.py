@@ -184,17 +184,15 @@ def quotient(ed: EquitableData,
     deterministic pseudo-random times.
     """
     c = ed.constants
-    d = c.shape[0]
-    b = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            prod = c[j, k] * c[k, j]
-            if prod < -CELL_SUM_TOL:
-                raise SignInconsistency(
-                    f"cell constants c[{j},{k}]={c[j, k]} and c[{k},{j}]={c[k, j]} "
-                    "have opposite signs"
-                )
-            b[j, k] = np.sign(c[j, k]) * np.sqrt(max(prod, 0.0))
+    prod = c * c.T
+    bad = np.argwhere(prod < -CELL_SUM_TOL)  # row-major: the first (j, k) first
+    if bad.size:
+        j, k = bad[0]
+        raise SignInconsistency(
+            f"cell constants c[{j},{k}]={c[j, k]} and c[{k},{j}]={c[k, j]} "
+            "have opposite signs"
+        )
+    b = np.sign(c) * np.sqrt(np.maximum(prod, 0.0))
     b = (b + b.T) / 2.0
 
     a = ed.graph.core_adjacency()

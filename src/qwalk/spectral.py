@@ -49,11 +49,11 @@ def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
         raise ValueError("truncation length must be nonnegative")
     if g.tails and L == 0:
         raise TailsRequireTruncation("graph has tails; pass a truncation length L > 0")
+    if not g.tails:
+        return g.core_adjacency()
     dim = g.n + L * len(g.tails)
     a = np.zeros((dim, dim))
-    for u, v, w in g.edges:
-        a[u, v] = w
-        a[v, u] = w
+    a[:g.n, :g.n] = g.core_adjacency()
     base = g.n
     for t in g.tails:
         prev = t.attach

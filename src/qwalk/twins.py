@@ -58,10 +58,10 @@ class TwinStructure:
                     raise StructureViolation(
                         f"isomorphism broken: w({x2[i]},{x2[j]}) != w({a},{b})"
                     )
+        nbrs = g.adjacency_lists
         for i, a in enumerate(x1):
-            for y in range(g.n):
-                if y in inside:
-                    continue
+            # only a neighbour of a or f(a) can carry a nonzero weight
+            for y in sorted(set(nbrs[a]).union(nbrs[x2[i]]) - inside):
                 if abs(g.weight(x2[i], y) - g.weight(a, y)) > WEIGHT_TOL:
                     raise StructureViolation(
                         f"outside attachment broken: w({x2[i]},{y}) != w({a},{y})"
@@ -151,13 +151,9 @@ def verify_twin_structure(g: WeightedGraph, ts: TwinStructure) -> BlockCheck:
 
     seed_cells = list(ts.pair_partition().cells)
     seed_cells += [(v,) for v in range(g.n, dim)]
-    core_like = WeightedGraph(
-        dim,
-        tuple(
-            (i, j, a[i, j]) for i in range(dim) for j in range(i + 1, dim)
-            if a[i, j] != 0
-        ),
-    )
+    iu, ju = np.nonzero(np.triu(a, 1))
+    core_like = WeightedGraph(dim, tuple(zip(iu.tolist(), ju.tolist(),
+                                             a[iu, ju].tolist())))
     ed = coarsest_equitable(core_like, Partition.of(seed_cells))
     # the pair cells must survive refinement for the structure to be usable
     cellset = set(ed.partition.cells)
@@ -202,18 +198,18 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     (weight-preserving) automorphism fixing everything else.  Vertices with
     tails are kept fixed.
     """
-    a = g.core_adjacency()
+    # nested lists: the searches below index single entries, which is much
+    # cheaper on Python floats than on numpy scalars
+    a = g.core_adjacency().tolist()
     fixed_by_tail = {t.attach for t in g.tails}
-
-    def rowsig(v: int) -> tuple:
-        return tuple(sorted(int(round(x / WEIGHT_TOL)) for x in a[v] if x != 0))
-
+    sig = [tuple(sorted(int(round(x / WEIGHT_TOL)) for x in row if x != 0))
+           for row in a]
     candidates = [
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
         if u not in fixed_by_tail and v not in fixed_by_tail
-        and rowsig(u) == rowsig(v)
+        and sig[u] == sig[v]
     ]
 
     results: list[TwinStructure] = []
@@ -224,7 +220,7 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
             for y in range(g.n):
                 if y in used:
                     continue
-                if abs(a[u, y] - a[v, y]) > WEIGHT_TOL:
+                if abs(a[u][y] - a[v][y]) > WEIGHT_TOL:
                     return False
         return True
 
@@ -236,9 +232,9 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     def consistent(pairs: list[tuple[int, int]], p: tuple[int, int]) -> bool:
         u, v = p
         for (c, d) in pairs:
-            if abs(a[u, c] - a[v, d]) > WEIGHT_TOL:
+            if abs(a[u][c] - a[v][d]) > WEIGHT_TOL:
                 return False
-            if abs(a[u, d] - a[v, c]) > WEIGHT_TOL:
+            if abs(a[u][d] - a[v][c]) > WEIGHT_TOL:
                 return False
         return True
 

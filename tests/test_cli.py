@@ -160,3 +160,35 @@ def test_reproduce_subset(tmp_path, capsys):
     ids = [row["id"] for row in doc["claims"]]
     assert len(ids) == len(set(ids))
     assert all(row["pass"] for row in doc["claims"])
+
+
+@pytest.mark.parametrize("state", [
+    '{"amplitudes": [[1.5, 1, 0]]}',   # a fractional vertex, once read as 1
+    '{"amplitudes": [[true, 1, 0]]}',  # a bool is not an index
+    '{"amplitudes": [[0, 1]]}',        # an entry without its imaginary part
+    '[[0, 1, 0]]',                     # not an object
+], ids=["fractional-vertex", "bool-vertex", "short-entry", "array-document"])
+def test_malformed_state_document_exits_2(tmp_path, capsys, state):
+    gfile, sfile = tmp_path / "p3.json", tmp_path / "state.json"
+    main(["construct", "path", "--n", "3", "-o", str(gfile)])
+    sfile.write_text(state)
+    assert main(["check", "pst", str(gfile), "--state", str(sfile),
+                 "--vertex-dst", "2", "--tau", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", [
+    b'{"n": 3, "edges": [[0, 1]], "tails": [{"prefix": [1.0]}]}',
+    b'{"n": 3, "edges": [[0, 1, "x"]]}',
+    b'{"n": 3, "edges": [[0, 1, true]]}',
+    b'[[0, 1, 1.0]]',
+    b'\xff\xfe{"n": 2}',
+    b'[' * 100_000 + b']' * 100_000,
+], ids=["tail-without-attach", "string-weight", "bool-weight", "array-document",
+        "not-utf8", "nested-too-deep"])
+def test_malformed_graph_document_exits_2(tmp_path, capsys, graph):
+    gfile = tmp_path / "g.json"
+    gfile.write_bytes(graph)
+    assert main(["check", "pst", str(gfile), "--vertex", "0",
+                 "--vertex-dst", "1", "--tau", "1"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -34,6 +34,18 @@ def test_edges_are_canonicalized():
     assert g.weight(2, 0) == 1.0
     assert g.weight(0, 1) == 0.0
     assert g.neighbors(2) == [0, 1]
+    assert g.adjacency_lists == ((2,), (2,), (0, 1))
+    assert g.neighbors(3) == [] and g.neighbors(-1) == []
+
+
+def test_derived_structures_are_cached():
+    g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, -2.0)))
+    assert g.adjacency_lists is g.adjacency_lists
+    assert g.weight_map is g.weight_map
+    assert g.weight_map == {(0, 1): 1.0, (1, 2): -2.0}
+    # the caches are not fields: equality and hashing ignore them
+    assert g == WeightedGraph(3, ((1, 2, -2.0), (0, 1, 1.0)))
+    assert hash(g) == hash(WeightedGraph(3, g.edges))
 
 
 def test_invalid_graphs_rejected():

@@ -9,9 +9,9 @@ from qwalk import (
     named_gadget,
     quotient,
 )
-from qwalk.errors import NotAPartition
+from qwalk.errors import NotAPartition, SignInconsistency
 from qwalk.graphs import TailSpec, WeightedGraph
-from qwalk.partition import EquitableFailure
+from qwalk.partition import EquitableData, EquitableFailure
 from qwalk.spectral import SpectralDecomposition
 
 
@@ -77,3 +77,30 @@ def test_discrete_partition_always_equitable():
     res = check_equitable(g, Partition.discrete(5))
     assert not isinstance(res, EquitableFailure)
     np.testing.assert_allclose(quotient(res).adjacency, g.core_adjacency())
+
+
+def _quotient_reference(c):
+    # the entry-by-entry definition: sign(c_jk) sqrt(c_jk c_kj), symmetrized
+    d = c.shape[0]
+    b = np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            b[j, k] = np.sign(c[j, k]) * np.sqrt(max(c[j, k] * c[k, j], 0.0))
+    return (b + b.T) / 2.0
+
+
+def test_quotient_matches_entrywise_definition():
+    g = named_gadget("c4_quotient").graph
+    ed = coarsest_equitable(g, Partition.of([(0, 1), (2,), (3, 4), (5,)]))
+    np.testing.assert_array_equal(quotient(ed).adjacency,
+                                  _quotient_reference(ed.constants))
+
+
+def test_quotient_names_first_sign_inconsistency():
+    # c[0,2] c[2,0] < 0 and c[1,2] c[2,1] < 0: the row-major first is (0, 2)
+    c = np.array([[0.0, 1.0, 2.0],
+                  [1.0, 0.0, -1.0],
+                  [-1.0, 1.0, 0.0]])
+    ed = EquitableData(cycle_graph(3), Partition.discrete(3), c, np.eye(3))
+    with pytest.raises(SignInconsistency, match=r"c\[0,2\]=2\.0 and c\[2,0\]=-1\.0"):
+        quotient(ed)

@@ -25,6 +25,7 @@ from qwalk import (
     switch,
     transfer_amplitude,
 )
+from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import EquitableFailure, check_equitable
 from qwalk.spectral import FidelityCurve, SpectralDecomposition
 from conftest import random_twin_instance
@@ -95,6 +96,70 @@ def test_certified_state_matches_deeper_truncation(inst):
         placed[start:start + cert.L] = out[g.n + cert.L * i:g.n + cert.L * (i + 1)]
     ref = deep.apply(t, u.vector(dim))
     assert np.linalg.norm(ref - placed) <= cert.bound + 1e-12
+
+
+@st.composite
+def shuffled_signed_graphs(draw):
+    """A signed graph on up to 20 vertices whose edges are given in random
+    order and orientation."""
+    n = draw(st.integers(2, 20))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60))
+    edges = tuple(
+        (b, a, w) if flip else (a, b, w)
+        for (a, b), w, flip in zip(
+            chosen,
+            draw(st.lists(st.sampled_from([1.0, -1.0, 2.0, -0.5]),
+                          min_size=len(chosen), max_size=len(chosen))),
+            draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))))
+    return WeightedGraph(n, edges)
+
+
+def _edge_scan_neighbors(g, a):
+    # the first definition of neighbors: a scan over every edge
+    out = []
+    for u, v, _ in g.edges:
+        if u == a:
+            out.append(v)
+        elif v == a:
+            out.append(u)
+    return sorted(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_signed_graphs())
+def test_neighbors_match_edge_scan(g):
+    for v in range(-1, g.n + 1):
+        assert g.neighbors(v) == _edge_scan_neighbors(g, v)
+    assert all(type(x) is int for nbrs in g.adjacency_lists for x in nbrs)
+
+
+def _limb_reference(g):
+    """First centre (vertex order) with two pendant P_2 arms, and its first two
+    arms (neighbour order), read off the dense adjacency matrix."""
+    a = g.core_adjacency() != 0
+    deg = a.sum(axis=1)
+    for c in range(g.n):
+        arms = []
+        for m in np.flatnonzero(a[c]):
+            if deg[m] != 2:
+                continue
+            (leaf,) = [x for x in np.flatnonzero(a[m]) if x != c]
+            if deg[leaf] == 1:
+                arms.append((int(leaf), int(m)))
+        if len(arms) >= 2:
+            return arms[0], arms[1]
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(6, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))))
+def test_find_p5_limb_matches_brute_force(tree):
+    n, seq = tree
+    g = prufer_decode(tuple(seq), n)
+    ts = find_p5_limb(g)
+    assert (None if ts is None else (ts.x1, ts.x2)) == _limb_reference(g)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from qwalk import (
+    CayleySpec,
     TwinStructure,
     WeightedGraph,
+    blow_up,
+    cayley,
+    compose_signed,
+    cycle_graph,
     detect_twin_structures,
     named_gadget,
     path_graph,
@@ -11,6 +16,8 @@ from qwalk import (
     verify_twin_structure,
 )
 from qwalk.errors import StructureViolation
+
+import twin_records
 
 
 def test_detect_on_p2_gadget():
@@ -58,6 +65,10 @@ def test_broken_attachment_raises():
     broken = WeightedGraph(g.n, g.edges + ((0, 2, 1.0),))
     with pytest.raises(StructureViolation):
         TwinStructure.of(broken, (0, 1), (4, 3))
+    # the same break on the image side: the extra edge hangs off f(0) = 4
+    broken = WeightedGraph(g.n, g.edges + ((2, 4, 1.0),))
+    with pytest.raises(StructureViolation, match=r"w\(4,2\) != w\(0,2\)"):
+        TwinStructure.of(broken, (0, 1), (4, 3))
 
 
 def test_asymmetric_cross_edge_raises():
@@ -83,3 +94,20 @@ def test_single_vertex_twins_reduced():
     np.testing.assert_allclose(reduced_hamiltonian(ts), [[-1.0]])
     bc = verify_twin_structure(g, ts)
     assert bc.max_residual < 1e-9
+
+
+def z4z4() -> WeightedGraph:
+    """A(Cay(Z4xZ4, {(1,0),(3,0)})) - A(Cay(Z4xZ4, {(0,1),(0,2),(0,3)}))."""
+    moduli = (4, 4)
+    h = cayley(CayleySpec(moduli, ((1, 0), (3, 0))))
+    k = cayley(CayleySpec(moduli, ((0, 1), (0, 2), (0, 3))))
+    return compose_signed(h, k)
+
+
+@pytest.mark.parametrize("graph, recorded", [
+    (lambda: blow_up(cycle_graph(8), 2), twin_records.BLOWUP_C8),
+    (z4z4, twin_records.Z4Z4),
+], ids=["blowup_c8", "z4z4"])
+def test_detect_matches_recorded_structures(graph, recorded):
+    found = detect_twin_structures(graph())
+    assert [(t.x1, t.x2) for t in found] == recorded
