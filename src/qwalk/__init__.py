@@ -35,7 +35,6 @@ from .partition import (
     EquitableData,
     EquitableFailure,
     Partition,
-    QuotientGraph,
     check_equitable,
     coarsest_equitable,
     quotient,

@@ -75,11 +75,27 @@ def parse_time(text: str) -> float:
     return value
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise QwalkError(f"expected 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag's value."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise QwalkError(
+            f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+    pair = _parse_ints(text, flag)
+    if len(pair) != 2:
+        raise QwalkError(f"{flag}: expected 'a,b', got {text!r}")
+    return pair
+
+
+def _required(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise QwalkError(f"construct {args.family} requires --{name}")
+    return value
 
 
 def _state_from_flags(args, suffix: str):
@@ -95,10 +111,11 @@ def _state_from_flags(args, suffix: str):
         )
     if vertex is not None:
         return vertex_state(vertex)
+    dash = suffix.replace("_", "-")
     if pair is not None:
-        return pair_state(*_parse_pair(pair))
+        return pair_state(*_parse_pair(pair, f"--pair{dash}"))
     if plus is not None:
-        return plus_state(*_parse_pair(plus))
+        return plus_state(*_parse_pair(plus, f"--plus{dash}"))
     with open(state, "rb") as fh:
         return build_state(fh.read())
 
@@ -148,7 +165,7 @@ def _parse_conn(text: str) -> tuple[tuple[int, ...], ...]:
         chunk = chunk.strip().strip("()")
         if not chunk:
             continue
-        out.append(tuple(int(x) for x in chunk.split(",")))
+        out.append(_parse_ints(chunk, "--conn"))
     if not out:
         raise QwalkError("empty connection set")
     return tuple(out)
@@ -159,14 +176,14 @@ def cmd_construct(args) -> int:
         g = named_gadget("flyswatter", tail_len=args.n).graph
     elif args.family in ("path", "cycle", "complete"):
         g = {"path": path_graph, "cycle": cycle_graph,
-             "complete": complete_graph}[args.family](args.n)
+             "complete": complete_graph}[args.family](_required(args, "n"))
     elif args.family == "blowup":
-        g = blow_up(_base_graph(args.base), args.copies)
+        g = blow_up(_base_graph(_required(args, "base")), args.copies)
     elif args.family == "cayley":
-        moduli = tuple(int(x) for x in args.group.split(","))
-        g = cayley(CayleySpec(moduli, _parse_conn(args.conn)))
+        moduli = _parse_ints(_required(args, "group"), "--group")
+        g = cayley(CayleySpec(moduli, _parse_conn(_required(args, "conn"))))
     elif args.family == "gadget":
-        g = named_gadget(args.name, n=args.n, p=args.p,
+        g = named_gadget(_required(args, "name"), n=args.n, p=args.p,
                          tail_len=args.tail).graph
     else:
         raise QwalkError(f"unknown family {args.family!r}")

@@ -82,11 +82,6 @@ class EquitableFailure:
     a2: int
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    adjacency: np.ndarray
-
-
 def _core_matrix(g: WeightedGraph, p: Partition) -> np.ndarray:
     p.validate(g.n)
     if g.tails:
@@ -177,8 +172,9 @@ def coarsest_equitable(g: WeightedGraph, seed: Partition) -> EquitableData:
 
 
 def quotient(ed: EquitableData,
-             verify_times: int = 5, rng_seed: int = 0xC4) -> QuotientGraph:
-    """Symmetrized quotient with entries sign(c_jk)*sqrt(c_jk*c_kj).
+             verify_times: int = 5, rng_seed: int = 0xC4) -> np.ndarray:
+    """Symmetrized quotient adjacency matrix, with entries
+    sign(c_jk)*sqrt(c_jk*c_kj).
 
     Verifies the intertwining relation U_G(t)C = C U_{G/Pi}(t) at a few
     deterministic pseudo-random times.
@@ -206,4 +202,4 @@ def quotient(ed: EquitableData,
         resid = np.max(np.abs(da.unitary(t) @ cm - cm @ db.unitary(t)))
         if resid > 1e-9:
             raise QwalkError(f"transition intertwining failed at t={t} (residual {resid})")
-    return QuotientGraph(b)
+    return b

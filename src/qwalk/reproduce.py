@@ -97,7 +97,7 @@ def _claim_quotient_switch_mixed():
 def _claim_quotient_matrix():
     g = _quotient_demo_base()
     ed = coarsest_equitable(g, Partition.of([(0, 1), (2,), (3, 4), (5,)]))
-    b = quotient(ed).adjacency
+    b = quotient(ed)
     target = sqrt(2.0) * cycle_graph(4).core_adjacency()
     resid = float(np.max(np.abs(b - target)))
     return ("quotient = sqrt2 * C_4 within 1e-10",

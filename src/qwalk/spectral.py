@@ -144,6 +144,29 @@ class FidelityCurve:
             out[i:i + rows] = phases @ self.weights
         return out
 
+    def grid(self, step: float, count: int, first: int = 1) -> np.ndarray:
+        """v* U(t) u at t = k*step for k = first, ..., first + count - 1.
+
+        Baby-step/giant-step: with h = step, B baby steps and
+        k = first + g*B + j,
+        exp(i k h lam) = exp(i (first + g*B) h lam) exp(i j h lam), so each
+        block of giant steps is one product of its (giant x support) block of
+        weighted phases with the (support x B) baby table.  B is about
+        sqrt(count); the table and every block hold at most CURVE_BLOCK
+        entries.
+        """
+        lam = 1j * self.eigenvalues
+        per = max(1, CURVE_BLOCK // max(1, lam.size))
+        baby_n = max(1, min(math.isqrt(count), per))
+        giant_n = -(-count // baby_n)
+        baby = np.exp(np.multiply.outer(lam, np.arange(baby_n) * step))
+        out = np.empty((giant_n, baby_n), dtype=complex)
+        for g in range(0, giant_n, per):
+            ks = first + baby_n * np.arange(g, min(g + per, giant_n))
+            coef = np.exp(np.multiply.outer(ks * step, lam)) * self.weights
+            out[g:g + per] = coef @ baby
+        return out.ravel()[:count]
+
 
 @dataclass(frozen=True)
 class TruncationCertificate:

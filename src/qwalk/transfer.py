@@ -3,10 +3,14 @@ periodicity, high-fidelity witnesses, and sedentariness estimation.
 
 All searches run on the fidelity curve t -> |v* U(t) u|, a finite sum
 sum_k w_k exp(i t lambda_k) over the eigenvalue support of (u, v).  Each query
-projects u and v once into a FidelityCurve and evaluates that one object on its
-scan grid and in golden-section refinement.  The curve's frequencies are
-bounded by twice the maximum absolute degree M; the grids sample above that
-Nyquist rate so no peak is missed.
+projects u and v once into a FidelityCurve.  Its scan grids are uniform, so
+they are evaluated with the baby-step/giant-step factorisation
+exp(i(gB + j)h lambda) = exp(igBh lambda) exp(ijh lambda): one matrix product
+per block (`FidelityCurve.grid`), not one complex exponential per time and
+eigenvalue.  The candidate peaks are then refined together by golden section
+in lockstep, one curve evaluation per step for all of them.  The curve's
+frequencies are bounded by twice the maximum absolute degree M; the grids
+sample above that Nyquist rate so no peak is missed.
 """
 
 from __future__ import annotations
@@ -82,36 +86,55 @@ class SedentaryEstimate:
         }
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of the scalar function f over [lo, hi]."""
-    a, b = lo, hi
+def _golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization over the brackets [lo[i], hi[i]] in
+    lockstep: f maps an array of times to an array of values, and each step
+    calls it once, on the new point of every bracket still wider than
+    TIME_RESOLUTION (or than one ulp of its end, past t = 8192).  The brackets
+    do not interact, so each converges as it would alone.  Returns the
+    maximizers and the maxima."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    a, b = lo.copy(), hi.copy()
+    n = a.size
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > TIME_RESOLUTION:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
+    fcd = f(np.concatenate((c, d)))
+    fc, fd = fcd[:n], fcd[n:]
+
+    def live_of(idx):
+        return idx[b[idx] - a[idx] > np.maximum(TIME_RESOLUTION, np.spacing(b[idx]))]
+
+    live = live_of(np.arange(n))
+    while live.size:
+        up = fc[live] < fd[live]
+        lu, ld = live[up], live[~up]
+        # up: the bracket drops [a, c]; down: it drops [d, b]
+        a[lu], c[lu], fc[lu] = c[lu], d[lu], fd[lu]
+        b[ld], d[ld], fd[ld] = d[ld], c[ld], fc[ld]
+        d[lu] = a[lu] + GOLDEN * (b[lu] - a[lu])
+        c[ld] = b[ld] - GOLDEN * (b[ld] - a[ld])
+        fx = f(np.concatenate((d[lu], c[ld])))
+        fd[lu], fc[ld] = fx[:lu.size], fx[lu.size:]
+        live = live_of(live)
     t = (a + b) / 2
     # near a flat maximum the function values are indistinguishable at double
     # precision, so polish with one parabolic step over a wider stencil
-    h = 1e-5 * max(1.0, abs(t))
-    if lo + h < t < hi - h:
-        fm, f0, fp = f(t - h), f(t), f(t + h)
-        denom = fp - 2.0 * f0 + fm
-        if denom < 0:
-            shift = 0.5 * h * (fm - fp) / denom
-            if abs(shift) < h:
-                cand = t + shift
-                fc2 = f(cand)
-                if fc2 >= f0:
-                    return cand, fc2
-    return t, f(t)
+    h = 1e-5 * np.maximum(1.0, np.abs(t))
+    inner = np.flatnonzero((lo + h < t) & (t < hi - h))
+    k = inner.size
+    fs = f(np.concatenate((t, t[inner] - h[inner], t[inner] + h[inner])))
+    f0, fm, fp = fs[:n], fs[n:n + k], fs[n + k:]
+    denom = fp - 2.0 * f0[inner] + fm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * h[inner] * (fm - fp) / denom
+    ok = (denom < 0) & (np.abs(shift) < h[inner])
+    if ok.any():
+        polish = inner[ok]
+        cand = t[polish] + shift[ok]
+        fcand = f(cand)
+        better = fcand >= f0[polish]
+        t[polish[better]], f0[polish[better]] = cand[better], fcand[better]
+    return t, f0
 
 
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
@@ -145,25 +168,23 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     dim = decomp.eigenvalues.size
     curve = FidelityCurve.of(decomp, core_vector(g, u, dim), core_vector(g, v, dim))
     n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
-    ts = np.linspace(0.0, t_max, n + 1)[1:]
-    f = np.abs(curve(ts))
-
-    step = ts[1] - ts[0]
+    step = t_max / n
+    f = np.abs(curve.grid(step, n))
     padded = np.concatenate(([0.0], f, [0.0]))
-    peaks = np.flatnonzero((f >= 0.99) & (f >= padded[:-2]) & (f >= padded[2:]))
+    is_peak = (f >= 0.99) & (f >= padded[:-2]) & (f >= padded[2:])
+    peaks = (np.flatnonzero(is_peak) + 1) * step
+    taus, fids = _golden_max(lambda t: np.abs(curve(t)),
+                             np.maximum(peaks - step, TIME_RESOLUTION),
+                             np.minimum(peaks + step, t_max))
+    kind = "periodic" if u.is_parallel_to(v) else "PST"
     reports: list[TransferReport] = []
-    for i in peaks:
-        t_star, f_star = _golden_max(lambda t: abs(curve(t)[0]),
-                                     max(ts[i] - step, TIME_RESOLUTION),
-                                     min(ts[i] + step, t_max))
+    for t_star, f_star, amp in zip(taus, fids, curve(taus)):
         if not f_star >= 1 - pst_tol:
             continue
         if reports and abs(reports[-1].tau - t_star) < DEDUP_TIME:
             continue
-        amp = complex(curve(t_star)[0])
-        gamma = amp / abs(amp)
-        kind = "periodic" if u.is_parallel_to(v) else "PST"
-        reports.append(TransferReport(u, v, t_star, gamma, f_star, kind, cert))
+        reports.append(TransferReport(u, v, float(t_star), complex(amp) / abs(amp),
+                                      float(f_star), kind, cert))
     return reports
 
 
@@ -193,8 +214,10 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     while start <= total:
         stop = min(start + PGST_WINDOW, total + 1)
         ts = np.arange(start, stop) * step
-        ts[-1] = min(ts[-1], t_cap)
-        f = np.abs(curve(ts))
+        f = np.abs(curve.grid(step, stop - start, first=start))
+        if ts[-1] > t_cap:
+            ts[-1] = t_cap
+            f[-1] = abs(curve(t_cap)[0])
         if skipping:
             # wait until fidelity falls below the refine threshold too, so the
             # tail of the initial plateau cannot be reported as a return
@@ -206,23 +229,22 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
             f = f[below[0]:]
             skipping = False
         best_f = max(best_f, float(f.max()))
-        hits = np.nonzero(f >= target_fidelity - 0.005)[0]
-        # refine one candidate per contiguous run of near-target grid points
-        while hits.size:
-            run_end = hits[np.nonzero(np.diff(hits) > 1)[0]]
-            stop_i = int(run_end[0]) if run_end.size else int(hits[-1])
-            run = hits[hits <= stop_i]
-            i = int(run[np.argmax(f[run])])
-            hits = hits[hits > stop_i]
-            t_star, f_star = _golden_max(lambda t: abs(curve(t)[0]),
-                                         max(ts[i] - step, TIME_RESOLUTION),
-                                         min(ts[i] + step, t_cap))
-            best_f = max(best_f, f_star)
-            if f_star >= target_fidelity:
+        hits = np.flatnonzero(f >= target_fidelity - 0.005)
+        if hits.size:
+            # one candidate per contiguous run of near-target grid points,
+            # all refined at once; the earliest that reaches the target wins
+            runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
+            peaks = ts[[run[np.argmax(f[run])] for run in runs]]
+            taus, fids = _golden_max(lambda t: np.abs(curve(t)),
+                                     np.maximum(peaks - step, TIME_RESOLUTION),
+                                     np.minimum(peaks + step, t_cap))
+            best_f = max(best_f, float(fids.max()))
+            reached = np.flatnonzero(fids >= target_fidelity)
+            if reached.size:
+                t_star, f_star = taus[reached[0]], fids[reached[0]]
                 amp = complex(curve(t_star)[0])
-                gamma = amp / abs(amp)
-                return TransferReport(u, v, t_star, gamma, f_star,
-                                      "PGST-witness", cert)
+                return TransferReport(u, v, float(t_star), amp / abs(amp),
+                                      float(f_star), "PGST-witness", cert)
         start = stop
     raise Unreached(best_f)
 
@@ -272,13 +294,11 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
         # the truncation certificate stays valid)
         horizon = period
 
-    ts = np.linspace(0.0, horizon, SEDENTARY_GRID + 1)[1:]
-    f = np.abs(curve(ts))
-    step = ts[1] - ts[0]
-    grid_min = float(f.min())
-    for i in np.argsort(f)[:32]:
-        _, neg_f = _golden_max(lambda t: -abs(curve(t)[0]),
-                               max(ts[i] - step, TIME_RESOLUTION),
-                               min(ts[i] + step, horizon))
-        grid_min = min(grid_min, -neg_f)
+    step = horizon / SEDENTARY_GRID
+    f = np.abs(curve.grid(step, SEDENTARY_GRID))
+    lows = (np.argsort(f)[:32] + 1) * step
+    _, neg_f = _golden_max(lambda t: -np.abs(curve(t)),
+                           np.maximum(lows - step, TIME_RESOLUTION),
+                           np.minimum(lows + step, horizon))
+    grid_min = min(float(f.min()), float(-neg_f.max()))
     return SedentaryEstimate(u, grid_min, lower_bound_claim, horizon, period)

@@ -160,7 +160,7 @@ def verify_twin_structure(g: WeightedGraph, ts: TwinStructure) -> BlockCheck:
     for u in ts.x1:
         if (min(u, ts.f(u)), max(u, ts.f(u))) not in cellset:
             raise StructureViolation(f"pair cell {{{u},{ts.f(u)}}} is not equitable")
-    b_quot = quotient(ed).adjacency
+    b_quot = quotient(ed)
 
     bcols = np.zeros((dim, k))
     for i, u in enumerate(ts.x1):

@@ -206,7 +206,7 @@ def test_criterion_07_structure_property_suites():
             (i, j, float(rng.choice([1.0, -1.0, 2.0])))
             for i in range(n) for j in range(i + 1, n) if mask[i, j]))
         ed = coarsest_equitable(g, Partition.single(n))
-        b = quotient(ed).adjacency
+        b = quotient(ed)
         da = SpectralDecomposition.of(g.core_adjacency())
         db = SpectralDecomposition.of(b)
         for t in rng.uniform(0.1, 4.0, size=2):

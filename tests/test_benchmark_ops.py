@@ -1,7 +1,9 @@
-"""The benchmark's `mixed` workload at its tiny size, run in-process: every op
-(the claims, the tree survey with its exhaustive and sampled hit counts, twin
-detection and verification, pair/plus transforms and balance recovery) must
-pass its own oracle from `perfbench/workloads.py`."""
+"""The benchmark's workloads run in-process: every op must pass its own oracle
+from `perfbench/workloads.py`.  `mixed` runs at its tiny size (the claims, the
+tree survey with its exhaustive and sampled hit counts, twin detection and
+verification, pair/plus transforms and balance recovery); `tailed_horizon`
+(PST search, sedentary estimate, check_pst and evolve on infinite-tail
+gadgets) runs at both sizes."""
 
 import os
 import sys
@@ -21,5 +23,18 @@ def test_mixed_tiny_ops_pass_their_oracles(seed):
         try:
             op.check(op.run())
         except Exception as exc:  # an op that raises fails, as in the benchmark
+            failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+    assert not failures
+
+
+@pytest.mark.parametrize("size", ["tiny", "full"])
+def test_tailed_horizon_ops_pass_their_oracles(size):
+    # the full size checks every odd-multiple PST time up to t = 50 and 30,
+    # the seed commit's sedentary minimum and the check_pst/evolve fidelity
+    failures = []
+    for op in workloads.build("tailed_horizon", 1, size=size):
+        try:
+            op.check(op.run())
+        except Exception as exc:
             failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
     assert not failures

@@ -128,6 +128,26 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert "PASS" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "pst", "{g}", "--pair", "0,x", "--pair-dst", "1,2", "--tau", "1"],
+     "--pair"),
+    (["check", "pst", "{g}", "--vertex", "0", "--plus-dst", "1,2,0", "--tau", "1"],
+     "--plus-dst"),
+    (["construct", "cayley", "--group", "6", "--conn", "(1),(x)"], "--conn"),
+    (["construct", "cayley", "--group", "6,y", "--conn", "(1,0)"], "--group"),
+    (["construct", "cayley", "--conn", "(1),(5)"], "--group"),
+    (["construct", "cycle"], "--n"),
+    (["construct", "blowup"], "--base"),
+], ids=["pair-not-int", "plus-dst-three", "conn-not-int", "group-not-int",
+        "cayley-without-group", "cycle-without-n", "blowup-without-base"])
+def test_bad_flag_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    gfile = tmp_path / "p3.json"
+    main(["construct", "path", "--n", "3", "-o", str(gfile)])
+    capsys.readouterr()
+    assert main([a.format(g=gfile) for a in argv]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_tailed_graph_rejects_off_core_state(tmp_path, capsys):
     gfile = tmp_path / "fly.json"
     main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])

@@ -2,9 +2,10 @@
 
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwalk import (
     Partition,
@@ -27,7 +28,9 @@ from qwalk import (
 )
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import EquitableFailure, check_equitable
-from qwalk.spectral import FidelityCurve, SpectralDecomposition
+from qwalk import spectral
+from qwalk.spectral import CURVE_BLOCK, FidelityCurve, SpectralDecomposition
+from qwalk.transfer import GOLDEN, TIME_RESOLUTION, _golden_max
 from conftest import random_twin_instance
 
 
@@ -196,6 +199,114 @@ def test_fidelity_curve_matches_exp_oracle(g, seed):
     curve = FidelityCurve.of(SpectralDecomposition.of(a), u, v)
     expected = [np.conj(v) @ exp_oracle(a, t) @ u for t in ts]
     np.testing.assert_allclose(curve(ts), expected, rtol=0, atol=1e-9)
+
+
+def random_curve(size: int, lam_max: float, seed: int) -> FidelityCurve:
+    """A curve with `size` random eigenvalues in [-lam_max, lam_max] and random
+    complex weights with sum |w| = 1, as for two unit states."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-lam_max, lam_max, size))
+    w = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return FidelityCurve(lam, w / np.abs(w).sum() if size else w)
+
+
+curve_args = dict(size=st.integers(0, 60), lam_max=st.floats(0.1, 8.0),
+                  seed=st.integers(0, 2 ** 32 - 1),
+                  # 16 and 200 cut the baby steps and split the giant steps
+                  block=st.sampled_from([1, 16, 200, CURVE_BLOCK]))
+
+
+def _grid(curve, step, count, first, block):
+    with patch.object(spectral, "CURVE_BLOCK", block):
+        return curve.grid(step, count, first)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 3000), first=st.integers(1, 5000),
+       frac=st.floats(1e-3, 1.0), **curve_args)
+# 60 x 16 entries: 16 baby steps instead of 50, and 157 giant steps in 10 blocks
+@example(size=60, lam_max=4.0, seed=1, count=2500, first=3, frac=1.0, block=960)
+def test_grid_matches_pointwise_curve(size, lam_max, seed, count, first, frac, block):
+    # k * step * max|lam| <= 1e3
+    curve = random_curve(size, lam_max, seed)
+    step = frac * 1e3 / ((first + count - 1) * lam_max)
+    expected = curve(np.arange(first, first + count) * step)
+    got = _grid(curve, step, count, first, block)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 3000), t_end=st.floats(1.0, 1e4), **curve_args)
+@example(size=60, lam_max=4.0, seed=2, count=2500, t_end=1e4, block=960)
+def test_grid_matches_pointwise_curve_at_long_horizons(size, lam_max, seed, count,
+                                                        t_end, block):
+    # pgst_witness's grid (step 1/(64 M)) out to t ~ 1e4: the phases carry a
+    # roundoff of a few ulps of t * lam, so the tolerance scales with it
+    curve = random_curve(size, lam_max, seed)
+    step = 1 / (64 * lam_max)
+    last = max(count, int(t_end / step))
+    first = last - count + 1
+    expected = curve(np.arange(first, last + 1) * step)
+    got = _grid(curve, step, count, first, block)
+    tol = (1e-15 * (1 + last * step * np.abs(curve.eigenvalues).max(initial=0.0))
+           * np.abs(curve.weights).sum())
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+def _scalar_golden_max(f, lo, hi):
+    """Reference: golden section over one bracket with a scalar f, then the
+    same parabolic polish; the routine that the lockstep one replaced."""
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > TIME_RESOLUTION:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+    t = (a + b) / 2
+    h = 1e-5 * max(1.0, abs(t))
+    if lo + h < t < hi - h:
+        fm, f0, fp = f(t - h), f(t), f(t + h)
+        denom = fp - 2.0 * f0 + fm
+        if denom < 0:
+            shift = 0.5 * h * (fm - fp) / denom
+            if abs(shift) < h:
+                cand = t + shift
+                fc2 = f(cand)
+                if fc2 >= f0:
+                    return cand, fc2
+    return t, f(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 30), lam_max=st.floats(0.1, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1), brackets=st.integers(1, 40),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_lockstep_golden_matches_scalar_reference(size, lam_max, seed, brackets, sign):
+    curve = random_curve(size, lam_max, seed)
+
+    def f(ts):
+        # one time at a time, so both routines see bit-identical values
+        return np.array([sign * abs(np.exp(1j * t * curve.eigenvalues) @ curve.weights)
+                         for t in np.atleast_1d(ts)])
+
+    rng = np.random.default_rng(seed)
+    # brackets up to 8 scan steps of 1/(64 M) wide, some reaching t = 0
+    lo = np.where(rng.random(brackets) < 0.2, TIME_RESOLUTION,
+                  rng.uniform(0.0, 60.0, brackets))
+    hi = lo + rng.uniform(TIME_RESOLUTION, 1 / (8 * lam_max), brackets)
+    ts, fs = _golden_max(f, lo, hi)
+    for i in range(brackets):
+        t_ref, f_ref = _scalar_golden_max(lambda t: f(t)[0], lo[i], hi[i])
+        assert abs(fs[i] - f_ref) <= 1e-12
+        assert ts[i] == t_ref
+    np.testing.assert_array_equal(fs, f(ts))
 
 
 @settings(max_examples=30, deadline=None)

@@ -179,6 +179,23 @@ def test_fidelity_curve_blocks_match_one_product():
     assert curve(ts[5]).shape == (1,)
 
 
+def test_grid_cuts_baby_steps_and_splits_giant_steps_at_curve_block():
+    # 8192 support eigenvalues leave CURVE_BLOCK room for 32 baby steps (not
+    # sqrt(2053) = 45), and the 65 giant steps go in blocks of 32: 3 blocks,
+    # the last with one giant step
+    rng = np.random.default_rng(3)
+    size = 8192
+    lam = np.sort(rng.uniform(-3.0, 3.0, size))
+    w = rng.normal(size=size) + 1j * rng.normal(size=size)
+    curve = FidelityCurve(lam, w / np.abs(w).sum())
+    count, first, step = 2 * 32 * 32 + 5, 11, 1 / 192
+    assert CURVE_BLOCK // size == 32
+    np.testing.assert_allclose(curve.grid(step, count, first),
+                               curve(np.arange(first, first + count) * step),
+                               rtol=0, atol=1e-12)
+    assert curve.grid(step, 0).shape == (0,)
+
+
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_kn_degenerate_eigenspace_merged(n):
     # eigenvalue -1 has multiplicity n-1: its n-1 eigenvectors form one term

@@ -9,6 +9,7 @@ from qwalk import (
     complete_graph,
     cycle_graph,
     fiber_sum_state,
+    fidelity,
     named_gadget,
     pair_state,
     path_graph,
@@ -20,6 +21,7 @@ from qwalk import (
 )
 from qwalk.errors import NoTransfer, Unreached
 from qwalk.spectral import exp_oracle
+from qwalk.transfer import _golden_max
 
 
 def test_check_pst_p2():
@@ -92,6 +94,32 @@ def test_pgst_autocorrelation_skips_t0():
     rep = pgst_witness(cycle_graph(4), vertex_state(0), vertex_state(0),
                        0.999, 50.0)
     assert rep.tau > 0.5  # the t=0 plateau is excluded
+
+
+def test_pgst_witness_returns_the_earliest_run():
+    # P_4 end to end passes 0.99 near t = 28.1 (0.9962) and again near 53.4
+    # (0.99996): both runs lie in the first scan window and are refined
+    # together, and the earlier one is the witness
+    g = path_graph(4)
+    rep = pgst_witness(g, vertex_state(0), vertex_state(3), 0.99, 100.0)
+    assert abs(rep.tau - 28.0992589) < 1e-6
+    assert 0.99 <= rep.fidelity < 0.997
+    assert fidelity(g, vertex_state(0), vertex_state(3), 53.389) > 0.9999
+
+
+def test_golden_max_stops_where_one_ulp_exceeds_the_resolution():
+    # past t = 8192 one ulp is wider than TIME_RESOLUTION; the bracket must
+    # stop shrinking there instead of looping forever
+    calls = []
+
+    def f(ts):
+        calls.append(len(ts))
+        assert len(calls) < 1000, "refinement does not terminate"
+        return -np.abs(ts - 9000.0031)
+
+    ts, fs = _golden_max(f, [9000.0, 12000.0], [9000.01, 12000.5])
+    np.testing.assert_allclose(ts, [9000.0031, 12000.0], rtol=0, atol=1e-11)
+    assert _golden_max(f, [], [])[0].size == 0
 
 
 def test_sedentary_kn_exact_period():
