@@ -206,9 +206,12 @@ def cmd_check(args) -> int:
             return 1
         print(f"PASS kind={rep.kind} fidelity={rep.fidelity:.12f} "
               f"t={rep.tau:.12g} gamma={rep.gamma.real:+.9f}{rep.gamma.imag:+.9f}j")
-        if rep.certificate and rep.certificate.L:
-            print(f"truncation L={rep.certificate.L} "
-                  f"error-bound={rep.certificate.bound:.3g}")
+        cert = rep.certificate
+        if cert.L:
+            print(f"truncation L={cert.L} error-bound={cert.bound:.3g}")
+        elif g.tails:
+            print(f"krylov dim={cert.dim} residual={cert.residual:.2g} "
+                  f"error-bound={cert.bound:.3g}")
         return 0
     if args.mode == "search":
         src = _state_from_flags(args, "")

@@ -1,9 +1,34 @@
 """Adjacency materialization, transition matrices U(t)=exp(itA), fidelities.
 
-The primary route is a dense symmetric eigendecomposition.  Tail-extended
-graphs are evaluated on certified truncations, sized by the Chebyshev
-expansion of the walk (Tal-Ezer & Kosloff 1984; Weisse et al., "The kernel
-polynomial method", Rev. Mod. Phys. 2006):
+The primary route is a dense symmetric eigendecomposition of the core.  A
+query on a tail-extended graph takes one of two certified routes, and its
+certificate, not the caller, picks the route.
+
+Core Krylov route (Golub & Meurant, "Matrices, Moments and Quadrature",
+2010).  Q is an orthonormal real basis of the block Krylov space of the real
+and imaginary parts of the query's core states under the core adjacency, and
+H = Q^T A Q (k x k, k <= n).  A finite-dimensional A-invariant subspace
+spanned by finitely supported vectors vanishes on every tail vertex (A moves
+the deepest tail entry of a vector one step deeper) and so on every attach
+vertex too (A x at a tail's first vertex is w0 x[attach]).  Twin and
+equitable-partition structure confines the paper's pair and plus states to
+such a subspace, whose dimension is the size of their eigenvalue support
+(Godsil, "State transfer on graphs", 2012).  Closure is therefore decided on
+the core alone, with no tail vertex materialized: the residual on the
+infinite graph is
+
+    beta = ||A Q - Q H|| <= hypot(||A_core Q - Q H||_F, ||w0 Q[attach]||_F),
+
+and by Duhamel's formula ||exp(itA) Q - Q exp(itH)|| <= |t| beta at every t.
+So with u = Q c + r, c = Q^T u, both Q exp(itH) c and the amplitude
+(Q^T v)* exp(itH) c err by at most |t| beta ||c|| + ||r||, and the route
+answers when that is below the tolerance.  As soon as the basis leaks into a
+tail by |t| ||w0 Q[attach]|| >= tol the query falls back, and states that
+touch an attach vertex fall back before any factorization.
+
+Truncation route.  The graph is evaluated on a certified truncation, sized by
+the Chebyshev expansion of the walk (Tal-Ezer & Kosloff 1984; Weisse et al.,
+"The kernel polynomial method", Rev. Mod. Phys. 2006):
 
     exp(itA) = J_0(Mt) + 2 sum_{k>=1} i^k J_k(Mt) T_k(A/M),
 
@@ -17,6 +42,9 @@ most 4|J_k(Mt)| <= 4 (M|t|/2)^k / k!  (DLMF 10.14.4), and the certified depth
 is the smallest L whose summed tail is below the tolerance: `prepare`
 certifies amplitudes, which is all that the transfer detectors read, and
 `evolve` certifies the 2-norm of the full state.
+
+`transfer_curve` is the one entry point of the transfer detectors: it returns
+the fidelity curve of (u, v) with the certificate of the route that built it.
 """
 
 from __future__ import annotations
@@ -159,29 +187,41 @@ class FidelityCurve:
         per = max(1, CURVE_BLOCK // max(1, lam.size))
         baby_n = max(1, min(math.isqrt(count), per))
         giant_n = -(-count // baby_n)
-        baby = np.exp(np.multiply.outer(lam, np.arange(baby_n) * step))
+        # exponentials, weights and products in place: each table is
+        # allocated once
+        baby = np.multiply.outer(lam, np.arange(baby_n) * step)
+        np.exp(baby, out=baby)
         out = np.empty((giant_n, baby_n), dtype=complex)
         for g in range(0, giant_n, per):
             ks = first + baby_n * np.arange(g, min(g + per, giant_n))
-            coef = np.exp(np.multiply.outer(ks * step, lam)) * self.weights
-            out[g:g + per] = coef @ baby
+            coef = np.multiply.outer(ks * step, lam)
+            np.exp(coef, out=coef)
+            coef *= self.weights
+            np.matmul(coef, baby, out=out[g:g + per])
         return out.ravel()[:count]
 
 
 @dataclass(frozen=True)
 class TruncationCertificate:
-    """Error bound of an evaluation on the depth-L truncation (L = 0 for a
-    graph without tails), valid for every time s with |s| <= |t|.
+    """Error bound of an evaluation, valid for every time s with |s| <= |t|.
 
-    From `prepare`, `bound` covers the error of v* U(s) u for states u and v
-    on the core; from `evolve`, the 2-norm error of the evolved state.  The
-    truncation part is rigorous; `bound` is never below an estimate of the
-    eigensolver roundoff.
+    L is the tail depth materialized: 0 for a graph without tails, and 0 on
+    the Krylov route, which materializes no tail vertex.  dim is the size of
+    the matrix that was diagonalized (core + L per tail, or the dimension of
+    the Krylov basis), and residual is the basis' residual beta on the
+    infinite graph (0.0 on the truncation route).
+
+    For an amplitude query, `bound` covers the error of v* U(s) u for states
+    u and v on the core; from `evolve`, the 2-norm error of the evolved state.
+    The truncation and Krylov parts are rigorous; `bound` is never below an
+    estimate of the eigensolver roundoff.
     """
 
     L: int
     t: float
     bound: float
+    dim: int
+    residual: float
 
 
 def series_tail(x: float, k0: int) -> float:
@@ -241,8 +281,15 @@ def required_truncation(m: float, t: float, tol: float, legs: int,
 
 
 def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:
-    # spectral roundoff estimate for a tail-free evaluation
+    # spectral roundoff estimate for an evaluation on a dim x dim matrix
     return 1e-13 * dim * max(1.0, profile.m * abs(t))
+
+
+def _validate(g: WeightedGraph, t: float, tol: float) -> None:
+    if not math.isfinite(t):
+        raise BadParam(f"time must be finite, got {t}")
+    if g.tails and not tol > 0:
+        raise BadParam(f"tol must be positive, got {tol}")
 
 
 def prepare(g: WeightedGraph, t: float, tol: float = DEFAULT_TAIL_TOL
@@ -254,23 +301,108 @@ def prepare(g: WeightedGraph, t: float, tol: float = DEFAULT_TAIL_TOL
 
 def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
              ) -> tuple[SpectralDecomposition, TruncationCertificate]:
-    if not math.isfinite(t):
-        raise BadParam(f"time must be finite, got {t}")
+    _validate(g, t, tol)
     profile = degree_profile(g)
+    L = 0
     if g.tails:
-        if not tol > 0:
-            raise BadParam(f"tol must be positive, got {tol}")
         L = required_truncation(profile.m, t, tol, legs,
                                 cap=MAX_TRUNCATION // len(g.tails))
-        # the series bound can undershoot plain eigensolver roundoff; report
-        # whichever dominates so the certificate stays honest
-        bound = max(truncation_bound(profile.m, t, legs * (L + 1) - 1),
-                    _finite_bound(profile, g.n + L * len(g.tails), t))
-    else:
-        L = 0
-        bound = _finite_bound(profile, g.n, t)
+    dim = g.n + L * len(g.tails)
+    # the series bound can undershoot plain eigensolver roundoff; report
+    # whichever dominates so the certificate stays honest
+    bound = _finite_bound(profile, dim, t)
+    if g.tails:
+        bound = max(truncation_bound(profile.m, t, legs * (L + 1) - 1), bound)
     a = adjacency(g, L)
-    return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound)
+    return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound, dim, 0.0)
+
+
+def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float
+            ) -> tuple[np.ndarray, SpectralDecomposition, TruncationCertificate,
+                       np.ndarray] | None:
+    """Real basis Q of the block Krylov space of the real and imaginary parts
+    of the core vectors x (one state per column) under the core adjacency,
+    the decomposition of H = Q^T A Q, the certificate of the first state's
+    evolution on it, and the coordinates Q^T x; None when the certificate
+    cannot close below tol.
+
+    Each block is orthogonalized against Q by two passes of classical
+    Gram-Schmidt, and a rank-revealing SVD keeps the directions whose norm
+    exceeds min(tol, 1) / (4 max(1, |t|)); one more pass keeps a small kept
+    direction orthogonal to Q.  Nothing here is trusted: with u = Q c + r,
+    c = Q^T u, both v* U(s) u and U(s) u err by at most |s| beta ||c|| + ||r||
+    for any real Q, and beta and r are measured.
+    """
+    n = g.n
+    parts = np.ascontiguousarray(x).view(float).reshape(n, -1)
+    attach = np.array([tail.attach for tail in g.tails])
+    w0 = np.array([tail.weight(0) for tail in g.tails])[:, None]
+    # a part y with weight at an attach vertex fails before any factorization:
+    # the first block takes y into Q up to less than drop, so the basis leaks
+    # at least |t w0 y[attach]| - |t w0| drop, which then reaches tol
+    reach = np.abs(t * w0)
+    if np.any(reach * np.abs(parts[attach]) >= tol * (1.0 + reach)):
+        return None
+    a = g.core_adjacency()
+    # below the larger part of a unit state, so Q is never empty
+    drop = min(tol, 1.0) / (4.0 * max(1.0, abs(t)))
+    basis = np.empty((n, n))
+    k = 0
+    leak2 = 0.0   # squared Frobenius norm of the tail part of A Q
+    block = parts
+    while k < n:
+        q = basis[:, :k]
+        if k:
+            for _ in range(2):
+                block = block - q @ (q.T @ block)
+        if float(np.vdot(block, block)) <= drop * drop:
+            break   # every singular value is below drop: closed
+        left, sing, _ = np.linalg.svd(block, full_matrices=False)
+        rank = min(int(np.count_nonzero(sing > drop)), n - k)
+        if not rank:
+            break
+        new = left[:, :rank]
+        if k:
+            new -= q @ (q.T @ new)
+        tail = w0 * new[attach]
+        leak2 += float(np.vdot(tail, tail))
+        if math.sqrt(leak2) * abs(t) >= tol:
+            return None
+        basis[:, k:k + rank] = new
+        k += rank
+        block = a @ new
+    q = basis[:, :k]
+    aq = a @ q
+    h = q.T @ aq
+    h = (h + h.T) / 2
+    beta = math.hypot(float(np.linalg.norm(aq - q @ h)), math.sqrt(leak2))
+    coords = _real_product(q.T, x)
+    miss = x[:, 0] - _real_product(q, coords)[:, 0]
+    err = (abs(t) * beta * float(np.linalg.norm(coords[:, 0]))
+           + float(np.linalg.norm(miss)))
+    if not err < tol:
+        return None
+    bound = max(err, _finite_bound(degree_profile(g), k, t))
+    return (q, SpectralDecomposition.of(h),
+            TruncationCertificate(0, t, bound, k, beta), coords)
+
+
+def _reduce(g: WeightedGraph, states: tuple[PureState, ...], t: float, tol: float,
+            legs: int
+            ) -> tuple[np.ndarray | None, SpectralDecomposition, TruncationCertificate,
+                       list[np.ndarray]]:
+    """(Q, decomposition, certificate, coordinates of each state): on the core
+    Krylov basis Q when the certificate closes it, else on the certified
+    truncation (Q is None, the coordinates are the states on it)."""
+    if g.tails:
+        _validate(g, t, tol)
+        x = np.stack([core_vector(g, s, g.n) for s in states], axis=1)
+        closed = _krylov(g, x, t, tol)
+        if closed is not None:
+            q, decomp, cert, coords = closed
+            return q, decomp, cert, list(coords.T)
+    decomp, cert = _prepare(g, t, tol, legs)
+    return None, decomp, cert, [core_vector(g, s, cert.dim) for s in states]
 
 
 def core_vector(g: WeightedGraph, state: PureState, dim: int) -> np.ndarray:
@@ -283,24 +415,37 @@ def core_vector(g: WeightedGraph, state: PureState, dim: int) -> np.ndarray:
     return state.vector(dim)
 
 
+def transfer_curve(g: WeightedGraph, u: PureState, v: PureState, t: float,
+                   tol: float = DEFAULT_TAIL_TOL
+                   ) -> tuple[FidelityCurve, TruncationCertificate]:
+    """The curve s -> v* U(s) u between core states, certified for every
+    |s| <= |t|: on the core Krylov space of u and v when it closes, else on
+    the certified truncation."""
+    _, decomp, cert, (uc, vc) = _reduce(g, (u, v), t, tol, AMPLITUDE)
+    return FidelityCurve.of(decomp, uc, vc), cert
+
+
 def evolve(g: WeightedGraph, state: PureState, t: float, tol: float = DEFAULT_TAIL_TOL
            ) -> tuple[np.ndarray, TruncationCertificate]:
-    """U(t) applied to a core-supported state, on core + truncated tails; the
-    certificate bounds the 2-norm error of the whole returned vector."""
-    decomp, cert = _prepare(g, t, tol, STATE)
-    u = core_vector(g, state, decomp.eigenvalues.size)
-    return decomp.apply(t, u), cert
+    """U(t) applied to a core-supported state; the certificate bounds the
+    2-norm error of the returned vector against the whole evolved state.
+
+    The vector has length n + L * (number of tails): the core, then L entries
+    per tail in declaration order.  When the certificate has L = 0 on a
+    tailed graph (the Krylov route), it is the core part alone, and the state
+    on the tails, which the bound covers, is below the tolerance.
+    """
+    q, decomp, cert, (uc,) = _reduce(g, (state,), t, tol, STATE)
+    out = decomp.apply(t, uc)
+    return (out if q is None else _real_product(q, out)[:, 0]), cert
 
 
 def transfer_amplitude(g: WeightedGraph, u: PureState, v: PureState, t: float,
                        tol: float = DEFAULT_TAIL_TOL
                        ) -> tuple[complex, TruncationCertificate]:
-    """v* U(t) u, with the truncation certificate used for the evaluation."""
-    decomp, cert = prepare(g, t, tol)
-    dim = decomp.eigenvalues.size
-    amp = decomp.amplitude_curve(core_vector(g, u, dim), core_vector(g, v, dim),
-                                 np.array([t]))[0]
-    return complex(amp), cert
+    """v* U(t) u, with the certificate used for the evaluation."""
+    curve, cert = transfer_curve(g, u, v, t, tol)
+    return complex(curve(t)[0]), cert
 
 
 def fidelity(g: WeightedGraph, u: PureState, v: PureState, t: float,

@@ -25,11 +25,9 @@ from .errors import BadParam, NoTransfer, Unreached
 from .graphs import PureState, WeightedGraph, degree_profile, state_to_document
 from .spectral import (
     DEFAULT_TAIL_TOL,
-    FidelityCurve,
     TruncationCertificate,
-    core_vector,
-    prepare,
     transfer_amplitude,
+    transfer_curve,
 )
 
 PST_TOL = 1e-9
@@ -64,6 +62,8 @@ class TransferReport:
                 "L": self.certificate.L,
                 "t": self.certificate.t,
                 "bound": self.certificate.bound,
+                "dim": self.certificate.dim,
+                "residual": self.certificate.residual,
             }
         return doc
 
@@ -118,8 +118,9 @@ def _golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         live = live_of(live)
     t = (a + b) / 2
     # near a flat maximum the function values are indistinguishable at double
-    # precision, so polish with one parabolic step over a wider stencil
-    h = 1e-5 * np.maximum(1.0, np.abs(t))
+    # precision, so polish with one parabolic step over a wider stencil, kept
+    # narrow enough to fit inside its bracket at long times
+    h = np.minimum(1e-5 * np.maximum(1.0, np.abs(t)), (hi - lo) / 8)
     inner = np.flatnonzero((lo + h < t) & (t < hi - h))
     k = inner.size
     fs = f(np.concatenate((t, t[inner] - h[inner], t[inner] + h[inner])))
@@ -127,13 +128,13 @@ def _golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     denom = fp - 2.0 * f0[inner] + fm
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = 0.5 * h[inner] * (fm - fp) / denom
+    # a concave stencil whose vertex lies inside it is trusted over the golden
+    # midpoint; comparing the two values would let last-bit rounding decide
     ok = (denom < 0) & (np.abs(shift) < h[inner])
     if ok.any():
         polish = inner[ok]
-        cand = t[polish] + shift[ok]
-        fcand = f(cand)
-        better = fcand >= f0[polish]
-        t[polish[better]], f0[polish[better]] = cand[better], fcand[better]
+        t[polish] += shift[ok]
+        f0[polish] = f(t[polish])
     return t, f0
 
 
@@ -164,9 +165,7 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     """
     if not t_max > 0:
         raise BadParam(f"t_max must be positive, got {t_max}")
-    decomp, cert = prepare(g, t_max, tol)
-    dim = decomp.eigenvalues.size
-    curve = FidelityCurve.of(decomp, core_vector(g, u, dim), core_vector(g, v, dim))
+    curve, cert = transfer_curve(g, u, v, t_max, tol)
     n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
     step = t_max / n
     f = np.abs(curve.grid(step, n))
@@ -201,9 +200,7 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
         raise BadParam(f"target fidelity must be below 1, got {target_fidelity}")
     if not t_cap > 0:
         raise BadParam(f"t_cap must be positive, got {t_cap}")
-    decomp, cert = prepare(g, t_cap, tol)
-    dim = decomp.eigenvalues.size
-    curve = FidelityCurve.of(decomp, core_vector(g, u, dim), core_vector(g, v, dim))
+    curve, cert = transfer_curve(g, u, v, t_cap, tol)
     m = max(degree_profile(g).m, 1.0)
     step = 1.0 / (64 * m)
     total = int(np.ceil(t_cap / step))
@@ -284,9 +281,7 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     """
     if not horizon > 0:
         raise BadParam(f"horizon must be positive, got {horizon}")
-    decomp, _ = prepare(g, horizon, tol)
-    uvec = core_vector(g, u, decomp.eigenvalues.size)
-    curve = FidelityCurve.of(decomp, uvec, uvec)
+    curve, _ = transfer_curve(g, u, u, horizon, tol)
     # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
     period = _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])
     if period is not None and (period < horizon or not g.tails):

@@ -35,7 +35,11 @@ from qwalk import (
 from qwalk.errors import NoTransfer
 from qwalk.graphs import WeightedGraph
 from qwalk.spectral import (
+    AMPLITUDE,
+    DEFAULT_TAIL_TOL,
+    STATE,
     SpectralDecomposition,
+    _prepare,
     adjacency,
     evolve,
     exp_oracle,
@@ -167,19 +171,22 @@ def test_criterion_06_tails():
     gd = named_gadget("p3_twins_spur", tail_len=0)
     fids.append(_pst_ok(gd.graph, gd.src, gd.dst, gd.tau))
 
-    # certificate honesty, like with like, against a 4x deeper truncation:
-    # the whole evolved state against evolve's certificate, and the pair
-    # amplitude against prepare's
+    # certificate honesty, like with like, against a truncation 4x deeper
+    # than the one certified for the same rule: the whole evolved state
+    # against evolve's certificate, and the pair amplitude against
+    # transfer_amplitude's
     gd = named_gadget("flyswatter", tail_len=0)
     g, src, dst = gd.graph, gd.src, gd.dst
     tau = pi / sqrt(2.0)
     state, scert = evolve(g, src, tau)
-    dim = g.n + 4 * scert.L
-    ref = SpectralDecomposition.of(adjacency(g, 4 * scert.L)).apply(tau, src.vector(dim))
+    deep_L = 4 * _prepare(g, tau, DEFAULT_TAIL_TOL, STATE)[1].L
+    dim = g.n + deep_L
+    ref = SpectralDecomposition.of(adjacency(g, deep_L)).apply(tau, src.vector(dim))
     state_drift = float(np.linalg.norm(ref - np.pad(state, (0, dim - state.size))))
     amp, acert = transfer_amplitude(g, src, dst, tau)
-    dim = g.n + 4 * acert.L
-    deep = SpectralDecomposition.of(adjacency(g, 4 * acert.L))
+    deep_L = 4 * _prepare(g, tau, DEFAULT_TAIL_TOL, AMPLITUDE)[1].L
+    dim = g.n + deep_L
+    deep = SpectralDecomposition.of(adjacency(g, deep_L))
     ref_amp = deep.amplitude_curve(src.vector(dim), dst.vector(dim), np.array([tau]))[0]
     amp_drift = abs(ref_amp - amp)
     ok = (min(fids) >= 1 - PST_TOL and state_drift < scert.bound

@@ -163,11 +163,28 @@ def test_tailed_graph_rejects_off_core_state(tmp_path, capsys):
 def test_uncertifiable_horizon_exits_2_at_once(tmp_path, capsys):
     gfile = tmp_path / "fly.json"
     main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])
+    # the attach vertex leaks into the tail, so only a truncation can answer,
+    # and none within the cap certifies t = 1e4
     t0 = time.perf_counter()
-    assert main(["check", "pgst", str(gfile), "--pair", "0,6",
-                 "--pair-dst", "2,4", "--t-cap", "1e4"]) == 2
+    assert main(["check", "pgst", str(gfile), "--vertex", "3",
+                 "--vertex-dst", "3", "--t-cap", "1e4"]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert "truncation beyond" in capsys.readouterr().err
+
+
+def test_decoupled_state_answers_at_long_horizon(tmp_path, capsys):
+    gfile = tmp_path / "fly.json"
+    main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])
+    # the pair state never reaches the tail: its Krylov space closes on the core
+    assert main(["check", "pgst", str(gfile), "--pair", "0,6",
+                 "--pair-dst", "2,4", "--t-cap", "1e4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS")
+    t = float(out.split("t=")[1])
+    assert abs(t - math.pi / math.sqrt(2)) < 1e-6
+    assert main(["check", "pst", str(gfile), "--pair", "0,6",
+                 "--pair-dst", "2,4", "--tau", "pi/sqrt2"]) == 0
+    assert "krylov dim=3 " in capsys.readouterr().out
 
 
 def test_reproduce_subset(tmp_path, capsys):

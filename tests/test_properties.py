@@ -25,6 +25,7 @@ from qwalk import (
     reduced_hamiltonian,
     switch,
     transfer_amplitude,
+    vertex_state,
 )
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import EquitableFailure, check_equitable
@@ -69,9 +70,11 @@ def tailed_instances(draw):
     return WeightedGraph(g.n, g.edges, tails), states[0], states[1], t
 
 
-def _deep(g, L):
-    # a 4x deeper truncation than the certified one, as an independent reference
-    return SpectralDecomposition.of(adjacency(g, 4 * L)), g.n + 4 * L * len(g.tails)
+def _deep(g, t, legs):
+    # an independent reference: a truncation 4x deeper than the one the
+    # truncation route certifies for the same rule, and its depth
+    L = 4 * spectral._prepare(g, t, spectral.DEFAULT_TAIL_TOL, legs)[1].L
+    return SpectralDecomposition.of(adjacency(g, L)), L
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,7 +82,8 @@ def _deep(g, L):
 def test_certified_amplitude_matches_deeper_truncation(inst):
     g, u, v, t = inst
     amp, cert = transfer_amplitude(g, u, v, t)
-    deep, dim = _deep(g, cert.L)
+    deep, L = _deep(g, t, spectral.AMPLITUDE)
+    dim = g.n + L * len(g.tails)
     ref = deep.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
     assert abs(ref - amp) <= cert.bound + 1e-12
 
@@ -89,16 +93,83 @@ def test_certified_amplitude_matches_deeper_truncation(inst):
 def test_certified_state_matches_deeper_truncation(inst):
     g, u, _, t = inst
     out, cert = evolve(g, u, t)
-    deep, dim = _deep(g, cert.L)
-    # the truncation's tail vertices sit in blocks of L per tail; place them
-    # at their depths in the deeper truncation, zero beyond
+    deep, L = _deep(g, t, spectral.STATE)
+    dim = g.n + L * len(g.tails)
+    # the returned tail vertices sit in blocks of cert.L per tail (none on the
+    # Krylov route); place them at their depths in the deeper truncation,
+    # zero beyond
     placed = np.zeros(dim, dtype=complex)
     placed[:g.n] = out[:g.n]
     for i in range(len(g.tails)):
-        start = g.n + 4 * cert.L * i
+        start = g.n + L * i
         placed[start:start + cert.L] = out[g.n + cert.L * i:g.n + cert.L * (i + 1)]
     ref = deep.apply(t, u.vector(dim))
     assert np.linalg.norm(ref - placed) <= cert.bound + 1e-12
+
+
+def _random_core_state(rng, vectors) -> PureState:
+    # a random complex unit combination of the given real core vectors
+    coef = rng.normal(size=len(vectors)) + 1j * rng.normal(size=len(vectors))
+    vec = coef @ np.asarray(vectors)
+    vec /= np.linalg.norm(vec)
+    return PureState(tuple((int(x), complex(c)) for x, c in enumerate(vec) if c != 0))
+
+
+@st.composite
+def decoupled_instances(draw):
+    """A random twin instance with one or two tails (random prefixes) at
+    vertices outside the twins, two random states in the span of the twin
+    differences e_x - e_f(x), which never reach a tail, states that do reach
+    one, and a time."""
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 9)))
+    ts = random_twin_instance(rng)
+    while ts.graph.n == 2 * len(ts.x1):
+        ts = random_twin_instance(rng)
+    g, k = ts.graph, len(ts.x1)
+    weights = st.sampled_from([1.0, -1.0, 2.0, 0.5])
+    tails = tuple(
+        TailSpec(draw(st.integers(2 * k, g.n - 1)),
+                 tuple(draw(st.lists(weights, max_size=2))))
+        for _ in range(draw(st.integers(1, 2))))
+    g = WeightedGraph(g.n, g.edges, tails)
+    eye = np.eye(g.n)
+    diffs = [eye[x] - eye[y] for x, y in zip(ts.x1, ts.x2)]
+    u, v = (_random_core_state(rng, diffs) for _ in range(2))
+    # one with weight at an attach vertex, and one that reaches it in one step
+    coupled = [_random_core_state(rng, diffs + [eye[tails[0].attach]])]
+    coupled += [vertex_state(y) for y in g.neighbors(tails[0].attach)[:1]]
+    t = draw(st.floats(0.1, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return g, u, v, coupled, t
+
+
+@settings(max_examples=25, deadline=None)
+@given(decoupled_instances())
+def test_decoupled_states_take_the_krylov_route(inst):
+    g, u, v, coupled, t = inst
+    tol = 1e-12
+    amp, cert = transfer_amplitude(g, u, v, t, tol)
+    out, scert = evolve(g, u, t, tol)
+    assert cert.L == 0 and scert.L == 0 and out.size == g.n
+    assert cert.dim <= g.n and cert.bound < 1e-9
+    # against the truncation route, certified for the same rule and tol
+    decomp, tcert = spectral._prepare(g, t, tol, spectral.AMPLITUDE)
+    dim = tcert.dim
+    ref = decomp.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
+    assert abs(ref - amp) <= cert.bound + tcert.bound
+    decomp, tcert = spectral._prepare(g, t, tol, spectral.STATE)
+    dim = tcert.dim
+    placed = np.pad(out, (0, dim - g.n))
+    ref = decomp.apply(t, u.vector(dim))
+    assert np.linalg.norm(ref - placed) <= scert.bound + tcert.bound
+    # against an independent oracle on that truncation, deep enough for the
+    # whole state
+    ref = exp_oracle(adjacency(g, tcert.L), t) @ u.vector(dim)
+    assert abs(np.vdot(v.vector(dim), ref) - amp) <= cert.bound + 1e-12
+    assert np.linalg.norm(ref - placed) <= scert.bound + 1e-12
+    # states that leak into a tail take the truncation route
+    for w in coupled:
+        assert transfer_amplitude(g, w, v, t, tol)[1].L > 0
+        assert evolve(g, w, t, tol)[1].L > 0
 
 
 @st.composite
@@ -270,17 +341,14 @@ def _scalar_golden_max(f, lo, hi):
             c = b - GOLDEN * (b - a)
             fc = f(c)
     t = (a + b) / 2
-    h = 1e-5 * max(1.0, abs(t))
+    h = min(1e-5 * max(1.0, abs(t)), (hi - lo) / 8)
     if lo + h < t < hi - h:
         fm, f0, fp = f(t - h), f(t), f(t + h)
         denom = fp - 2.0 * f0 + fm
         if denom < 0:
             shift = 0.5 * h * (fm - fp) / denom
             if abs(shift) < h:
-                cand = t + shift
-                fc2 = f(cand)
-                if fc2 >= f0:
-                    return cand, fc2
+                return t + shift, f(t + shift)
     return t, f(t)
 
 
