@@ -4,9 +4,7 @@ that reports expected vs observed, grouped into named sets for the CLI."""
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -390,16 +388,6 @@ def available_sets() -> list[str]:
     return ["all"] + sorted(CLAIM_SETS)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("QWALK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def run_claims(set_name: str) -> list[ClaimResult]:
     if set_name == "all":
         claims = [c for name in sorted(CLAIM_SETS) for c in CLAIM_SETS[name]]
@@ -419,9 +407,7 @@ def run_claims(set_name: str) -> list[ClaimResult]:
         return ClaimResult(claim_id, desc, expected, observed, ok,
                            time.perf_counter() - t0)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(run_one, claims))
-    return results
+    return [run_one(claim) for claim in claims]
 
 
 def matrix_json(results: list[ClaimResult]) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, pi
 
 import numpy as np
@@ -35,7 +36,7 @@ TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
 GOLDEN = (np.sqrt(5.0) - 1) / 2
 SEDENTARY_GRID = 20_000
-PGST_WINDOW = 200_000  # grid points scanned per pass of pgst_witness
+PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,15 @@ def _golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return t, f0
 
 
+def _scan(curve, step: float, total: int):
+    """|curve| on the grid step * (1, ..., total), in windows of at most
+    PGST_WINDOW points: yields (times, values) per window."""
+    for start in range(1, total + 1, PGST_WINDOW):
+        count = min(PGST_WINDOW, total + 1 - start)
+        yield (np.arange(start, start + count) * step,
+               np.abs(curve.grid(step, count, first=start)))
+
+
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
               pst_tol: float = PST_TOL, tol: float = DEFAULT_TAIL_TOL
               ) -> TransferReport:
@@ -168,10 +178,19 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     curve, cert = transfer_curve(g, u, v, t_max, tol)
     n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
     step = t_max / n
-    f = np.abs(curve.grid(step, n))
-    padded = np.concatenate(([0.0], f, [0.0]))
-    is_peak = (f >= 0.99) & (f >= padded[:-2]) & (f >= padded[2:])
-    peaks = (np.flatnonzero(is_peak) + 1) * step
+    # a peak has no larger neighbour (0 beyond both ends); a window's last
+    # point is decided with the next window, so ext carries it and its left
+    prev = np.zeros(1)
+    first = 1  # grid index of ext[1]
+    peaks = []
+    for _, f in chain(_scan(curve, step, n), [(None, np.zeros(1))]):
+        ext = np.concatenate((prev, f))
+        mid = ext[1:-1]
+        is_peak = (mid >= 0.99) & (mid >= ext[:-2]) & (mid >= ext[2:])
+        peaks.append((np.flatnonzero(is_peak) + first) * step)
+        first += mid.size
+        prev = ext[-2:]
+    peaks = np.concatenate(peaks)
     taus, fids = _golden_max(lambda t: np.abs(curve(t)),
                              np.maximum(peaks - step, TIME_RESOLUTION),
                              np.minimum(peaks + step, t_max))
@@ -207,11 +226,7 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     best_f = 0.0
     skipping = u.is_parallel_to(v)
 
-    start = 1
-    while start <= total:
-        stop = min(start + PGST_WINDOW, total + 1)
-        ts = np.arange(start, stop) * step
-        f = np.abs(curve.grid(step, stop - start, first=start))
+    for ts, f in _scan(curve, step, total):
         if ts[-1] > t_cap:
             ts[-1] = t_cap
             f[-1] = abs(curve(t_cap)[0])
@@ -220,7 +235,6 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
             # tail of the initial plateau cannot be reported as a return
             below = np.nonzero(f < target_fidelity - 0.005)[0]
             if below.size == 0:
-                start = stop
                 continue
             ts = ts[below[0]:]
             f = f[below[0]:]
@@ -242,7 +256,6 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
                 amp = complex(curve(t_star)[0])
                 return TransferReport(u, v, float(t_star), amp / abs(amp),
                                       float(f_star), "PGST-witness", cert)
-        start = stop
     raise Unreached(best_f)
 
 
@@ -291,7 +304,7 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
 
     step = horizon / SEDENTARY_GRID
     f = np.abs(curve.grid(step, SEDENTARY_GRID))
-    lows = (np.argsort(f)[:32] + 1) * step
+    lows = (np.argpartition(f, 32)[:32] + 1) * step
     _, neg_f = _golden_max(lambda t: -np.abs(curve(t)),
                            np.maximum(lows - step, TIME_RESOLUTION),
                            np.minimum(lows + step, horizon))

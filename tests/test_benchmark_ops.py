@@ -3,8 +3,10 @@ from `perfbench/workloads.py`.  `mixed` runs at its tiny size (the claims, the
 tree survey with its exhaustive and sampled hit counts, twin detection and
 verification, pair/plus transforms and balance recovery); `tailed_horizon`
 (PST search, sedentary estimate, check_pst and evolve on infinite-tail
-gadgets) runs at both sizes."""
+gadgets) runs at both sizes.  The benchmark's tracer must find every name it
+wraps."""
 
+import importlib
 import os
 import sys
 
@@ -13,6 +15,7 @@ import pytest
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench"))
 
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -38,3 +41,11 @@ def test_tailed_horizon_ops_pass_their_oracles(size):
         except Exception as exc:
             failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
     assert not failures
+
+
+def test_tracer_targets_exist():
+    # a missing target would only surface as a crash of the traced run
+    for module, name, _, _ in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), name)), name
+    for module, cls, method, _, _ in tracer.METHODS:
+        assert method in vars(getattr(importlib.import_module(module), cls)), method

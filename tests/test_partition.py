@@ -9,7 +9,7 @@ from qwalk import (
     named_gadget,
     quotient,
 )
-from qwalk.errors import NotAPartition, SignInconsistency
+from qwalk.errors import NotAPartition, QwalkError, SignInconsistency
 from qwalk.graphs import TailSpec, WeightedGraph
 from qwalk.partition import EquitableData, EquitableFailure
 from qwalk.spectral import SpectralDecomposition
@@ -103,4 +103,12 @@ def test_quotient_names_first_sign_inconsistency():
                   [-1.0, 1.0, 0.0]])
     ed = EquitableData(cycle_graph(3), Partition.discrete(3), c, np.eye(3))
     with pytest.raises(SignInconsistency, match=r"c\[0,2\]=2\.0 and c\[2,0\]=-1\.0"):
+        quotient(ed)
+
+
+def test_quotient_rejects_constants_that_do_not_intertwine():
+    # consistent signs, but twice the cell sums of the graph: A C != C B
+    g = cycle_graph(3)
+    ed = EquitableData(g, Partition.discrete(3), 2.0 * g.core_adjacency(), np.eye(3))
+    with pytest.raises(QwalkError, match=r"quotient intertwining A C = C B failed"):
         quotient(ed)

@@ -12,10 +12,12 @@ from qwalk import (
     PureState,
     SignVector,
     TailSpec,
+    TwinStructure,
     WeightedGraph,
     adjacency,
     build_graph,
     coarsest_equitable,
+    degree_profile,
     evolve,
     exp_oracle,
     fidelity,
@@ -25,12 +27,18 @@ from qwalk import (
     reduced_hamiltonian,
     switch,
     transfer_amplitude,
+    verify_twin_structure,
     vertex_state,
 )
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import EquitableFailure, check_equitable
 from qwalk import spectral
-from qwalk.spectral import CURVE_BLOCK, FidelityCurve, SpectralDecomposition
+from qwalk.spectral import (
+    CURVE_BLOCK,
+    FidelityCurve,
+    SpectralDecomposition,
+    required_truncation,
+)
 from qwalk.transfer import GOLDEN, TIME_RESOLUTION, _golden_max
 from conftest import random_twin_instance
 
@@ -116,11 +124,9 @@ def _random_core_state(rng, vectors) -> PureState:
 
 
 @st.composite
-def decoupled_instances(draw):
+def tailed_twins(draw):
     """A random twin instance with one or two tails (random prefixes) at
-    vertices outside the twins, two random states in the span of the twin
-    differences e_x - e_f(x), which never reach a tail, states that do reach
-    one, and a time."""
+    vertices outside the twins, and the generator that drew it."""
     rng = np.random.default_rng(draw(st.integers(0, 10 ** 9)))
     ts = random_twin_instance(rng)
     while ts.graph.n == 2 * len(ts.x1):
@@ -132,6 +138,16 @@ def decoupled_instances(draw):
                  tuple(draw(st.lists(weights, max_size=2))))
         for _ in range(draw(st.integers(1, 2))))
     g = WeightedGraph(g.n, g.edges, tails)
+    return TwinStructure.of(g, ts.x1, ts.x2), rng
+
+
+@st.composite
+def decoupled_instances(draw):
+    """A tailed twin instance, two random states in the span of the twin
+    differences e_x - e_f(x), which never reach a tail, states that do reach
+    one, and a time."""
+    ts, rng = draw(tailed_twins())
+    g, tails = ts.graph, ts.graph.tails
     eye = np.eye(g.n)
     diffs = [eye[x] - eye[y] for x, y in zip(ts.x1, ts.x2)]
     u, v = (_random_core_state(rng, diffs) for _ in range(2))
@@ -170,6 +186,34 @@ def test_decoupled_states_take_the_krylov_route(inst):
     for w in coupled:
         assert transfer_amplitude(g, w, v, t, tol)[1].L > 0
         assert evolve(g, w, t, tol)[1].L > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(tailed_twins())
+def test_tailed_block_bounds_dominate_sampled_residuals(inst):
+    # the bounds verify_twin_structure reports dominate the blocks of
+    # Q^T U(t) Q sampled at five times up to 2.7, on a truncation certified
+    # for the whole state at t = 2.7
+    ts, _ = inst
+    g, k = ts.graph, len(ts.x1)
+    bc = verify_twin_structure(g, ts)
+    assert bc.max_residual <= 1e-9
+    L = required_truncation(degree_profile(g).m, 2.7, 1e-10, spectral.STATE)
+    a = adjacency(g, L)
+    dim = a.shape[0]
+    bmat = np.zeros((dim, k))
+    for i in range(k):
+        bmat[ts.x1[i], i] = 1 / math.sqrt(2)
+        bmat[ts.x2[i], i] = -1 / math.sqrt(2)
+    cells = list(ts.pair_partition().cells) + [(v,) for v in range(g.n, dim)]
+    cmat = Partition.of(cells).characteristic_matrix(dim)
+    top = reduced_hamiltonian(ts)
+    for t in (0.3, 1.0, math.pi / 2, math.pi / math.sqrt(2), 2.7):
+        u = exp_oracle(a, t)
+        off = max(np.max(np.abs(cmat.T @ u @ bmat)), np.max(np.abs(bmat.T @ u @ cmat)))
+        diag = np.max(np.abs(bmat.T @ u @ bmat - exp_oracle(top, t)))
+        assert off <= bc.blockdiag_residual + 1e-12
+        assert diag <= bc.topblock_residual + 1e-12
 
 
 @st.composite

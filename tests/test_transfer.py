@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qwalk import (
     check_pst,
     complete_graph,
     cycle_graph,
+    degree_profile,
     fiber_sum_state,
     fidelity,
     named_gadget,
@@ -174,3 +176,28 @@ def test_decoupled_search_reaches_long_horizons():
     assert all(abs(r.tau - (2 * k + 1) * period) < 1e-9 for k, r in enumerate(reps))
     cert = reps[0].certificate
     assert cert.L == 0 and cert.dim == 3 and cert.residual * cert.t < 1e-11
+
+
+def _flyswatter_pair():
+    gd = named_gadget("flyswatter", tail_len=0)
+    return gd.graph, gd.src, gd.dst
+
+
+@pytest.mark.parametrize("instance, pst_tol", [
+    (_flyswatter_pair, 1e-9),
+    # P_4 has no PST: reporting every refined grid peak above 0.99 compares
+    # the peak detection itself
+    (lambda: (path_graph(4), vertex_state(0), vertex_state(3)), 1e-2),
+], ids=["flyswatter", "p4"])
+def test_windowed_search_matches_one_window(instance, pst_tol):
+    g, u, v = instance()
+    t_max = 200.0
+    ref = search_pst(g, u, v, t_max, pst_tol)
+    n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
+    assert len(ref) > 3 and n < 200_000  # the reference scan is one window
+    # windows ending just before, at and just after the first peak's grid
+    # point, so the carry across a window edge decides it
+    k = round(ref[0].tau / (t_max / n))
+    for window in (1000, k - 2, k - 1, k, k + 1):
+        with patch("qwalk.transfer.PGST_WINDOW", window):
+            assert search_pst(g, u, v, t_max, pst_tol) == ref
