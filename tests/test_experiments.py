@@ -1,4 +1,5 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
@@ -11,8 +12,32 @@ from qwalk import (
     random_tree,
     run_tree_experiment,
 )
-from qwalk.errors import NotATree
-from qwalk.experiments import prufer_decode, report_csv, report_json
+from qwalk.errors import BadParam, NotATree
+from qwalk.experiments import (
+    _free_trees,
+    _tree_class,
+    _verify_hit,
+    prufer_decode,
+    report_csv,
+    report_json,
+)
+
+# random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
+# tolist(): the same seeds must keep giving the same trees
+RECORDED_TREES = {
+    (3, 0): [(0, 1), (0, 2)],
+    (6, 1): [(0, 5), (1, 4), (1, 5), (2, 3), (3, 5)],
+    (8, 2): [(0, 3), (1, 6), (2, 5), (2, 6), (2, 7), (3, 7), (4, 7)],
+    (12, 3): [(0, 6), (0, 8), (0, 11), (1, 2), (1, 4), (1, 11), (3, 10), (4, 7),
+              (5, 6), (8, 9), (8, 10)],
+    (24, 4): [(0, 5), (0, 9), (0, 22), (1, 3), (1, 6), (2, 9), (2, 13), (2, 14),
+              (3, 11), (3, 21), (4, 10), (6, 7), (6, 8), (6, 12), (6, 13),
+              (8, 10), (9, 15), (10, 23), (12, 17), (13, 18), (16, 20),
+              (16, 23), (17, 19)],
+}
+
+# OEIS A000055: free trees on n = 1..12 vertices
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
 
 
 def test_random_tree_basics():
@@ -22,6 +47,11 @@ def test_random_tree_basics():
     # deterministic per seed
     assert random_tree(8, 42) == random_tree(8, 42)
     assert random_tree(8, 42) != random_tree(8, 43)
+
+
+def test_random_tree_keeps_recorded_draws():
+    for (n, k), edges in RECORDED_TREES.items():
+        assert [(a, b) for a, b, _ in random_tree(n, (2024, n, k)).edges] == edges
 
 
 def test_prufer_decode_known():
@@ -71,6 +101,59 @@ def test_exhaustive_n6_matches_combinatorial_oracle():
     assert rep.sample_count == 6 ** 4
     assert rep.hit_count == 360
     assert rep.verified_count == rep.hit_count
+
+
+def _labelled_walk(n):
+    """The census's oracle: every one of the n^(n-2) Pruefer sequences."""
+    total = hits = verified = 0
+    for seq in product(range(n), repeat=n - 2):
+        total += 1
+        g = prufer_decode(seq, n)
+        ts = find_p5_limb(g)
+        if ts is not None:
+            hits += 1
+            verified += _verify_hit(g, ts)
+    return total, hits, verified
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_census_matches_labelled_walk(n):
+    rep = exhaustive_tree_experiment(n, verify=True)
+    assert (rep.sample_count, rep.hit_count, rep.verified_count) == _labelled_walk(n)
+
+
+def test_census_n8_matches_recorded_walk():
+    # the labelled walk over 262144 sequences gave these counts
+    rep = exhaustive_tree_experiment(8, verify=True)
+    assert (rep.sample_count, rep.hit_count, rep.verified_count) == (262144, 40320, 40320)
+
+
+def test_census_rejects_bad_sizes():
+    for n in (7.0, "7", None):
+        with pytest.raises(BadParam):
+            exhaustive_tree_experiment(n)
+    with pytest.raises(NotATree):
+        exhaustive_tree_experiment(5)
+
+
+def test_free_trees_one_per_class():
+    for n, count in enumerate(FREE_TREE_COUNTS, start=1):
+        trees = list(_free_trees(n))
+        assert len(trees) == count
+        assert all(g.n == n and len(g.edges) == n - 1 for g in trees)
+        assert len({_tree_class(g)[0] for g in trees}) == count
+        # Cayley: the classes' labellings n!/|Aut T| make up every labelled tree
+        assert sum(factorial(n) // _tree_class(g)[1] for g in trees) == n ** (n - 2)
+
+
+def test_automorphism_count_brute_force():
+    for n in range(1, 8):
+        for g in _free_trees(n):
+            edges = {frozenset((a, b)) for a, b, _ in g.edges}
+            brute = sum(
+                all(frozenset((perm[a], perm[b])) in edges for a, b in map(tuple, edges))
+                for perm in permutations(range(n)))
+            assert _tree_class(g)[1] == brute
 
 
 def test_run_experiment_hits_all_verify():
