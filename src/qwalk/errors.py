@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from numbers import Integral
+
 
 class QwalkError(Exception):
     """Base class for all package errors."""
@@ -91,6 +93,16 @@ class UnknownGadget(QwalkError):
 
 class BadParam(QwalkError):
     pass
+
+
+def require_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int; BadParam unless it is an integer (not a bool) of
+    at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise BadParam(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise BadParam(f"{what} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 # transfer detectors

@@ -21,7 +21,7 @@ from math import factorial, pi
 
 import numpy as np
 
-from .errors import BadParam, NotATree
+from .errors import NotATree, require_int
 from .graphs import WeightedGraph, pair_state
 from .transfer import PST_TOL, check_pst
 from .twins import TwinStructure
@@ -129,7 +129,13 @@ def _verify_hit(g: WeightedGraph, ts: TwinStructure) -> bool:
 
 def run_tree_experiment(sizes, samples_per_size: int, seed: int
                         ) -> list[LimbReport]:
-    """Sample trees per size, detect the limb, and verify every hit at pi/2."""
+    """Sample trees per size, detect the limb, and verify every hit at pi/2.
+
+    Raises BadParam unless every size, the sample count and the seed are
+    integers, the latter two nonnegative; a size below 6 is NotATree."""
+    samples_per_size = require_int(samples_per_size, "sample count", 0)
+    seed = require_int(seed, "seed", 0)
+    sizes = [require_int(size, "tree size") for size in sizes]
     reports = []
     for size in sizes:
         if size < 6:
@@ -157,11 +163,9 @@ def exhaustive_tree_experiment(n: int, verify: bool = False) -> LimbReport:
     all n^(n-2) Pruefer sequences; the weights must sum to n^(n-2) (Cayley's
     formula), or the census raises ``RuntimeError``.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise BadParam(f"tree size must be an integer, got {n!r}")
+    n = require_int(n, "tree size")
     if n < 6:
         raise NotATree("the limb needs at least six vertices")
-    n = int(n)
     labellings = factorial(n)
     total = hits = verified = 0
     for g in _free_trees(n):

@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import StructureViolation
+from .errors import StructureViolation, require_int
 from .graphs import WeightedGraph
 from .partition import Partition, coarsest_equitable, quotient, shallow_adjacency
 
@@ -182,68 +182,104 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
                            max_results: int = 256) -> list[TwinStructure]:
     """All twin structures induced by order-2 automorphisms with |x1| <= cap.
 
-    Enumerates sets of disjoint vertex pairs whose simultaneous swap is a
-    (weight-preserving) automorphism fixing everything else.  Vertices with
-    tails are kept fixed.
+    Enumerates every non-empty set of at most ``cap`` disjoint vertex pairs
+    (u, v), u < v, whose simultaneous swap preserves every weight (within
+    WEIGHT_TOL) and fixes every tail-attach vertex.  The list is in
+    lexicographic order of the pair sequences, a set before its extensions,
+    and holds the first ``max_results`` of them.  x1 holds the pairs' u and
+    x2 their v.
+
+    The search is depth-first over the candidate pairs (vertices with no
+    tail whose sorted rows agree after rounding to multiples of WEIGHT_TOL),
+    three int bitsets per node: ``allowed``, the later candidates disjoint
+    from and consistent with every chosen pair; ``used``, the chosen
+    vertices; ``needed``, the vertices whose weights some chosen swap moves.  A node is a structure iff ``needed & ~used`` is
+    empty.  The vertices each swap moves come from one numpy pass; a
+    candidate's row of compatible later candidates is built with numpy the
+    first time a node ending in it is expanded.  Two prunes drop only
+    subtrees that hold no structure, so the order is kept: a node returns
+    when its outstanding vertices (``needed & ~used``) outnumber twice the
+    pairs left to the cap, and its next pair comes no later than the last
+    allowed candidate covering each outstanding vertex (none, if one is
+    covered by no allowed candidate).  The search stops at ``max_results``.
+    Raises BadParam unless ``cap`` and ``max_results`` are integers >= 1.
     """
-    # nested lists: the searches below index single entries, which is much
-    # cheaper on Python floats than on numpy scalars
-    a = g.core_adjacency().tolist()
-    fixed_by_tail = {t.attach for t in g.tails}
-    sig = [tuple(sorted(int(round(x / WEIGHT_TOL)) for x in row if x != 0))
-           for row in a]
-    candidates = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if u not in fixed_by_tail and v not in fixed_by_tail
-        and sig[u] == sig[v]
-    ]
+    cap = require_int(cap, "cap", 1)
+    max_results = require_int(max_results, "max_results", 1)
+    adj = g.core_adjacency()
+    # the swap of (u, v) maps row u onto row v, so the candidate pairs are
+    # those whose rows hold the same weights (zeros sort last, as inf); a
+    # tail-attach vertex is in a class of its own
+    keys = np.sort(np.where(adj != 0, np.rint(adj / WEIGHT_TOL) + 0.0, np.inf),
+                   axis=1)
+    kind = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    for t in g.tails:
+        kind[t.attach] = -1 - t.attach
+    cu, cv = np.nonzero(np.triu(kind[:, None] == kind, 1))
+    if not len(cu):
+        return []
+    candidates = list(zip(cu.tolist(), cv.tolist()))
+    # per candidate, the vertices whose weights its swap moves (the pair's
+    # own vertices among them are used as soon as it is chosen)
+    moved = np.abs(adj[cu] - adj[cv]) > WEIGHT_TOL
+    # per vertex, the candidates containing it
+    vertex = np.arange(g.n)[:, None]
+    covers = [_bits(m) for m in (cu == vertex) | (cv == vertex)]
+    compat: dict[int, int] = {}
+
+    def later_compatible(i: int) -> int:
+        """The candidates after i that are disjoint from and consistent with it."""
+        if i not in compat:
+            u, v = candidates[i]
+            au, av = adj[u], adj[v]
+            ju, jv = cu[i + 1:], cv[i + 1:]
+            ok = ((np.abs(au[ju] - av[jv]) <= WEIGHT_TOL)
+                  & (np.abs(au[jv] - av[ju]) <= WEIGHT_TOL)
+                  & (ju != u) & (ju != v) & (jv != u) & (jv != v))
+            compat[i] = _bits(ok) << (i + 1)
+        return compat[i]
 
     results: list[TwinStructure] = []
+    pairs: list[tuple[int, int]] = []
 
-    def fully_valid(pairs: list[tuple[int, int]]) -> bool:
-        used = {x for p in pairs for x in p}
-        for (u, v) in pairs:
-            for y in range(g.n):
-                if y in used:
-                    continue
-                if abs(a[u][y] - a[v][y]) > WEIGHT_TOL:
-                    return False
-        return True
-
-    def record(pairs: list[tuple[int, int]]) -> None:
-        x1 = tuple(min(p) for p in pairs)
-        x2 = tuple(max(p) for p in pairs)
-        results.append(TwinStructure(g, x1, x2))
-
-    def consistent(pairs: list[tuple[int, int]], p: tuple[int, int]) -> bool:
-        u, v = p
-        for (c, d) in pairs:
-            if abs(a[u][c] - a[v][d]) > WEIGHT_TOL:
-                return False
-            if abs(a[u][d] - a[v][c]) > WEIGHT_TOL:
-                return False
-        return True
-
-    def dfs(start: int, pairs: list[tuple[int, int]], used: set[int]) -> None:
-        if len(results) >= max_results:
+    def dfs(i: int, allowed: int, used: int, needed: int) -> None:
+        # the node whose last pair is candidate i; allowed still lacks its row
+        outstanding = needed & ~used
+        if pairs and not outstanding:
+            results.append(TwinStructure(g, tuple(u for u, _ in pairs),
+                                         tuple(v for _, v in pairs)))
+        left = cap - len(pairs)
+        if not left or len(results) >= max_results:
             return
-        if pairs and fully_valid(pairs):
-            record(pairs)
-        if len(pairs) == cap:
+        if outstanding.bit_count() > 2 * left:
             return
-        for i in range(start, len(candidates)):
-            u, v = candidates[i]
-            if u in used or v in used:
-                continue
-            if not consistent(pairs, (u, v)):
-                continue
+        if pairs:
+            allowed &= later_compatible(i)
+        # the next pair must come no later than the last allowed one covering
+        # each outstanding vertex: with no such pair, nothing is left to try
+        nexts = allowed
+        rest = outstanding
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            last = (covers[low.bit_length() - 1] & allowed).bit_length()
+            nexts &= (1 << last) - 1
+        while nexts:
+            low = nexts & -nexts
+            nexts ^= low
+            allowed ^= low
+            j = low.bit_length() - 1
+            u, v = candidates[j]
             pairs.append((u, v))
-            used.update((u, v))
-            dfs(i + 1, pairs, used)
+            dfs(j, allowed, used | 1 << u | 1 << v, needed | _bits(moved[j]))
             pairs.pop()
-            used.difference_update((u, v))
+            if len(results) >= max_results:
+                return
 
-    dfs(0, [], set())
+    dfs(-1, (1 << len(candidates)) - 1, 0, 0)
     return results
+
+
+def _bits(mask: np.ndarray) -> int:
+    """A boolean array as an int whose bit k is mask[k]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")

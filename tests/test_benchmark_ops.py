@@ -1,10 +1,10 @@
 """The benchmark's workloads run in-process: every op must pass its own oracle
 from `perfbench/workloads.py`.  `mixed` runs at its tiny size (the claims, the
 tree survey with its exhaustive and sampled hit counts, twin detection and
-verification, pair/plus transforms and balance recovery); `tailed_horizon`
-(PST search, sedentary estimate, check_pst and evolve on infinite-tail
-gadgets) runs at both sizes.  The benchmark's tracer must find every name it
-wraps."""
+verification, pair/plus transforms and balance recovery), and its `structure`
+section also at full size; `tailed_horizon` (PST search, sedentary estimate,
+check_pst and evolve on infinite-tail gadgets) runs at both sizes.  The
+benchmark's tracer must find every name it wraps."""
 
 import importlib
 import os
@@ -36,6 +36,18 @@ def test_tailed_horizon_ops_pass_their_oracles(size):
     # the seed commit's sedentary minimum and the check_pst/evolve fidelity
     failures = []
     for op in workloads.build("tailed_horizon", 1, size=size):
+        try:
+            op.check(op.run())
+        except Exception as exc:
+            failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+    assert not failures
+
+
+def test_structure_full_ops_pass_their_oracles():
+    # the full section adds the 256-result blowup_c8 count, every tailed
+    # gadget's detect and verify ops, all pair/plus gadgets and balance graphs
+    failures = []
+    for op in workloads.section_ops("structure", 1, "full"):
         try:
             op.check(op.run())
         except Exception as exc:

@@ -169,6 +169,16 @@ def test_empty_experiment():
     assert rep.sample_count == 0 and rep.hit_fraction == 0.0
 
 
+def test_run_experiment_rejects_bad_params():
+    for sizes, samples, seed in (((7.5,), 3, 1), ((8,), 2.5, 1), ((8,), -1, 1),
+                                 ((8,), 3, 1.0), ((8,), 3, -1), ((True,), 3, 1),
+                                 (("8",), 3, 1), ((8,), None, 1)):
+        with pytest.raises(BadParam):
+            run_tree_experiment(sizes, samples, seed=seed)
+    with pytest.raises(NotATree):
+        run_tree_experiment((5,), 3, seed=1)
+
+
 def test_reports_serialize():
     reports = run_tree_experiment([8], 10, seed=3)
     csv = report_csv(reports)

@@ -15,9 +15,13 @@ from qwalk import (
     TwinStructure,
     WeightedGraph,
     adjacency,
+    blow_up,
     build_graph,
     coarsest_equitable,
+    complete_graph,
+    cycle_graph,
     degree_profile,
+    detect_twin_structures,
     evolve,
     exp_oracle,
     fidelity,
@@ -40,6 +44,7 @@ from qwalk.spectral import (
     required_truncation,
 )
 from qwalk.transfer import GOLDEN, TIME_RESOLUTION, _golden_max
+from qwalk.twins import WEIGHT_TOL
 from conftest import random_twin_instance
 
 
@@ -428,6 +433,65 @@ def test_coarsest_equitable_is_equitable_and_idempotent(g):
     assert not isinstance(check_equitable(g, ed.partition), EquitableFailure)
     again = coarsest_equitable(g, ed.partition)
     assert again.partition == ed.partition
+
+
+def _matchings(vertices: list[int]):
+    """Every set of disjoint pairs (u, v), u < v, on the vertices."""
+    if not vertices:
+        yield ()
+        return
+    first, rest = vertices[0], vertices[1:]
+    yield from _matchings(rest)
+    for k, v in enumerate(rest):
+        for m in _matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, v),) + m
+
+
+def _brute_force_twins(g: WeightedGraph, cap: int) -> list:
+    """Every non-empty matching of at most cap pairs, off the tail-attach
+    vertices, whose swap maps the adjacency onto itself, sorted by pairs."""
+    a = g.core_adjacency()
+    attached = {t.attach for t in g.tails}
+    found = []
+    for m in _matchings([v for v in range(g.n) if v not in attached]):
+        if not 0 < len(m) <= cap:
+            continue
+        perm = list(range(g.n))
+        for u, v in m:
+            perm[u], perm[v] = v, u
+        if np.max(np.abs(a[np.ix_(perm, perm)] - a)) <= WEIGHT_TOL:
+            found.append(tuple(sorted(m)))
+    return sorted(found)
+
+
+@st.composite
+def maybe_tailed_graphs(draw):
+    g = draw(small_graphs())
+    attach = draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True))
+    return WeightedGraph(g.n, g.edges, tuple(TailSpec(x, ()) for x in attach))
+
+
+def _pairs(found) -> list:
+    return [tuple(zip(t.x1, t.x2)) for t in found]
+
+
+@settings(max_examples=60, deadline=None)
+@given(maybe_tailed_graphs(), st.integers(1, 4))
+@example(complete_graph(7), 3)
+@example(blow_up(cycle_graph(4), 2), 4)
+@example(WeightedGraph(6, complete_graph(6).edges, (TailSpec(2, ()),)), 3)
+def test_twin_detection_matches_brute_force(g, cap):
+    assert _pairs(detect_twin_structures(g, cap, 10 ** 6)) == _brute_force_twins(g, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(maybe_tailed_graphs(), st.integers(1, 40), st.integers(1, 3))
+@example(complete_graph(8), 17, 2)
+def test_twin_detection_truncates_and_caps_in_order(g, k, cap):
+    full = _pairs(detect_twin_structures(g, g.n, 10 ** 6))
+    assert _pairs(detect_twin_structures(g, g.n, k)) == full[:k]
+    assert (_pairs(detect_twin_structures(g, cap, 10 ** 6))
+            == [p for p in full if len(p) <= cap])
 
 
 @settings(max_examples=30, deadline=None)

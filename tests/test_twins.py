@@ -15,7 +15,7 @@ from qwalk import (
     reduced_hamiltonian,
     verify_twin_structure,
 )
-from qwalk.errors import StructureViolation
+from qwalk.errors import BadParam, StructureViolation
 
 import twin_records
 
@@ -104,10 +104,34 @@ def z4z4() -> WeightedGraph:
     return compose_signed(h, k)
 
 
+def z6z4() -> WeightedGraph:
+    """A(Cay(Z6xZ4, {(1,0),(5,0)})) - A(Cay(Z6xZ4, {(0,1),(0,2),(0,3)}))."""
+    moduli = (6, 4)
+    h = cayley(CayleySpec(moduli, ((1, 0), (5, 0))))
+    k = cayley(CayleySpec(moduli, ((0, 1), (0, 2), (0, 3))))
+    return compose_signed(h, k)
+
+
 @pytest.mark.parametrize("graph, recorded", [
     (lambda: blow_up(cycle_graph(8), 2), twin_records.BLOWUP_C8),
     (z4z4, twin_records.Z4Z4),
-], ids=["blowup_c8", "z4z4"])
+    (z6z4, twin_records.Z6Z4),
+], ids=["blowup_c8", "z4z4", "z6z4"])
 def test_detect_matches_recorded_structures(graph, recorded):
     found = detect_twin_structures(graph())
     assert [(t.x1, t.x2) for t in found] == recorded
+
+
+def test_detect_long_cycle_has_no_structure():
+    # every swap moves a neighbour, so only the prunes keep this search short
+    assert detect_twin_structures(cycle_graph(40)) == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cap": -1}, {"cap": 0}, {"cap": 2.5}, {"cap": True}, {"cap": "6"},
+    {"max_results": 0}, {"max_results": -3}, {"max_results": 2.5},
+    {"max_results": None},
+])
+def test_detect_rejects_bad_params(kwargs):
+    with pytest.raises(BadParam):
+        detect_twin_structures(path_graph(4), **kwargs)
