@@ -111,9 +111,6 @@ class WeightedGraph:
             return 0.0
         return self.weight_map.get(_edge_key(a, b), 0.0)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return _edge_key(a, b) in self.weight_map
-
     def neighbors(self, a: int) -> list[int]:
         """Sorted neighbours of a; none for a vertex outside the core."""
         return list(self.adjacency_lists[a]) if 0 <= a < self.n else []

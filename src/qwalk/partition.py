@@ -8,7 +8,6 @@ import numpy as np
 
 from .errors import NotAPartition, QwalkError, SignInconsistency
 from .graphs import WeightedGraph
-from .spectral import adjacency
 
 CELL_SUM_TOL = 1e-10
 SIGNATURE_QUANTUM = 1e-9
@@ -94,27 +93,6 @@ def _core_matrix(g: WeightedGraph, p: Partition) -> np.ndarray:
     return g.core_adjacency()
 
 
-def shallow_adjacency(g: WeightedGraph) -> np.ndarray:
-    """Adjacency with each tail materialized 2 vertices past its prefix: with
-    singleton tail cells, deep enough to decide equitability on the infinite
-    graph (tail interiors are degree-regular)."""
-    return adjacency(g, 2 + max((len(t.prefix) for t in g.tails), default=0))
-
-
-def _validate_tail_extension(g: WeightedGraph, p: Partition) -> None:
-    """Check the partition stays equitable on shallow_adjacency(g) with
-    singleton tail cells."""
-    a = shallow_adjacency(g)
-    cells = list(p.cells) + [(v,) for v in range(g.n, a.shape[0])]
-    ext = Partition.of(cells)
-    res = _check_on_matrix(a, ext)
-    if isinstance(res, EquitableFailure):
-        raise NotAPartition(
-            "partition is not equitable once tails are materialized "
-            f"(witness cells {res.j},{res.k})"
-        )
-
-
 def _check_on_matrix(a: np.ndarray, p: Partition):
     n = a.shape[0]
     d = len(p.cells)
@@ -133,13 +111,16 @@ def _check_on_matrix(a: np.ndarray, p: Partition):
 
 
 def check_equitable(g: WeightedGraph, p: Partition):
-    """EquitableData when p is equitable, else an EquitableFailure witness."""
+    """EquitableData when p is equitable, else an EquitableFailure witness.
+
+    On a tailed graph p is equitable on the core exactly when it stays so with
+    every tail vertex a singleton cell: the attach vertices are singletons
+    (NotAPartition otherwise), so no vertex of a larger cell has a tail edge.
+    """
     a = _core_matrix(g, p)
     res = _check_on_matrix(a, p)
     if isinstance(res, EquitableFailure):
         return res
-    if g.tails:
-        _validate_tail_extension(g, p)
     return EquitableData(g, p, res, p.characteristic_matrix(g.n))
 
 

@@ -55,10 +55,20 @@ class SignVector:
         return {"d": list(self.d), "delta": self.delta}
 
 
+def _sign(x, what: str) -> int:
+    # JSON true/false arrive as bool, an int subclass; 1.0 is no sign either
+    if isinstance(x, bool) or not isinstance(x, int) or x not in (-1, 1):
+        raise ParseError(f"{what} {x!r} is not the integer +1 or -1")
+    return x
+
+
 def build_sign_vector(doc) -> SignVector:
-    if not isinstance(doc, dict) or "d" not in doc:
+    """A SignVector from a {"d": [...], "delta": ...} document; ParseError
+    unless d is a list and every entry and delta is the integer +1 or -1."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("d"), list):
         raise ParseError("sign vector document needs a 'd' list")
-    return SignVector(tuple(int(x) for x in doc["d"]), int(doc.get("delta", 1)))
+    return SignVector(tuple(_sign(x, "sign vector entry") for x in doc["d"]),
+                      _sign(doc.get("delta", 1), "delta"))
 
 
 def switch(g: WeightedGraph, sv: SignVector) -> WeightedGraph:

@@ -35,7 +35,12 @@ from qwalk import (
     vertex_state,
 )
 from qwalk.experiments import find_p5_limb, prufer_decode
-from qwalk.partition import EquitableFailure, check_equitable
+from qwalk.partition import (
+    EquitableData,
+    EquitableFailure,
+    _check_on_matrix,
+    check_equitable,
+)
 from qwalk import spectral
 from qwalk.spectral import (
     CURVE_BLOCK,
@@ -44,7 +49,7 @@ from qwalk.spectral import (
     required_truncation,
 )
 from qwalk.transfer import GOLDEN, TIME_RESOLUTION, _golden_max
-from qwalk.twins import WEIGHT_TOL
+from qwalk.twins import CHECK_HORIZON, WEIGHT_TOL
 from conftest import random_twin_instance
 
 
@@ -492,6 +497,78 @@ def test_twin_detection_truncates_and_caps_in_order(g, k, cap):
     assert _pairs(detect_twin_structures(g, g.n, k)) == full[:k]
     assert (_pairs(detect_twin_structures(g, cap, 10 ** 6))
             == [p for p in full if len(p) <= cap])
+
+
+def _shallow(g: WeightedGraph) -> np.ndarray:
+    # each tail materialized 2 vertices past its prefix, as the twin and
+    # partition checks once did to decide questions about the infinite graph
+    return adjacency(g, 2 + max((len(t.prefix) for t in g.tails), default=0))
+
+
+def _shallow_block_residual(g: WeightedGraph, ts: TwinStructure) -> float:
+    """CHECK_HORIZON ||A B - B T||_F on the shallow truncation, with T built
+    entry by entry from the weights."""
+    a = _shallow(g)
+    k = len(ts.x1)
+    bcols = np.zeros((a.shape[0], k))
+    for i in range(k):
+        bcols[ts.x1[i], i] = 1 / math.sqrt(2)
+        bcols[ts.x2[i], i] = -1 / math.sqrt(2)
+    top = np.array([[g.weight(u, v) - g.weight(u, w) for v, w in zip(ts.x1, ts.x2)]
+                    for u in ts.x1])
+    return CHECK_HORIZON * float(np.linalg.norm(a @ bcols - bcols @ top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(maybe_tailed_graphs())
+@example(blow_up(cycle_graph(4), 2))
+@example(WeightedGraph(6, complete_graph(6).edges, (TailSpec(2, ()),)))
+def test_detected_twins_have_equitable_orbits_and_core_residuals(g):
+    # the swap is an automorphism, so its orbit partition is equitable and
+    # refinement never splits a pair; no attach vertex is paired, so the
+    # residual on the core is the residual with the tails materialized
+    for ts in detect_twin_structures(g):
+        p = ts.pair_partition()
+        assert isinstance(check_equitable(g, p), EquitableData)
+        assert coarsest_equitable(g, p).partition == p
+        bc = verify_twin_structure(g, ts)
+        assert bc.topblock_residual == bc.blockdiag_residual
+        assert abs(bc.blockdiag_residual - _shallow_block_residual(g, ts)) <= 1e-15
+
+
+@st.composite
+def attach_singleton_partitions(draw):
+    """A small graph with one or two tails (random prefixes) and a partition
+    of its core with every attach vertex a singleton: random cells, or their
+    coarsest equitable refinement, so that equitable partitions are common."""
+    g = draw(small_graphs())
+    weights = st.sampled_from([1.0, -1.0, 2.0, 0.5])
+    tails = tuple(
+        TailSpec(draw(st.integers(0, g.n - 1)),
+                 tuple(draw(st.lists(weights, max_size=2))))
+        for _ in range(draw(st.integers(1, 2))))
+    g = WeightedGraph(g.n, g.edges, tails)
+    attached = {t.attach for t in tails}
+    labels = draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    cells: dict[int, list[int]] = {}
+    for v in range(g.n):
+        cells.setdefault(-1 - v if v in attached else labels[v], []).append(v)
+    p = Partition.of(cells.values())
+    if draw(st.booleans()):
+        p = coarsest_equitable(g, p).partition
+    return g, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(attach_singleton_partitions())
+def test_core_equitability_decides_the_tailed_graph(inst):
+    # oracle: equitability on the shallow truncation with every tail vertex
+    # a singleton cell
+    g, p = inst
+    a = _shallow(g)
+    ext = Partition.of(list(p.cells) + [(v,) for v in range(g.n, a.shape[0])])
+    assert (isinstance(check_equitable(g, p), EquitableFailure)
+            == isinstance(_check_on_matrix(a, ext), EquitableFailure))
 
 
 @settings(max_examples=30, deadline=None)

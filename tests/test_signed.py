@@ -31,6 +31,19 @@ def test_sign_vector_validation():
     assert sv.to_document() == {"d": [1, -1], "delta": -1}
 
 
+@pytest.mark.parametrize("doc", [
+    {"d": [1.7, -1]},
+    {"d": [1, -1], "delta": -1.9},
+    {"d": ["x", 1]},
+    {"d": [math.nan, 1]},
+    {"d": 5},
+    {"d": [True, -1]},
+], ids=["fraction", "fractional-delta", "string", "nan", "not-a-list", "bool"])
+def test_sign_vector_document_fails_closed(doc):
+    with pytest.raises(ParseError):
+        build_sign_vector(doc)
+
+
 def test_switch_identity_and_involution():
     g = cycle_graph(5)
     assert switch(g, SignVector((1,) * 5)) == g

@@ -122,6 +122,15 @@ def test_detect_matches_recorded_structures(graph, recorded):
     assert [(t.x1, t.x2) for t in found] == recorded
 
 
+def test_detect_pairs_rows_only_if_they_agree_after_rounding():
+    # 1+4e-13 and 1+6e-13 are within WEIGHT_TOL but round to different
+    # multiples of it: the structure validates, yet detection never pairs 0, 2
+    g = WeightedGraph(3, ((0, 1, 1 + 4e-13), (1, 2, 1 + 6e-13)))
+    assert detect_twin_structures(g) == []
+    ts = TwinStructure.of(g, (0,), (2,))
+    assert verify_twin_structure(g, ts).max_residual < 1e-9
+
+
 def test_detect_long_cycle_has_no_structure():
     # every swap moves a neighbour, so only the prunes keep this search short
     assert detect_twin_structures(cycle_graph(40)) == []
