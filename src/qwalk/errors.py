@@ -98,7 +98,9 @@ class BadParam(QwalkError):
 def require_int(value, what: str, minimum: int | None = None) -> int:
     """``value`` as an int; BadParam unless it is an integer (not a bool) of
     at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # a plain int skips the abstract-class check, which costs ~0.4 us
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, Integral)):
         raise BadParam(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise BadParam(f"{what} must be at least {minimum}, got {value}")

@@ -2,35 +2,41 @@
 double-P_2 limb that forces pair transfer at pi/2?
 
 Sampled surveys draw trees uniformly over labelled trees via random Pruefer
-sequences.  The exhaustive survey is a census by isomorphism class: it walks
-every free tree on n vertices once (Wright, Richmond, Odlyzko & McKay, 1986)
-and counts it n!/|Aut T| times, the number of labelled trees in its class; the
-weights must add up to Cayley's n^(n-2), or the census raises.  Both count
-uniform labelled trees: this demonstrates the transfer mechanism on a
-tractable tree model; it is not a statement about any other random-tree
-measure.
+sequences.  The exhaustive survey counts all n^(n-2) labelled trees exactly:
+the trees without the limb are counted by their exponential generating
+function (Flajolet & Sedgewick, Analytic Combinatorics, 2009, VII.4), in one
+pass of an integer recurrence, and the rest carry it.  Both count uniform
+labelled trees: this demonstrates the transfer mechanism on a tractable tree
+model; it is not a statement about any other random-tree measure.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
-from itertools import groupby
-from math import factorial, pi
+from math import comb, perm, pi
 
 import numpy as np
 
-from .errors import NotATree, require_int
+from .errors import BadParam, NotATree, require_int
 from .graphs import WeightedGraph, pair_state
 from .transfer import PST_TOL, check_pst
 from .twins import TwinStructure
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
-    """Labelled tree on n vertices from a Pruefer sequence of length n-2."""
+    """Labelled tree on n vertices from a Pruefer sequence of length n-2.
+
+    Raises BadParam unless n is an integer of at least 2 and seq holds n-2
+    ints (not bools) in [0, n)."""
+    n = require_int(n, "tree size", 2)
+    if len(seq) != n - 2:
+        raise BadParam(f"a Pruefer sequence for {n} vertices has length {n - 2}, "
+                       f"got {len(seq)}")
     degree = [1] * n
     for v in seq:
+        if type(v) is not int or not 0 <= v < n:
+            raise BadParam(f"Pruefer entries must be integers in [0, {n}), got {v!r}")
         degree[v] += 1
     edges = []
     leaves = [v for v in range(n) if degree[v] == 1]
@@ -47,14 +53,22 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
 
 
 def random_tree(n: int, seed) -> WeightedGraph:
-    """Uniform random labelled tree, deterministic per seed."""
+    """Uniform random labelled tree, deterministic per seed.
+
+    Raises BadParam unless n is an integer; a size below 2 is NotATree."""
+    n = require_int(n, "tree size")
     if n < 2:
         raise NotATree("a tree needs at least two vertices")
-    if n == 2:
-        return WeightedGraph(2, ((0, 1, 1.0),))
     rng = np.random.default_rng(seed)
     seq = tuple(rng.integers(0, n, size=n - 2).tolist())
     return prufer_decode(seq, n)
+
+
+def limb_tree(n: int) -> WeightedGraph:
+    """The path 0-1-2-3-4 with n-5 further leaves 5..n-1 on its centre 2: the
+    n-vertex tree on which the exhaustive survey verifies the limb."""
+    edges = [(i, i + 1, 1.0) for i in range(4)] + [(2, v, 1.0) for v in range(5, n)]
+    return WeightedGraph(n, tuple(edges))
 
 
 def _assert_tree(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
@@ -108,15 +122,6 @@ class LimbReport:
     def hit_fraction(self) -> float:
         return self.hit_count / self.sample_count if self.sample_count else 0.0
 
-    def to_row(self) -> dict:
-        return {
-            "size": self.size,
-            "samples": self.sample_count,
-            "hits": self.hit_count,
-            "verified": self.verified_count,
-            "fraction": self.hit_fraction,
-        }
-
 
 def _verify_hit(g: WeightedGraph, ts: TwinStructure) -> bool:
     l1, m1 = ts.x1
@@ -154,172 +159,53 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
 
 
 def exhaustive_tree_experiment(n: int, verify: bool = False) -> LimbReport:
-    """Census of every labelled tree on n vertices, one isomorphism class at a
-    time.
+    """Exact limb count over all n^(n-2) labelled trees on n vertices.
 
-    The limb and the fidelity do not depend on the labelling, so each free
-    tree T is tested once and counts n!/|Aut T| times; with ``verify`` every
-    hit class is checked once at pi/2.  The counts equal those of a walk over
-    all n^(n-2) Pruefer sequences; the weights must sum to n^(n-2) (Cayley's
-    formula), or the census raises ``RuntimeError``.
+    A planted tree hangs from an edge above its root.  It carries no limb
+    when no vertex has two arms (pendant P_2's) among its children: its
+    root's children are a set of such trees with at most one arm x^2, so
+    their exponential generating function solves T = x(1+x^2)e^(T-x^2).
+    A tree rooted at a vertex with no edge above may also carry a limb that
+    runs up through the root, a leaf or the middle of an arm: 2x^5e^(T-x^2)
+    such trees.  Each tree has n rootings, so with a_k = k![x^k]T and
+    b_k = k![x^k]e^(T-x^2) (b_0 = 1; e^(T-x^2) has derivative
+    (T' - 2x)e^(T-x^2))
+
+        a_k = k b_(k-1) + k(k-1)(k-2) b_(k-3)
+        b_k = sum_(j=1..k) C(k-1, j-1) a_j b_(k-j) - 2(k-1) b_(k-2)
+        limb-free(n) = (a_n - 2 n!/(n-5)! b_(n-5)) / n,
+
+    and the other n^(n-2) - limb-free(n) trees are the hits.  The division
+    must be exact, or this raises ``RuntimeError``.
+
+    With ``verify``, the pair transfer leaves -> midpoints is checked at pi/2
+    once, on ``limb_tree(n)``, and ``verified_count`` is the hit count if it
+    passes and 0 otherwise.  That one check covers every hit: with arms
+    l1-m1 and l2-m2 on a centre, A(e_m1 - e_m2) = e_l1 - e_l2 and
+    A(e_l1 - e_l2) = e_m1 - e_m2 in any tree, so A.B = B.T holds (B the
+    arms' difference vectors, T the adjacency of P_2) wherever the limb
+    occurs, and the twin theorem gives the same transfer there.
     """
     n = require_int(n, "tree size")
     if n < 6:
         raise NotATree("the limb needs at least six vertices")
-    labellings = factorial(n)
-    total = hits = verified = 0
-    for g in _free_trees(n):
-        weight = labellings // _tree_class(g)[1]
-        total += weight
+    a = [0] * (n + 1)
+    b = [1] + [0] * n
+    for k in range(1, n + 1):
+        a[k] = k * b[k - 1] + (k * (k - 1) * (k - 2) * b[k - 3] if k >= 3 else 0)
+        b[k] = sum(comb(k - 1, j - 1) * a[j] * b[k - j] for j in range(1, k + 1))
+        if k >= 2:
+            b[k] -= 2 * (k - 1) * b[k - 2]
+    limb_free, rest = divmod(a[n] - 2 * perm(n, 5) * b[n - 5], n)
+    if rest:
+        raise RuntimeError(f"the rooted limb-free count on {n} vertices is not "
+                           f"divisible by {n}")
+    total = n ** (n - 2)
+    hits = total - limb_free
+    verified = hits
+    if verify:
+        g = limb_tree(n)
         ts = find_p5_limb(g)
-        if ts is None:
-            continue
-        hits += weight
-        if not verify or _verify_hit(g, ts):
-            verified += weight
-    if total != n ** (n - 2):
-        raise RuntimeError(f"census weights sum to {total}, not {n}^{n - 2}")
+        if ts is None or not _verify_hit(g, ts):
+            verified = 0
     return LimbReport(n, total, hits, verified)
-
-
-def _free_trees(n: int):
-    """One tree per isomorphism class of free trees on n vertices.
-
-    Wright, Richmond, Odlyzko & McKay (SIAM J. Comput. 1986): walk the
-    canonical level sequences of rooted trees in reverse lexicographic order
-    (Beyer & Hedetniemi), starting from the path rooted at its centre, keep
-    those rooted at a centre with the root's first subtree no larger than the
-    rest, and jump over each run of rejected ones.  Vertices are labelled in
-    preorder.
-    """
-    if n <= 2:
-        yield _level_tree(list(range(n)))
-        return
-    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while levels is not None:
-        first, rest = _split_root(levels)
-        if max(first) > max(rest) or (max(first) == max(rest)
-                                      and (len(first), first) > (len(rest), rest)):
-            # rejected: advance the first subtree; when its last vertex lay
-            # below level 2, end the sequence in a path from the root as deep
-            # as the new first subtree
-            p = len(first)
-            jumped = _next_rooted(levels, p)
-            if levels[p] > 2:
-                height = max(_split_root(jumped)[0])
-                jumped[n - height - 1:] = range(1, height + 2)
-            levels = jumped
-        yield _level_tree(levels)
-        levels = _next_rooted(levels)
-
-
-def _split_root(levels: list[int]) -> tuple[list[int], list[int]]:
-    """The root's first subtree (levels from 0) and the tree without it."""
-    try:
-        m = levels.index(1, 2)
-    except ValueError:
-        m = len(levels)
-    return [d - 1 for d in levels[1:m]], [0] + levels[m:]
-
-
-def _next_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
-    """Next canonical level sequence of a rooted tree (Beyer & Hedetniemi):
-    with q the parent of vertex p, entries from p on repeat levels[q:p].  By
-    default p is the last vertex below level 1; None after the star."""
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    return levels[:p] + [levels[q + (i - p) % (p - q)] for i in range(p, len(levels))]
-
-
-def _level_tree(levels: list[int]) -> WeightedGraph:
-    """The tree whose preorder depths are ``levels``; vertex i is the i-th."""
-    last = [0] * len(levels)  # latest vertex seen at each depth
-    edges = []
-    for v in range(1, len(levels)):
-        d = levels[v]
-        edges.append((last[d - 1], v, 1.0))
-        last[d] = v
-    return WeightedGraph(len(levels), tuple(edges))
-
-
-def _tree_class(g: WeightedGraph) -> tuple[tuple, int]:
-    """Canonical code of the free tree g and the order of its automorphism
-    group.
-
-    The code is the AHU code of g rooted at its centre, or at the midpoint of
-    its central edge when g is bicentral: each vertex is the sorted tuple of
-    its children.  |Aut g| is the product, over that root and every vertex, of
-    m! for each group of m identical child subtrees; for a bicentral tree the
-    root's factor is 2 exactly when its two halves are equal.
-    """
-    nbrs = g.adjacency_lists
-    centre = _centre(nbrs)
-    parent = [-1] * g.n
-    if len(centre) == 2:
-        a, b = centre
-        parent[a], parent[b] = b, a
-    order = list(centre)
-    for v in order:
-        for w in nbrs[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code: list[tuple] = [()] * g.n
-    aut = 1
-    for v in reversed(order):
-        kids = sorted(code[w] for w in nbrs[v] if w != parent[v])
-        aut *= _symmetry(kids)
-        code[v] = tuple(kids)
-    if len(centre) == 1:
-        return code[centre[0]], aut
-    halves = sorted(code[v] for v in centre)
-    return tuple(halves), aut * _symmetry(halves)
-
-
-def _centre(nbrs: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The one or two central vertices of a tree, by peeling leaf layers."""
-    degree = [len(x) for x in nbrs]
-    layer = [v for v in range(len(nbrs)) if degree[v] <= 1]
-    remaining = len(nbrs)
-    while remaining > 2:
-        remaining -= len(layer)
-        inner = []
-        for v in layer:
-            for w in nbrs[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    inner.append(w)
-        layer = inner
-    return layer
-
-
-def _symmetry(kids: list[tuple]) -> int:
-    """Product of m! over each run of m equal codes in the sorted list."""
-    out = 1
-    for _, run in groupby(kids):
-        out *= factorial(sum(1 for _ in run))
-    return out
-
-
-def report_csv(reports: list[LimbReport]) -> str:
-    lines = ["size,samples,hits,verified,fraction"]
-    for r in reports:
-        lines.append(
-            f"{r.size},{r.sample_count},{r.hit_count},{r.verified_count},"
-            f"{r.hit_fraction:.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_json(reports: list[LimbReport]) -> str:
-    header = ("uniform labelled trees via Pruefer sampling; demonstrates the "
-              "pair-transfer mechanism, not an asymptotic constant")
-    return json.dumps({"model": header, "rows": [r.to_row() for r in reports]},
-                      indent=2)

@@ -21,7 +21,7 @@ from .constructions import (
     path_graph,
 )
 from .errors import NoTransfer, QwalkError, Unreached
-from .experiments import exhaustive_tree_experiment, run_tree_experiment
+from .experiments import exhaustive_tree_experiment, limb_tree, run_tree_experiment
 from .graphs import (
     WeightedGraph,
     negate_edges,
@@ -305,6 +305,23 @@ def _claim_trees_exhaustive():
             f"{rep.verified_count} verified", ok)
 
 
+def _claim_trees_exact():
+    # the limb and its two signed variants (the p2_twins_signed_* patterns)
+    # on limb_tree(100): arms 0-1 and 4-3 on the centre 2
+    rep = exhaustive_tree_experiment(100)
+    share = f"{rep.hit_fraction:.6f}"
+    g = limb_tree(100)
+    for label, h, src, dst in (
+            ("pair", g, pair_state(0, 4), pair_state(1, 3)),
+            ("plus-plus", negate_edges(g, [(2, 3)]), plus_state(0, 4), plus_state(1, 3)),
+            ("plus-pair", negate_edges(g, [(3, 4)]), plus_state(0, 4), pair_state(1, 3))):
+        expected, observed, ok = _pst(h, src, dst, pi / 2)
+        if not ok:
+            return expected, f"{label}: {observed}", False
+    return ("limb share 0.602517 at n=100; 3 limb transfers at pi/2",
+            f"share {share}; all three transfers pass", share == "0.602517")
+
+
 def _claim_trees_sampled():
     reports = run_tree_experiment((8, 12, 16), 200, seed=2024)
     for rep in reports:
@@ -378,6 +395,8 @@ CLAIM_SETS: dict[str, list[tuple[str, str, object]]] = {
     "trees": [
         ("trees-exhaustive", "all labelled 6-vertex trees, exact limb count",
          _claim_trees_exhaustive),
+        ("trees-exact", "all labelled 100-vertex trees, exact limb share; "
+         "signed limbs", _claim_trees_exact),
         ("trees-sampled", "sampled trees n=8,12,16: hits all verify",
          _claim_trees_sampled),
     ],

@@ -1,5 +1,7 @@
+import os
+import re
 from itertools import combinations, permutations, product
-from math import factorial
+from math import e, factorial
 
 import pytest
 
@@ -12,15 +14,10 @@ from qwalk import (
     random_tree,
     run_tree_experiment,
 )
+from qwalk import experiments
 from qwalk.errors import BadParam, NotATree
-from qwalk.experiments import (
-    _free_trees,
-    _tree_class,
-    _verify_hit,
-    prufer_decode,
-    report_csv,
-    report_json,
-)
+from qwalk.experiments import _verify_hit, limb_tree, prufer_decode
+from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
 # tolist(): the same seeds must keep giving the same trees
@@ -36,8 +33,12 @@ RECORDED_TREES = {
               (16, 23), (17, 19)],
 }
 
-# OEIS A000055: free trees on n = 1..12 vertices
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+# OEIS A000055: free trees on n = 1..18 vertices
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551,
+                    1301, 3159, 7741, 19320, 48629, 123867]
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 def test_random_tree_basics():
@@ -59,6 +60,19 @@ def test_prufer_decode_known():
     g = prufer_decode((3, 3, 3, 4), 6)
     assert len(g.edges) == 5
     assert sorted(len(g.neighbors(v)) for v in range(6)) == [1, 1, 1, 1, 2, 4]
+
+
+@pytest.mark.parametrize("decode", [
+    lambda: prufer_decode((), 4),          # too short
+    lambda: prufer_decode((9,), 3),        # entry out of range
+    lambda: prufer_decode((0, 0, 0), 4),   # too long
+    lambda: prufer_decode((True, 0), 4),   # bool entry
+    lambda: random_tree(7.5, 0),
+    lambda: random_tree("8", 0),
+])
+def test_malformed_trees_are_refused(decode):
+    with pytest.raises(BadParam):
+        decode()
 
 
 def test_find_limb_minimal_spider():
@@ -137,7 +151,7 @@ def test_census_rejects_bad_sizes():
 
 
 def test_free_trees_one_per_class():
-    for n, count in enumerate(FREE_TREE_COUNTS, start=1):
+    for n, count in enumerate(FREE_TREE_COUNTS[:12], start=1):
         trees = list(_free_trees(n))
         assert len(trees) == count
         assert all(g.n == n and len(g.edges) == n - 1 for g in trees)
@@ -154,6 +168,92 @@ def test_automorphism_count_brute_force():
                 all(frozenset((perm[a], perm[b])) in edges for a, b in map(tuple, edges))
                 for perm in permutations(range(n)))
             assert _tree_class(g)[1] == brute
+
+
+def test_exact_count_matches_census():
+    for n in range(6, 13):
+        total = hits = 0
+        for g in _free_trees(n):
+            weight = factorial(n) // _tree_class(g)[1]
+            total += weight
+            hits += weight * (find_p5_limb(g) is not None)
+        rep = exhaustive_tree_experiment(n)
+        assert (rep.sample_count, rep.hit_count) == (total, hits)
+
+
+def test_every_census_hit_class_verifies():
+    # the per-class check that the one verification on limb_tree(n) replaces
+    checked = 0
+    for n in range(6, 10):
+        for g in _free_trees(n):
+            ts = find_p5_limb(g)
+            if ts is not None:
+                assert _verify_hit(g, ts)
+                checked += 1
+    assert checked > 0
+
+
+def test_failed_verification_verifies_nothing(monkeypatch):
+    monkeypatch.setattr(experiments, "_verify_hit", lambda g, ts: False)
+    rep = exhaustive_tree_experiment(8, verify=True)
+    assert (rep.hit_count, rep.verified_count) == (40320, 0)
+
+
+def test_limb_tree_carries_the_limb():
+    g = limb_tree(9)
+    ts = find_p5_limb(g)
+    assert (ts.x1, ts.x2) == ((0, 1), (4, 3))
+    assert sorted(len(g.neighbors(v)) for v in range(9)) == [1] * 6 + [2, 2, 6]
+
+
+def _readme_rows(columns):
+    """Cells of the README table rows that have ``columns`` cells and start
+    with a number."""
+    with open(README, encoding="utf-8") as fh:
+        cells = [[c.strip() for c in line.strip().strip("|").split("|")]
+                 for line in fh if line.startswith("|")]
+    return [row for row in cells if len(row) == columns and row[0].isdigit()]
+
+
+def test_readme_limb_table_is_true():
+    rows = _readme_rows(5)
+    assert [int(row[0]) for row in rows] == list(range(6, 19))
+    for n, free, labelled, limb, fraction in rows:
+        rep = exhaustive_tree_experiment(int(n))
+        assert int(free) == FREE_TREE_COUNTS[int(n) - 1]
+        assert (int(labelled), int(limb)) == (rep.sample_count, rep.hit_count)
+        assert fraction == f"{rep.hit_fraction:.6f}"
+
+
+def test_readme_large_n_shares_are_true():
+    rows = _readme_rows(2)
+    assert [int(row[0]) for row in rows] == [30, 50, 70, 100, 200]
+    for n, share in rows:
+        assert share == f"{exhaustive_tree_experiment(int(n)).hit_fraction:.6f}"
+
+
+def test_limb_free_share_rate():
+    # rho solves x(1+x^2)e^(1-x^2) = 1, where the limb-free planted trees'
+    # generating function reaches 1; the share of limb-free trees decays
+    # like C (e rho)^-n
+    lo, hi = 0.3, 0.4
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid * (1 + mid ** 2) * e ** (1 - mid ** 2) < 1 else (lo, mid)
+    stated = [f"rho = {lo:.6f}", f"e*rho = {e * lo:.6f}"]
+    assert stated == ["rho = 0.371091", "e*rho = 1.008730"]
+    for n, product in ((100, "0.9480"), (150, "0.9488"), (200, "0.9492")):
+        rep = exhaustive_tree_experiment(n)
+        share = (rep.sample_count - rep.hit_count) / rep.sample_count
+        assert f"{share * (e * lo) ** n:.4f}" == product
+        stated.append(product)
+    for n, share in ((74, 0.5), (259, 0.9)):
+        assert (exhaustive_tree_experiment(n - 1).hit_fraction < share
+                <= exhaustive_tree_experiment(n).hit_fraction)
+        stated.append(f"{share:g} at n = {n}")
+    with open(README, encoding="utf-8") as fh:
+        text = re.sub(r"\s+", " ", fh.read())
+    assert all(s in text for s in stated)
 
 
 def test_run_experiment_hits_all_verify():
@@ -178,9 +278,3 @@ def test_run_experiment_rejects_bad_params():
     with pytest.raises(NotATree):
         run_tree_experiment((5,), 3, seed=1)
 
-
-def test_reports_serialize():
-    reports = run_tree_experiment([8], 10, seed=3)
-    csv = report_csv(reports)
-    assert csv.startswith("size,samples,hits,verified,fraction")
-    assert "Pruefer" in report_json(reports)
