@@ -210,7 +210,7 @@ def cmd_check(args) -> int:
         if cert.L:
             print(f"truncation L={cert.L} error-bound={cert.bound:.3g}")
         elif g.tails:
-            print(f"krylov dim={cert.dim} residual={cert.residual:.2g} "
+            print(f"decoupled dim={cert.dim} residual={cert.residual:.2g} "
                   f"error-bound={cert.bound:.3g}")
         return 0
     if args.mode == "search":

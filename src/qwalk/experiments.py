@@ -18,9 +18,9 @@ from math import comb, perm, pi
 
 import numpy as np
 
-from .errors import BadParam, NotATree, require_int
+from .errors import BadParam, NoTransfer, NotATree, require_int
 from .graphs import WeightedGraph, pair_state
-from .transfer import PST_TOL, check_pst
+from .transfer import check_pst
 from .twins import TwinStructure
 
 
@@ -124,12 +124,14 @@ class LimbReport:
 
 
 def _verify_hit(g: WeightedGraph, ts: TwinStructure) -> bool:
+    """Whether the pair transfer leaves -> midpoints passes at pi/2."""
     l1, m1 = ts.x1
     l2, m2 = ts.x2
-    src = pair_state(l1, l2)
-    dst = pair_state(m1, m2)
-    report = check_pst(g, src, dst, pi / 2)
-    return report.fidelity >= 1 - PST_TOL
+    try:
+        check_pst(g, pair_state(l1, l2), pair_state(m1, m2), pi / 2)
+    except NoTransfer:
+        return False
+    return True
 
 
 def run_tree_experiment(sizes, samples_per_size: int, seed: int

@@ -4,27 +4,26 @@ The primary route is a dense symmetric eigendecomposition of the core.  A
 query on a tail-extended graph takes one of two certified routes, and its
 certificate, not the caller, picks the route.
 
-Core Krylov route (Golub & Meurant, "Matrices, Moments and Quadrature",
-2010).  Q is an orthonormal real basis of the block Krylov space of the real
-and imaginary parts of the query's core states under the core adjacency, and
-H = Q^T A Q (k x k, k <= n).  A finite-dimensional A-invariant subspace
-spanned by finitely supported vectors vanishes on every tail vertex (A moves
-the deepest tail entry of a vector one step deeper) and so on every attach
-vertex too (A x at a tail's first vertex is w0 x[attach]).  Twin and
-equitable-partition structure confines the paper's pair and plus states to
-such a subspace, whose dimension is the size of their eigenvalue support
-(Godsil, "State transfer on graphs", 2012).  Closure is therefore decided on
-the core alone, with no tail vertex materialized: the residual on the
-infinite graph is
+Decoupled route.  S is the orthogonal complement in the core of the Krylov
+space K of the attach vectors under the core adjacency.  K is invariant, so S
+is too, and S vanishes on every attach vertex; as A x at a tail's first
+vertex is w0 x[attach], S is invariant under the adjacency of the infinite
+graph as well, and no state in S ever reaches a tail.  Twin and
+equitable-partition structure confines the paper's pair and plus states to S
+(Godsil, "State transfer on graphs", 2012).  S is the sum over the
+eigenspaces of the core of their parts orthogonal to the projections of the
+attach vectors, so it is solved by the core's eigendecomposition alone, with
+no tail vertex materialized.  With Q an orthonormal eigenbasis of S and
+Lambda_S its eigenvalues, the residual on the infinite graph is
 
-    beta = ||A Q - Q H|| <= hypot(||A_core Q - Q H||_F, ||w0 Q[attach]||_F),
+    beta = ||A Q - Q Lambda_S|| <= hypot(||A_core Q - Q Lambda_S||_F,
+                                          ||w0 Q[attach]||_F),
 
-and by Duhamel's formula ||exp(itA) Q - Q exp(itH)|| <= |t| beta at every t.
-So with u = Q c + r, c = Q^T u, both Q exp(itH) c and the amplitude
-(Q^T v)* exp(itH) c err by at most |t| beta ||c|| + ||r||, and the route
-answers when that is below the tolerance.  As soon as the basis leaks into a
-tail by |t| ||w0 Q[attach]|| >= tol the query falls back, and states that
-touch an attach vertex fall back before any factorization.
+and by Duhamel's formula ||exp(itA) Q - Q exp(it Lambda_S)|| <= |t| beta at
+every t.  So with u = Q c + r, c = Q^T u, both Q exp(it Lambda_S) c and the
+amplitude (Q^T v)* exp(it Lambda_S) c err by at most |t| beta ||c|| + ||r||,
+and the route answers when that is below the tolerance.  States that touch an
+attach vertex fall back before any factorization.
 
 Truncation route.  The graph is evaluated on a certified truncation, sized by
 the Chebyshev expansion of the walk (Tal-Ezer & Kosloff 1984; Weisse et al.,
@@ -97,7 +96,8 @@ def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors, as columns, of a
+    symmetric matrix or of its restriction to an invariant subspace."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -135,6 +135,14 @@ def _real_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x.view(float).reshape(len(x), -1)).view(complex)
 
 
+def _eigenspace_starts(lam: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues that open an eigenspace: eigenvalues
+    split only by eigensolver roundoff form one eigenspace."""
+    first = np.ones(lam.size, dtype=bool)
+    first[1:] = lam[1:] - lam[:-1] > EIGEN_MERGE
+    return first
+
+
 @dataclass(frozen=True)
 class FidelityCurve:
     """t -> v* U(t) u as the finite sum  sum_k w_k exp(i t lambda_k)  over the
@@ -152,11 +160,8 @@ class FidelityCurve:
         uv[:, 0], uv[:, 1] = u, v
         p = _real_product(decomp.eigenvectors.T, uv)
         w = p[:, 1].conj() * p[:, 0]
-        # eigenvalues split only by eigensolver roundoff form one eigenspace
         lam = decomp.eigenvalues
-        first = np.ones(lam.size, dtype=bool)
-        first[1:] = lam[1:] - lam[:-1] > EIGEN_MERGE
-        starts = first.nonzero()[0]
+        starts = _eigenspace_starts(lam).nonzero()[0]
         w = np.add.reduceat(w, starts)
         keep = np.abs(w) > ZERO_WEIGHT
         return cls(lam[starts[keep]], w[keep])
@@ -206,15 +211,16 @@ class TruncationCertificate:
     """Error bound of an evaluation, valid for every time s with |s| <= |t|.
 
     L is the tail depth materialized: 0 for a graph without tails, and 0 on
-    the Krylov route, which materializes no tail vertex.  dim is the size of
-    the matrix that was diagonalized (core + L per tail, or the dimension of
-    the Krylov basis), and residual is the basis' residual beta on the
-    infinite graph (0.0 on the truncation route).
+    the decoupled route, which materializes no tail vertex.  dim is the
+    dimension the answer was evaluated in (core + L per tail, or the
+    dimension of the decoupled subspace S of the core), and residual is the
+    residual beta of the basis of S on the infinite graph (0.0 on the
+    truncation route).
 
     For an amplitude query, `bound` covers the error of v* U(s) u for states
     u and v on the core; from `evolve`, the 2-norm error of the evolved state.
-    The truncation and Krylov parts are rigorous; `bound` is never below an
-    estimate of the eigensolver roundoff.
+    The truncation and decoupled parts are rigorous; `bound` is never below
+    an estimate of the eigensolver roundoff.
     """
 
     L: int
@@ -317,92 +323,72 @@ def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
     return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound, dim, 0.0)
 
 
-def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float
-            ) -> tuple[np.ndarray, SpectralDecomposition, TruncationCertificate,
-                       np.ndarray] | None:
-    """Real basis Q of the block Krylov space of the real and imaginary parts
-    of the core vectors x (one state per column) under the core adjacency,
-    the decomposition of H = Q^T A Q, the certificate of the first state's
-    evolution on it, and the coordinates Q^T x; None when the certificate
-    cannot close below tol.
+def _decoupled(g: WeightedGraph, x: np.ndarray, t: float, tol: float
+               ) -> tuple[SpectralDecomposition, TruncationCertificate] | None:
+    """The core adjacency restricted to S, the subspace of the core that no
+    tail sees, as a decomposition in core coordinates, with the certificate
+    of the evolution of the core vector x on it; None when x touches an attach
+    vertex, S is empty or the certificate cannot close below tol.
 
-    Each block is orthogonalized against Q by two passes of classical
-    Gram-Schmidt, and a rank-revealing SVD keeps the directions whose norm
-    exceeds min(tol, 1) / (4 max(1, |t|)); one more pass keeps a small kept
-    direction orthogonal to Q.  Nothing here is trusted: with u = Q c + r,
-    c = Q^T u, both v* U(s) u and U(s) u err by at most |s| beta ||c|| + ||r||
-    for any real Q, and beta and r are measured.
+    In the eigenvector coordinates of one eigenspace, S is the null space of
+    the eigenvectors' rows at the attach vertices; one SVD of the
+    block-diagonal matrix of those rows finds it for every eigenspace, and a
+    second eigendecomposition diagonalizes the adjacency on the null space,
+    whose basis the SVD mixes across eigenspaces.  A singular value counts as
+    zero below min(tol, 1) / max(1, |t|): a unit direction that leaks more
+    into a unit-weight tail alone takes |t| beta past tol, while eigenvectors
+    that lie in S carry eigensolver roundoff of order eps ||A|| / gap at the
+    attach vertices, which a smaller threshold would count as coupling.
+    Nothing here is trusted: with x = Q c + r, c = Q^T x, both v* U(s) x and
+    U(s) x err by at most |s| beta ||c|| + ||r|| for any real Q, and beta and
+    r are measured.
     """
     n = g.n
-    parts = np.ascontiguousarray(x).view(float).reshape(n, -1)
     attach = np.array([tail.attach for tail in g.tails])
-    w0 = np.array([tail.weight(0) for tail in g.tails])[:, None]
-    # a part y with weight at an attach vertex fails before any factorization:
-    # the first block takes y into Q up to less than drop, so the basis leaks
-    # at least |t w0 y[attach]| - |t w0| drop, which then reaches tol
-    reach = np.abs(t * w0)
-    if np.any(reach * np.abs(parts[attach]) >= tol * (1.0 + reach)):
+    if np.linalg.norm(x[attach]) >= tol:   # that part of x lies outside S
         return None
     a = g.core_adjacency()
-    # below the larger part of a unit state, so Q is never empty
-    drop = min(tol, 1.0) / (4.0 * max(1.0, abs(t)))
-    basis = np.empty((n, n))
-    k = 0
-    leak2 = 0.0   # squared Frobenius norm of the tail part of A Q
-    block = parts
-    while k < n:
-        q = basis[:, :k]
-        if k:
-            for _ in range(2):
-                block = block - q @ (q.T @ block)
-        if float(np.vdot(block, block)) <= drop * drop:
-            break   # every singular value is below drop: closed
-        left, sing, _ = np.linalg.svd(block, full_matrices=False)
-        rank = min(int(np.count_nonzero(sing > drop)), n - k)
-        if not rank:
-            break
-        new = left[:, :rank]
-        if k:
-            new -= q @ (q.T @ new)
-        tail = w0 * new[attach]
-        leak2 += float(np.vdot(tail, tail))
-        if math.sqrt(leak2) * abs(t) >= tol:
-            return None
-        basis[:, k:k + rank] = new
-        k += rank
-        block = a @ new
-    q = basis[:, :k]
-    aq = a @ q
-    h = q.T @ aq
-    h = (h + h.T) / 2
-    beta = math.hypot(float(np.linalg.norm(aq - q @ h)), math.sqrt(leak2))
-    coords = _real_product(q.T, x)
-    miss = x[:, 0] - _real_product(q, coords)[:, 0]
-    err = (abs(t) * beta * float(np.linalg.norm(coords[:, 0]))
-           + float(np.linalg.norm(miss)))
+    core = SpectralDecomposition.of(a)
+    lam, vecs = core.eigenvalues, core.eigenvectors
+    space = np.cumsum(_eigenspace_starts(lam)) - 1   # eigenspace of each column
+    rows = np.zeros((space[-1] + 1, attach.size, n))
+    rows[space, :, np.arange(n)] = vecs[attach].T
+    _, sing, right = np.linalg.svd(rows.reshape(-1, n))
+    zero = min(tol, 1.0) / max(1.0, abs(t))
+    null = right[np.count_nonzero(sing >= zero):].T
+    k = null.shape[1]
+    if not k:
+        return None
+    inner = SpectralDecomposition.of(null.T @ (lam[:, None] * null))
+    q = vecs @ (null @ inner.eigenvectors)
+    w0 = np.array([tail.weight(0) for tail in g.tails])[:, None]
+    beta = math.hypot(float(np.linalg.norm(a @ q - q * inner.eigenvalues)),
+                      float(np.linalg.norm(w0 * q[attach])))
+    c = _real_product(q.T, x)
+    err = (abs(t) * beta * float(np.linalg.norm(c))
+           + float(np.linalg.norm(x - _real_product(q, c)[:, 0])))
     if not err < tol:
         return None
     bound = max(err, _finite_bound(degree_profile(g), k, t))
-    return (q, SpectralDecomposition.of(h),
-            TruncationCertificate(0, t, bound, k, beta), coords)
+    return (SpectralDecomposition(inner.eigenvalues, q),
+            TruncationCertificate(0, t, bound, k, beta))
 
 
 def _reduce(g: WeightedGraph, states: tuple[PureState, ...], t: float, tol: float,
             legs: int
-            ) -> tuple[np.ndarray | None, SpectralDecomposition, TruncationCertificate,
-                       list[np.ndarray]]:
-    """(Q, decomposition, certificate, coordinates of each state): on the core
-    Krylov basis Q when the certificate closes it, else on the certified
-    truncation (Q is None, the coordinates are the states on it)."""
+            ) -> tuple[SpectralDecomposition, TruncationCertificate, list[np.ndarray]]:
+    """(decomposition, certificate, each state as a vector in the
+    decomposition's coordinates): on the decoupled subspace S of the core
+    when the certificate of the first state closes it, else on the certified
+    truncation."""
     if g.tails:
         _validate(g, t, tol)
-        x = np.stack([core_vector(g, s, g.n) for s in states], axis=1)
-        closed = _krylov(g, x, t, tol)
+        vectors = [core_vector(g, s, g.n) for s in states]
+        closed = _decoupled(g, vectors[0], t, tol)
         if closed is not None:
-            q, decomp, cert, coords = closed
-            return q, decomp, cert, list(coords.T)
+            return (*closed, vectors)
     decomp, cert = _prepare(g, t, tol, legs)
-    return None, decomp, cert, [core_vector(g, s, cert.dim) for s in states]
+    return decomp, cert, [core_vector(g, s, cert.dim) for s in states]
 
 
 def core_vector(g: WeightedGraph, state: PureState, dim: int) -> np.ndarray:
@@ -419,9 +405,9 @@ def transfer_curve(g: WeightedGraph, u: PureState, v: PureState, t: float,
                    tol: float = DEFAULT_TAIL_TOL
                    ) -> tuple[FidelityCurve, TruncationCertificate]:
     """The curve s -> v* U(s) u between core states, certified for every
-    |s| <= |t|: on the core Krylov space of u and v when it closes, else on
-    the certified truncation."""
-    _, decomp, cert, (uc, vc) = _reduce(g, (u, v), t, tol, AMPLITUDE)
+    |s| <= |t|: on the decoupled subspace S of the core when u lies in it,
+    else on the certified truncation."""
+    decomp, cert, (uc, vc) = _reduce(g, (u, v), t, tol, AMPLITUDE)
     return FidelityCurve.of(decomp, uc, vc), cert
 
 
@@ -432,12 +418,11 @@ def evolve(g: WeightedGraph, state: PureState, t: float, tol: float = DEFAULT_TA
 
     The vector has length n + L * (number of tails): the core, then L entries
     per tail in declaration order.  When the certificate has L = 0 on a
-    tailed graph (the Krylov route), it is the core part alone, and the state
+    tailed graph (the decoupled route), it is the core part alone, and the state
     on the tails, which the bound covers, is below the tolerance.
     """
-    q, decomp, cert, (uc,) = _reduce(g, (state,), t, tol, STATE)
-    out = decomp.apply(t, uc)
-    return (out if q is None else _real_product(q, out)[:, 0]), cert
+    decomp, cert, (uc,) = _reduce(g, (state,), t, tol, STATE)
+    return decomp.apply(t, uc), cert
 
 
 def transfer_amplitude(g: WeightedGraph, u: PureState, v: PureState, t: float,

@@ -73,7 +73,6 @@ class TransferReport:
 class SedentaryEstimate:
     state: PureState
     grid_min: float
-    lower_bound_claim: float | None
     horizon: float
     period: float | None
 
@@ -81,7 +80,6 @@ class SedentaryEstimate:
         return {
             "state": state_to_document(self.state),
             "grid_min": self.grid_min,
-            "lower_bound_claim": self.lower_bound_claim,
             "horizon": float(f"{self.horizon:.12g}"),
             "period": None if self.period is None else float(f"{self.period:.12g}"),
         }
@@ -284,7 +282,6 @@ def _exact_period(support: np.ndarray) -> float | None:
 
 
 def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
-                       lower_bound_claim: float | None = None,
                        tol: float = DEFAULT_TAIL_TOL) -> SedentaryEstimate:
     """Grid minimum of the autocorrelation |u* U(t) u| over (0, horizon].
 
@@ -309,4 +306,4 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
                            np.maximum(lows - step, TIME_RESOLUTION),
                            np.minimum(lows + step, horizon))
     grid_min = min(float(f.min()), float(-neg_f.max()))
-    return SedentaryEstimate(u, grid_min, lower_bound_claim, horizon, period)
+    return SedentaryEstimate(u, grid_min, horizon, period)

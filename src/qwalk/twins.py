@@ -93,18 +93,13 @@ class TwinStructure:
 
 @dataclass(frozen=True)
 class BlockCheck:
-    """blockdiag_residual and topblock_residual are both CHECK_HORIZON times
-    ||A B - B T||_F over the pair columns B: a bound, at every
-    |t| <= CHECK_HORIZON, on each entry of the off-diagonal blocks of
-    Q^T U(t) Q and of B^T U(t) B - e^{itT}.  Both are B^T or C^T times
-    U(t) B - B e^{itT}, as B^T B = I, C^T B = 0 and U(t) is symmetric."""
+    """max_residual is CHECK_HORIZON times ||A B - B T||_F over the pair
+    columns B: a bound, at every |t| <= CHECK_HORIZON, on each entry of the
+    off-diagonal blocks of Q^T U(t) Q and of B^T U(t) B - e^{itT}.  Both are
+    B^T or C^T times U(t) B - B e^{itT}, as B^T B = I, C^T B = 0 and U(t) is
+    symmetric."""
 
-    blockdiag_residual: float
-    topblock_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.blockdiag_residual, self.topblock_residual)
+    max_residual: float
 
 
 def reduced_hamiltonian(ts: TwinStructure) -> np.ndarray:
@@ -131,9 +126,8 @@ def verify_twin_structure(g: WeightedGraph, ts: TwinStructure) -> BlockCheck:
     bcols = np.zeros((g.n, k))
     bcols[list(ts.x1), range(k)] = 1 / sqrt(2.0)
     bcols[list(ts.x2), range(k)] = -1 / sqrt(2.0)
-    res = CHECK_HORIZON * float(np.linalg.norm(
-        g.core_adjacency() @ bcols - bcols @ reduced_hamiltonian(ts)))
-    return BlockCheck(res, res)
+    return BlockCheck(CHECK_HORIZON * float(np.linalg.norm(
+        g.core_adjacency() @ bcols - bcols @ reduced_hamiltonian(ts))))
 
 
 def detect_twin_structures(g: WeightedGraph, cap: int = 6,

@@ -175,7 +175,8 @@ def test_uncertifiable_horizon_exits_2_at_once(tmp_path, capsys):
 def test_decoupled_state_answers_at_long_horizon(tmp_path, capsys):
     gfile = tmp_path / "fly.json"
     main(["construct", "flyswatter", "--n", "0", "-o", str(gfile)])
-    # the pair state never reaches the tail: its Krylov space closes on the core
+    # the pair state never reaches the tail: it lies in the decoupled subspace
+    # of the core
     assert main(["check", "pgst", str(gfile), "--pair", "0,6",
                  "--pair-dst", "2,4", "--t-cap", "1e4"]) == 0
     out = capsys.readouterr().out
@@ -184,7 +185,7 @@ def test_decoupled_state_answers_at_long_horizon(tmp_path, capsys):
     assert abs(t - math.pi / math.sqrt(2)) < 1e-6
     assert main(["check", "pst", str(gfile), "--pair", "0,6",
                  "--pair-dst", "2,4", "--tau", "pi/sqrt2"]) == 0
-    assert "krylov dim=3 " in capsys.readouterr().out
+    assert "decoupled dim=4 " in capsys.readouterr().out
 
 
 def test_reproduce_subset(tmp_path, capsys):

@@ -15,7 +15,7 @@ from qwalk import (
     run_tree_experiment,
 )
 from qwalk import experiments
-from qwalk.errors import BadParam, NotATree
+from qwalk.errors import BadParam, NoTransfer, NotATree
 from qwalk.experiments import _verify_hit, limb_tree, prufer_decode
 from tree_census import _free_trees, _tree_class
 
@@ -197,6 +197,17 @@ def test_failed_verification_verifies_nothing(monkeypatch):
     monkeypatch.setattr(experiments, "_verify_hit", lambda g, ts: False)
     rep = exhaustive_tree_experiment(8, verify=True)
     assert (rep.hit_count, rep.verified_count) == (40320, 0)
+
+
+def test_failed_transfer_counts_as_unverified(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoTransfer(0.5)
+
+    monkeypatch.setattr(experiments, "check_pst", fail)
+    rep = exhaustive_tree_experiment(8, verify=True)
+    assert (rep.hit_count, rep.verified_count) == (40320, 0)
+    (rep,) = run_tree_experiment([8], 60, seed=7)
+    assert rep.hit_count > 0 and rep.verified_count == 0
 
 
 def test_limb_tree_carries_the_limb():

@@ -222,8 +222,8 @@ def test_tailed_block_bounds_dominate_sampled_residuals(inst):
         u = exp_oracle(a, t)
         off = max(np.max(np.abs(cmat.T @ u @ bmat)), np.max(np.abs(bmat.T @ u @ cmat)))
         diag = np.max(np.abs(bmat.T @ u @ bmat - exp_oracle(top, t)))
-        assert off <= bc.blockdiag_residual + 1e-12
-        assert diag <= bc.topblock_residual + 1e-12
+        assert off <= bc.max_residual + 1e-12
+        assert diag <= bc.max_residual + 1e-12
 
 
 @st.composite
@@ -532,8 +532,7 @@ def test_detected_twins_have_equitable_orbits_and_core_residuals(g):
         assert isinstance(check_equitable(g, p), EquitableData)
         assert coarsest_equitable(g, p).partition == p
         bc = verify_twin_structure(g, ts)
-        assert bc.topblock_residual == bc.blockdiag_residual
-        assert abs(bc.blockdiag_residual - _shallow_block_residual(g, ts)) <= 1e-15
+        assert abs(bc.max_residual - _shallow_block_residual(g, ts)) <= 1e-15
 
 
 @st.composite

@@ -28,6 +28,7 @@ from qwalk.spectral import (
     SpectralDecomposition,
     required_truncation,
     series_tail,
+    transfer_curve,
     truncation_bound,
 )
 
@@ -118,6 +119,27 @@ def test_certificate_bound_dominates_observed_drift():
     deep = SpectralDecomposition.of(adjacency(g, 4 * acert.L))
     ref_amp = deep.amplitude_curve(u.vector(dim), v.vector(dim), np.array([t]))[0]
     assert abs(ref_amp - amp) < acert.bound
+
+
+@pytest.mark.parametrize("name, p, dim", [
+    ("flyswatter", None, 4), ("h2p", 5, 4), ("h2p", 6, 5), ("p3_twins_spur", None, 4),
+])
+def test_decoupled_subspace_complements_the_attach_krylov_space(name, p, dim):
+    # S is the orthogonal complement in the core of the Krylov space of the
+    # attach vertex, whatever the query states
+    gd = named_gadget(name, p=p, tail_len=0)
+    g = gd.graph
+    a = g.core_adjacency()
+    (tail,) = g.tails
+    krylov = [np.eye(g.n)[tail.attach]]
+    for _ in range(g.n - 1):
+        krylov.append(a @ krylov[-1])
+    _, cert = transfer_curve(g, gd.src, gd.dst, gd.tau)
+    assert cert.L == 0
+    assert cert.dim == g.n - np.linalg.matrix_rank(np.array(krylov)) == dim
+    out, scert = evolve(g, gd.src, gd.tau)
+    assert scert.L == 0 and scert.dim == dim and out.size == g.n
+    assert abs(out[tail.attach]) <= scert.bound
 
 
 def test_exp_oracle_matches_spectral():

@@ -157,10 +157,11 @@ def test_report_serialization():
     assert abs(doc["tau"] - math.pi / 2) < 1e-9
     assert doc["truncation"]["L"] == 0 and doc["truncation"]["dim"] == 2
     assert doc["truncation"]["residual"] == 0.0
-    # on an infinite tail the pair state is answered on its Krylov space
+    # on an infinite tail the pair state is answered on the decoupled
+    # subspace of the core
     gd = named_gadget("flyswatter", tail_len=0)
     trunc = check_pst(gd.graph, gd.src, gd.dst, gd.tau).to_document()["truncation"]
-    assert trunc["L"] == 0 and trunc["dim"] == 3 and trunc["residual"] < 1e-14
+    assert trunc["L"] == 0 and trunc["dim"] == 4 and trunc["residual"] < 1e-14
     est = sedentary_estimate(complete_graph(3), vertex_state(0), 5.0)
     doc = est.to_document()
     assert doc["period"] is not None
@@ -175,7 +176,7 @@ def test_decoupled_search_reaches_long_horizons():
     assert len(reps) == 315
     assert all(abs(r.tau - (2 * k + 1) * period) < 1e-9 for k, r in enumerate(reps))
     cert = reps[0].certificate
-    assert cert.L == 0 and cert.dim == 3 and cert.residual * cert.t < 1e-11
+    assert cert.L == 0 and cert.dim == 4 and cert.residual * cert.t < 1e-11
 
 
 def _flyswatter_pair():
