@@ -2,12 +2,16 @@
 double-P_2 limb that forces pair transfer at pi/2?
 
 Sampled surveys draw trees uniformly over labelled trees via random Pruefer
-sequences.  The exhaustive survey counts all n^(n-2) labelled trees exactly:
-the trees without the limb are counted by their exponential generating
-function (Flajolet & Sedgewick, Analytic Combinatorics, 2009, VII.4), in one
-pass of an integer recurrence, and the rest carry it.  Both count uniform
-labelled trees: this demonstrates the transfer mechanism on a tractable tree
-model; it is not a statement about any other random-tree measure.
+sequences, stable per (seed, size, index).  Each sequence is decoded to
+per-vertex neighbour lists and the limb is found on those; only a hit is
+built as a validated graph with a validated twin structure and has its
+transfer checked.  The exhaustive survey counts all n^(n-2) labelled trees
+exactly: the trees without the limb are counted by their exponential
+generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
+VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
+count uniform labelled trees: this demonstrates the transfer mechanism on a
+tractable tree model; it is not a statement about any other random-tree
+measure.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import comb, perm, pi
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,6 +27,40 @@ from .errors import BadParam, NoTransfer, NotATree, require_int
 from .graphs import WeightedGraph, pair_state
 from .transfer import check_pst
 from .twins import TwinStructure
+
+
+def _draw(n: int, seed) -> list[int]:
+    """The Pruefer sequence of the tree drawn on n vertices for ``seed``.
+    The tests pin this stream: the same seed must keep giving the same tree."""
+    return np.random.default_rng(seed).integers(0, n, size=n - 2).tolist()
+
+
+def _prufer_lists(seq, n: int) -> list[list[int]]:
+    """Per-vertex neighbour lists of the labelled tree on n vertices with
+    Pruefer sequence ``seq``, which must hold n-2 ints in [0, n)."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        nbrs[leaf].append(v)
+        nbrs[v].append(leaf)
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = leaves  # every decoding step pops one leaf; two are left
+    nbrs[u].append(w)
+    nbrs[w].append(u)
+    return nbrs
+
+
+def _tree_graph(nbrs) -> WeightedGraph:
+    """The unit-weight graph with these neighbour lists."""
+    return WeightedGraph(len(nbrs), tuple((a, b, 1.0) for a, ends in enumerate(nbrs)
+                                          for b in ends if a < b))
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
@@ -33,35 +72,25 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
     if len(seq) != n - 2:
         raise BadParam(f"a Pruefer sequence for {n} vertices has length {n - 2}, "
                        f"got {len(seq)}")
-    degree = [1] * n
     for v in seq:
         if type(v) is not int or not 0 <= v < n:
             raise BadParam(f"Pruefer entries must be integers in [0, {n}), got {v!r}")
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v, 1.0))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w, 1.0))
-    return WeightedGraph(n, tuple(edges))
+    return _tree_graph(_prufer_lists(seq, n))
 
 
 def random_tree(n: int, seed) -> WeightedGraph:
     """Uniform random labelled tree, deterministic per seed.
 
-    Raises BadParam unless n is an integer; a size below 2 is NotATree."""
+    Raises BadParam unless n is an integer and the seed a nonnegative integer
+    or a tuple of them; a size below 2 is NotATree."""
     n = require_int(n, "tree size")
     if n < 2:
         raise NotATree("a tree needs at least two vertices")
-    rng = np.random.default_rng(seed)
-    seq = tuple(rng.integers(0, n, size=n - 2).tolist())
-    return prufer_decode(seq, n)
+    if isinstance(seed, tuple):
+        seed = tuple(require_int(s, "seed entry", 0) for s in seed)
+    else:
+        seed = require_int(seed, "seed", 0)
+    return prufer_decode(tuple(_draw(n, seed)), n)
 
 
 def limb_tree(n: int) -> WeightedGraph:
@@ -88,27 +117,38 @@ def _assert_tree(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
     return nbrs
 
 
+def _limb(nbrs) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The two (leaf, midpoint) arms of a double-P_2 limb on a tree, if any.
+
+    A leaf whose neighbour m has degree 2 ends an arm of the centre that is
+    m's other neighbour.  The first centre in vertex order with two arms is
+    taken, with its two arms of smallest midpoint, in ascending order."""
+    arms: dict[int, list[tuple[int, int]]] = {}
+    for leaf, ends in enumerate(nbrs):
+        if len(ends) != 1:
+            continue
+        m = ends[0]
+        mid = nbrs[m]
+        if len(mid) == 2:
+            arms.setdefault(mid[1] if mid[0] == leaf else mid[0], []).append((leaf, m))
+    centres = [c for c, at in arms.items() if len(at) > 1]
+    if not centres:
+        return None
+    first, second = sorted(arms[min(centres)], key=itemgetter(1))[:2]
+    return first, second
+
+
 def find_p5_limb(g: WeightedGraph) -> TwinStructure | None:
     """Twin structure from a vertex carrying two pendant P_2 arms, if any.
 
     Looks for a vertex c with two neighbors of degree 2 whose other neighbor
     is a leaf; the two leaf+midpoint arms form twin P_2 subgraphs, giving pair
     transfer leaves -> midpoints at pi/2.  The first such c in vertex order
-    and its first two arms in neighbour order are returned.
+    and its first two arms in neighbour order are returned.  Raises NotATree
+    unless g is a finite tree.
     """
-    nbrs = _assert_tree(g)
-    for c in range(g.n):
-        arms = []
-        for m in nbrs[c]:
-            mid = nbrs[m]
-            if len(mid) != 2:
-                continue
-            leaf = mid[1] if mid[0] == c else mid[0]
-            if len(nbrs[leaf]) == 1:
-                arms.append((leaf, m))
-                if len(arms) == 2:
-                    return TwinStructure.of(g, *arms)
-    return None
+    arms = _limb(_assert_tree(g))
+    return None if arms is None else TwinStructure.of(g, *arms)
 
 
 @dataclass(frozen=True)
@@ -138,10 +178,21 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
                         ) -> list[LimbReport]:
     """Sample trees per size, detect the limb, and verify every hit at pi/2.
 
-    Raises BadParam unless every size, the sample count and the seed are
-    integers, the latter two nonnegative; a size below 6 is NotATree."""
+    Tree k of each size decodes the Pruefer sequence that
+    ``random_tree(size, (seed, size, k))`` draws, so the draws stay stable
+    per (seed, size, k).  It is decoded to neighbour lists and the limb is
+    looked for on them; only a hit is built as a validated graph, with a
+    validated twin structure, for the transfer check.
+
+    Raises BadParam unless the sizes are an iterable of integers, and the
+    sample count and the seed nonnegative integers; a size below 6 is
+    NotATree."""
     samples_per_size = require_int(samples_per_size, "sample count", 0)
     seed = require_int(seed, "seed", 0)
+    try:
+        sizes = list(sizes)
+    except TypeError:
+        raise BadParam(f"tree sizes must be an iterable of integers, got {sizes!r}") from None
     sizes = [require_int(size, "tree size") for size in sizes]
     reports = []
     for size in sizes:
@@ -149,12 +200,13 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
             raise NotATree("the limb needs at least six vertices")
         hits = verified = 0
         for k in range(samples_per_size):
-            g = random_tree(size, (seed, size, k))
-            ts = find_p5_limb(g)
-            if ts is None:
+            nbrs = _prufer_lists(_draw(size, (seed, size, k)), size)
+            arms = _limb(nbrs)
+            if arms is None:
                 continue
             hits += 1
-            if _verify_hit(g, ts):
+            g = _tree_graph(nbrs)
+            if _verify_hit(g, TwinStructure.of(g, *arms)):
                 verified += 1
         reports.append(LimbReport(size, samples_per_size, hits, verified))
     return reports

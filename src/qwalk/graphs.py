@@ -106,6 +106,27 @@ class WeightedGraph:
             lists[b].append(a)
         return tuple(map(tuple, lists))
 
+    @cached_property
+    def degree_profile(self) -> DegreeProfile:
+        """Signed and absolute core degrees, and the maximum absolute degree
+        with tails included."""
+        deg = [0.0] * self.n
+        adeg = [0.0] * self.n
+        for a, b, w in self.edges:
+            deg[a] += w
+            deg[b] += w
+            adeg[a] += abs(w)
+            adeg[b] += abs(w)
+        m = max(adeg, default=0.0)
+        for t in self.tails:
+            # attach vertex gains the first tail edge; interior tail vertex k
+            # carries |w_k| + |w_{k+1}|, which is 2 past the prefix
+            attach_abs = adeg[t.attach] + abs(t.weight(0))
+            m = max(m, attach_abs)
+            for k in range(len(t.prefix) + 1):
+                m = max(m, abs(t.weight(k)) + abs(t.weight(k + 1)))
+        return DegreeProfile(tuple(deg), tuple(adeg), m)
+
     def weight(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
@@ -200,22 +221,8 @@ def plus_state(a: int, b: int) -> PureState:
 
 
 def degree_profile(g: WeightedGraph) -> DegreeProfile:
-    deg = [0.0] * g.n
-    adeg = [0.0] * g.n
-    for a, b, w in g.edges:
-        deg[a] += w
-        deg[b] += w
-        adeg[a] += abs(w)
-        adeg[b] += abs(w)
-    m = max(adeg, default=0.0)
-    for t in g.tails:
-        # attach vertex gains the first tail edge; interior tail vertex k
-        # carries |w_k| + |w_{k+1}|, which is 2 past the prefix
-        attach_abs = adeg[t.attach] + abs(t.weight(0))
-        m = max(m, attach_abs)
-        for k in range(len(t.prefix) + 1):
-            m = max(m, abs(t.weight(k)) + abs(t.weight(k + 1)))
-    return DegreeProfile(tuple(deg), tuple(adeg), m)
+    """The graph's degree profile, computed once per graph."""
+    return g.degree_profile
 
 
 def negate_edges(g: WeightedGraph, edges) -> WeightedGraph:

@@ -1,10 +1,11 @@
 """The benchmark's workloads run in-process: every op must pass its own oracle
 from `perfbench/workloads.py`.  `mixed` runs at its tiny size (the claims, the
 tree survey with its exhaustive and sampled hit counts, twin detection and
-verification, pair/plus transforms and balance recovery), and its `structure`
-section also at full size; `tailed_horizon` (PST search, sedentary estimate,
-check_pst and evolve on infinite-tail gadgets) runs at both sizes.  The
-benchmark's tracer must find every name it wraps."""
+verification, pair/plus transforms and balance recovery), and its
+`tree_survey` and `structure` sections also at full size; `tailed_horizon`
+(PST search, sedentary estimate, check_pst and evolve on infinite-tail
+gadgets) runs at both sizes.  The benchmark's tracer must find every name it
+wraps."""
 
 import importlib
 import os
@@ -48,6 +49,18 @@ def test_structure_full_ops_pass_their_oracles():
     # gadget's detect and verify ops, all pair/plus gadgets and balance graphs
     failures = []
     for op in workloads.section_ops("structure", 1, "full"):
+        try:
+            op.check(op.run())
+        except Exception as exc:
+            failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+    assert not failures
+
+
+def test_tree_survey_full_ops_pass_their_oracles():
+    # the full section: the n=7 census and 40 sampled surveys of 100 trees at
+    # n = 8, 12, 16 and 24, every hit verified
+    failures = []
+    for op in workloads.section_ops("tree_survey", 1, "full"):
         try:
             op.check(op.run())
         except Exception as exc:

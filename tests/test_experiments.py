@@ -1,11 +1,16 @@
+import heapq
 import os
+import random
 import re
 from itertools import combinations, permutations, product
 from math import e, factorial
 
+import numpy as np
 import pytest
 
 from qwalk import (
+    LimbReport,
+    TwinStructure,
     WeightedGraph,
     complete_graph,
     exhaustive_tree_experiment,
@@ -16,7 +21,7 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import _verify_hit, limb_tree, prufer_decode
+from qwalk.experiments import _limb, _prufer_lists, _verify_hit, limb_tree, prufer_decode
 from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
@@ -69,6 +74,13 @@ def test_prufer_decode_known():
     lambda: prufer_decode((True, 0), 4),   # bool entry
     lambda: random_tree(7.5, 0),
     lambda: random_tree("8", 0),
+    lambda: random_tree(8, None),          # would draw an unseeded tree
+    lambda: random_tree(8, 1.5),
+    lambda: random_tree(8, "x"),
+    lambda: random_tree(8, -1),
+    lambda: random_tree(8, (2024, 1.5)),
+    lambda: random_tree(8, (2024, -1)),
+    lambda: run_tree_experiment(8, 10, 1),  # sizes must be an iterable
 ])
 def test_malformed_trees_are_refused(decode):
     with pytest.raises(BadParam):
@@ -289,3 +301,107 @@ def test_run_experiment_rejects_bad_params():
     with pytest.raises(NotATree):
         run_tree_experiment((5,), 3, seed=1)
 
+
+# -- the per-tree survey path, one validated graph per sampled tree, found by
+# a scan over centres: the oracle that the list decoder, the leaf-based limb
+# search and the survey loop must agree with
+
+def _heap_decode(seq, n):
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v, 1.0))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((u, w, 1.0))
+    return WeightedGraph(n, tuple(edges))
+
+
+def _centre_scan_limb(g):
+    """First centre in vertex order with two arms, and its first two arms in
+    (ascending) neighbour order."""
+    nbrs = g.adjacency_lists
+    for c in range(g.n):
+        arms = []
+        for m in nbrs[c]:
+            mid = nbrs[m]
+            if len(mid) != 2:
+                continue
+            leaf = mid[1] if mid[0] == c else mid[0]
+            if len(nbrs[leaf]) == 1:
+                arms.append((leaf, m))
+                if len(arms) == 2:
+                    return tuple(arms)
+    return None
+
+
+def _per_tree_survey(sizes, samples, seed):
+    """Reports and (sequence, graph, arms) hits of the survey, one validated
+    graph per sampled tree."""
+    reports, hits = [], []
+    for size in sizes:
+        hit_count = verified = 0
+        for k in range(samples):
+            seq = np.random.default_rng((seed, size, k)).integers(0, size, size - 2).tolist()
+            g = _heap_decode(seq, size)
+            arms = _centre_scan_limb(g)
+            if arms is None:
+                continue
+            hit_count += 1
+            hits.append((seq, g, arms))
+            verified += _verify_hit(g, TwinStructure.of(g, *arms))
+        reports.append(LimbReport(size, samples, hit_count, verified))
+    return reports, hits
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 2 ** 32 + 11, 3 ** 40])
+def test_survey_matches_per_tree_path(seed, monkeypatch):
+    rng = random.Random(seed)
+    sizes = [rng.randint(6, 40) for _ in range(rng.randint(1, 3))]
+    samples = rng.randint(0, 60)
+    expected, expected_hits = _per_tree_survey(sizes, samples, seed)
+    hits = []
+
+    def record(g, ts):
+        hits.append((g, (ts.x1, ts.x2)))
+        return _verify_hit(g, ts)
+
+    monkeypatch.setattr(experiments, "_verify_hit", record)
+    assert run_tree_experiment(sizes, samples, seed) == expected
+    assert len(hits) == len(expected_hits)
+    for (g, arms), (seq, g_ref, arms_ref) in zip(hits, expected_hits):
+        assert g == g_ref == prufer_decode(tuple(seq), g.n)
+        assert arms == arms_ref
+
+
+def test_list_decoder_and_leaf_limb_match_per_tree_path():
+    rng = random.Random(13)
+    for n in range(2, 41):
+        for _ in range(40):
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            nbrs = _prufer_lists(seq, n)
+            # the lists are a tree: n - 1 symmetric edges, all of the oracle's,
+            # reaching every vertex from 0
+            edges = {(a, b) for a, ends in enumerate(nbrs) for b in ends if a < b}
+            assert sum(map(len, nbrs)) == 2 * len(edges) == 2 * (n - 1)
+            assert all(a in nbrs[b] for a, ends in enumerate(nbrs) for b in ends)
+            g = _heap_decode(seq, n)
+            assert edges == {(a, b) for a, b, _ in g.edges}
+            seen, stack = {0}, [0]
+            while stack:
+                for v in nbrs[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            assert len(seen) == n
+            assert prufer_decode(seq, n) == g
+            ts = find_p5_limb(g)
+            assert _limb(nbrs) == _centre_scan_limb(g) == (
+                None if ts is None else (ts.x1, ts.x2))

@@ -129,6 +129,8 @@ def test_degree_profile_with_tails():
     assert prof.absolute_degree == (2.0, 3.0, 1.0)
     # attach vertex: |−1| + |3| = 4; first tail vertex: |3| + 1 = 4
     assert prof.m == 4.0
+    # computed once per graph, like the neighbour lists
+    assert degree_profile(g) is prof is g.degree_profile
 
 
 def test_negate_edges():
