@@ -2,10 +2,15 @@
 double-P_2 limb that forces pair transfer at pi/2?
 
 Sampled surveys draw trees uniformly over labelled trees via random Pruefer
-sequences, stable per (seed, size, index).  Each sequence is decoded to
-per-vertex neighbour lists and the limb is found on those; only a hit is
-built as a validated graph with a validated twin structure and has its
-transfer checked.  The exhaustive survey counts all n^(n-2) labelled trees
+sequences, stable per (seed, size, index): tree k of a size is the sequence
+``np.random.default_rng((seed, size, k))`` draws.  The survey computes that
+stream (NumPy's SeedSequence hash, PCG64, and ``Generator.integers``'
+bounded-integer rejection) for a whole block of trees in one vectorised
+pass, so its pinned draws no longer depend on NumPy keeping
+``Generator.integers`` stable (NEP 19 promises stream stability only for
+bit generators).  Each sequence is decoded to per-vertex neighbour lists
+and the limb is found on those; only a hit is built as a validated graph
+with a validated twin structure and has its transfer checked.  The exhaustive survey counts all n^(n-2) labelled trees
 exactly: the trees without the limb are counted by their exponential
 generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
 VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, perm, pi
 from operator import itemgetter
 
@@ -29,10 +35,183 @@ from .transfer import check_pst
 from .twins import TwinStructure
 
 
+DRAW_BLOCK = 1 << 16   # sequence entries the survey draws per block of trees
+
+# numpy.random.SeedSequence: pool size and hash constants
+_POOL = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# PCG64's 128-bit LCG multiplier, and masks, as Python ints: only the
+# step constants of _pcg_jumps are computed with them
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_MASK32 = np.uint64(0xFFFFFFFF)
+_ONE, _32, _58, _63, _64 = (np.uint64(v) for v in (1, 32, 58, 63, 64))
+
+
 def _draw(n: int, seed) -> list[int]:
-    """The Pruefer sequence of the tree drawn on n vertices for ``seed``.
-    The tests pin this stream: the same seed must keep giving the same tree."""
+    """The Pruefer sequence of the tree drawn on n vertices for ``seed``, by
+    NumPy's generator.  The tests pin this stream: the same seed must keep
+    giving the same tree.  The survey computes the same stream for a whole
+    tree size at once in ``_pinned_integers``, which the tests check against
+    this generator."""
     return np.random.default_rng(seed).integers(0, n, size=n - 2).tolist()
+
+
+def _hash_consts(init, mult):
+    """The (xor, multiplier) pairs of SeedSequence's successive hash calls."""
+    while True:
+        nxt = init * mult
+        yield init, nxt
+        init = nxt
+
+
+def _seed_pool(words) -> list:
+    """SeedSequence's mixed entropy pool for the entropy ``words``: uint32
+    scalars, or uint32 arrays over rows for words that differ per row."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> _XSHIFT)
+
+    pool = [hashmix(words[i] if i < len(words) else np.uint32(0)) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _pcg_seed(pool):
+    """PCG64's (t, inc) from the pool, as (hi, lo) pairs of uint64 arrays:
+    with the first four uint64 words of ``generate_state`` as (initstate,
+    initseq), inc = 2 initseq + 1 and t = initstate + inc, so that the
+    seeded state is t M + inc."""
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    words = []
+    for i in range(8):
+        xor, mul = next(consts)
+        value = (pool[i % _POOL] ^ xor) * mul
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    state_hi, state_lo, seq_hi, seq_lo = (words[i] | (words[i + 1] << _32)
+                                          for i in range(0, 8, 2))
+    inc = ((seq_hi << _ONE) | (seq_lo >> _63), (seq_lo << _ONE) | _ONE)
+    return _add128((state_hi, state_lo), inc), inc
+
+
+def _add128(x, y):
+    """x + y mod 2^128 on (hi, lo) pairs of uint64 arrays."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]).astype(np.uint64), lo
+
+
+def _mul128(x, y):
+    """x y mod 2^128 on (hi, lo) pairs of uint64 arrays; the high half of
+    the low words' product is built from their 32-bit halves."""
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    x0, x1 = x_lo & _MASK32, x_lo >> _32
+    y0, y1 = y_lo & _MASK32, y_lo >> _32
+    p01, p10 = x0 * y1, x1 * y0
+    carry = ((x0 * y0) >> _32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (x1 * y1 + (p01 >> _32) + (p10 >> _32) + (carry >> _32)
+          + x_hi * y_lo + x_lo * y_hi)
+    return hi, x_lo * y_lo
+
+
+def _split128(values) -> tuple[np.ndarray, np.ndarray]:
+    """Integers below 2^128 as a read-only (hi, lo) pair of uint64 arrays."""
+    pair = (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & _MASK64 for v in values], np.uint64))
+    for half in pair:
+        half.flags.writeable = False
+    return pair
+
+
+@lru_cache(maxsize=16)
+def _pcg_jumps(steps: int):
+    """(M^(j+1), 1 + M + ... + M^j) for j = 1..steps as (hi, lo) pairs of
+    uint64 arrays (M the PCG64 multiplier): the state j steps after seeding
+    with (t, inc) is M^(j+1) t + (1 + ... + M^j) inc."""
+    power, total = _PCG_MULT, 1
+    powers, totals = [], []
+    for _ in range(steps):
+        total = (total + power) & _MASK128
+        power = (power * _PCG_MULT) & _MASK128
+        powers.append(power)
+        totals.append(total)
+    return _split128(powers), _split128(totals)
+
+
+def _pcg_words(t, inc, steps: int) -> np.ndarray:
+    """The first 2*steps uint32 words, as uint64, of the PCG64 stream of
+    each row of (t, inc) (column arrays): the XSL-RR output of each step,
+    low word first."""
+    power, total = _pcg_jumps(steps)
+    hi, lo = _add128(_mul128(t, power), _mul128(inc, total))
+    turn = hi >> _58
+    x = hi ^ lo
+    out = (x >> turn) | (x << ((_64 - turn) & _63))
+    return np.stack((out & _MASK32, out >> _32), axis=2).reshape(len(out), 2 * steps)
+
+
+def _words32(value: int) -> list[int]:
+    """A nonnegative integer as SeedSequence's little-endian uint32 words."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _pinned_integers(prefix, start: int, stop: int, bound: int, count: int) -> np.ndarray:
+    """Rows k = start..stop-1 (0 <= k < 2^32) of
+    ``np.random.default_rng((*prefix, k)).integers(0, bound, count)``, for
+    nonnegative integers ``prefix`` and 1 <= bound < 2^32, computed for all
+    rows at once.
+
+    The stream is NumPy's: SeedSequence hashes the entropy words into its
+    pool and generates PCG64's seed (O'Neill 2014), whose XSL-RR outputs
+    give uint32 words low word first, and ``Generator.integers`` keeps a
+    word x iff x bound mod 2^32 >= 2^32 mod bound, as x bound >> 32
+    (Lemire, ACM TOMACS 2019).  Rows that reject so many words that they
+    come up short are drawn again with twice the words."""
+    rows = stop - start
+    out = np.empty((rows, count), np.int64)
+    if rows == 0 or count == 0:
+        return out
+    words = [np.uint32(w) for p in prefix for w in _words32(p)]
+    words.append(np.arange(start, stop, dtype=np.uint32)[:, None])
+    scale, threshold = np.uint64(bound), np.uint64((1 << 32) % bound)
+    todo = np.arange(rows)
+    steps = (count + 1) // 2
+    with np.errstate(over="ignore"):
+        t, inc = _pcg_seed(_seed_pool(words))
+        while True:
+            scaled = _pcg_words(t, inc, steps) * scale
+            values = scaled >> _32
+            accept = (scaled & _MASK32) >= threshold
+            if accept[:, :count].all():
+                out[todo] = values[:, :count]
+                return out
+            rank = np.cumsum(accept, axis=1)
+            full = rank[:, -1] >= count
+            out[todo[full]] = values[full][accept[full] & (rank[full] <= count)].reshape(-1, count)
+            short = ~full
+            todo, t, inc = todo[short], (t[0][short], t[1][short]), (inc[0][short], inc[1][short])
+            if not todo.size:
+                return out
+            steps *= 2
 
 
 def _prufer_lists(seq, n: int) -> list[list[int]]:
@@ -82,11 +261,13 @@ def random_tree(n: int, seed) -> WeightedGraph:
     """Uniform random labelled tree, deterministic per seed.
 
     Raises BadParam unless n is an integer and the seed a nonnegative integer
-    or a tuple of them; a size below 2 is NotATree."""
+    or a nonempty tuple of them; a size below 2 is NotATree."""
     n = require_int(n, "tree size")
     if n < 2:
         raise NotATree("a tree needs at least two vertices")
     if isinstance(seed, tuple):
+        if not seed:  # NumPy would draw seed 0's tree
+            raise BadParam("a seed tuple needs at least one entry")
         seed = tuple(require_int(s, "seed entry", 0) for s in seed)
     else:
         seed = require_int(seed, "seed", 0)
@@ -180,14 +361,19 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
 
     Tree k of each size decodes the Pruefer sequence that
     ``random_tree(size, (seed, size, k))`` draws, so the draws stay stable
-    per (seed, size, k).  It is decoded to neighbour lists and the limb is
-    looked for on them; only a hit is built as a validated graph, with a
-    validated twin structure, for the transfer check.
+    per (seed, size, k).  The sequences of up to DRAW_BLOCK entries are
+    computed together, as rows of one array, by ``_pinned_integers``.  Each
+    is decoded to neighbour lists and the limb is looked for on them; only
+    a hit is built as a validated graph, with a validated twin structure,
+    for the transfer check.
 
-    Raises BadParam unless the sizes are an iterable of integers, and the
-    sample count and the seed nonnegative integers; a size below 6 is
+    Raises BadParam unless the sizes are an iterable of integers, the
+    sample count a nonnegative integer of at most 2^32 (so that k fits one
+    entropy word) and the seed a nonnegative integer; a size below 6 is
     NotATree."""
     samples_per_size = require_int(samples_per_size, "sample count", 0)
+    if samples_per_size > 1 << 32:
+        raise BadParam(f"at most 2^32 samples per size, got {samples_per_size}")
     seed = require_int(seed, "seed", 0)
     try:
         sizes = list(sizes)
@@ -199,15 +385,18 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
         if size < 6:
             raise NotATree("the limb needs at least six vertices")
         hits = verified = 0
-        for k in range(samples_per_size):
-            nbrs = _prufer_lists(_draw(size, (seed, size, k)), size)
-            arms = _limb(nbrs)
-            if arms is None:
-                continue
-            hits += 1
-            g = _tree_graph(nbrs)
-            if _verify_hit(g, TwinStructure.of(g, *arms)):
-                verified += 1
+        rows = max(1, DRAW_BLOCK // (size - 2))
+        for start in range(0, samples_per_size, rows):
+            stop = min(start + rows, samples_per_size)
+            for seq in _pinned_integers((seed, size), start, stop, size, size - 2).tolist():
+                nbrs = _prufer_lists(seq, size)
+                arms = _limb(nbrs)
+                if arms is None:
+                    continue
+                hits += 1
+                g = _tree_graph(nbrs)
+                if _verify_hit(g, TwinStructure.of(g, *arms)):
+                    verified += 1
         reports.append(LimbReport(size, samples_per_size, hits, verified))
     return reports
 

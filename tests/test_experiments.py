@@ -21,7 +21,8 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import _limb, _prufer_lists, _verify_hit, limb_tree, prufer_decode
+from qwalk.experiments import (_limb, _pinned_integers, _prufer_lists, _verify_hit,
+                                limb_tree, prufer_decode)
 from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
@@ -81,6 +82,7 @@ def test_prufer_decode_known():
     lambda: random_tree(8, (2024, 1.5)),
     lambda: random_tree(8, (2024, -1)),
     lambda: run_tree_experiment(8, 10, 1),  # sizes must be an iterable
+    lambda: random_tree(8, ()),            # would draw seed 0's tree
 ])
 def test_malformed_trees_are_refused(decode):
     with pytest.raises(BadParam):
@@ -405,3 +407,80 @@ def test_list_decoder_and_leaf_limb_match_per_tree_path():
             ts = find_p5_limb(g)
             assert _limb(nbrs) == _centre_scan_limb(g) == (
                 None if ts is None else (ts.x1, ts.x2))
+
+
+# -- the survey's batched draws against NumPy's generator, their reference
+
+def _numpy_rows(prefix, ks, bound, count):
+    return np.array([np.random.default_rng((*prefix, k)).integers(0, bound, count)
+                     for k in ks], dtype=np.int64).reshape(len(ks), count)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 11, 3 ** 40, 2 ** 64])
+def test_pinned_integers_match_numpy(seed):
+    # 2 ** 32 and up give the seed two or three entropy words; the last block
+    # ends at the largest k that fits one word
+    for size in range(2, 65):
+        for start, stop in ((0, 2), (size * 997, size * 997 + 1), (2 ** 32 - 2, 2 ** 32)):
+            got = _pinned_integers((seed, size), start, stop, size, size - 2)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _numpy_rows((seed, size), range(start, stop),
+                                                  size, size - 2)), (seed, size, start)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound, count", [
+    (3 * 2 ** 30 + 1, 50),      # ~25 % of words rejected: every row is drawn again
+    (4252017623, 49),           # ~1 % rejected: some rows are drawn again
+])
+def test_pinned_integers_reject_like_numpy(bound, count):
+    rows = _pinned_integers((2024, 7), 5, 45, bound, count)
+    assert np.array_equal(rows, _numpy_rows((2024, 7), range(5, 45), bound, count))
+
+
+def test_pinned_integers_keep_recorded_draws():
+    # the survey's own stream gives the recorded trees, not only NumPy's
+    for (n, k), edges in RECORDED_TREES.items():
+        (seq,) = _pinned_integers((2024, n), k, k + 1, n, n - 2).tolist()
+        assert [(a, b) for a, b, _ in prufer_decode(tuple(seq), n).edges] == edges
+
+
+def test_survey_blocks_match_per_tree_path(monkeypatch):
+    # 40 entries per block: blocks of 10, 1 and 1 trees for sizes 6, 24 and 40
+    monkeypatch.setattr(experiments, "DRAW_BLOCK", 40)
+    blocks = []
+
+    def record(prefix, start, stop, bound, count):
+        blocks.append((prefix[1], start, stop))
+        return _pinned_integers(prefix, start, stop, bound, count)
+
+    monkeypatch.setattr(experiments, "_pinned_integers", record)
+    expected, _ = _per_tree_survey((6, 24, 40), 23, 2 ** 32 + 11)
+    assert run_tree_experiment((6, 24, 40), 23, 2 ** 32 + 11) == expected
+    assert [b for b in blocks if b[0] == 6] == [(6, 0, 10), (6, 10, 20), (6, 20, 23)]
+    assert [b[1:] for b in blocks if b[0] == 40] == [(k, k + 1) for k in range(23)]
+
+
+def test_survey_builds_no_generator(monkeypatch):
+    expected, _ = _per_tree_survey((8, 24), 50, 99)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the survey built a per-tree generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert run_tree_experiment((8, 24), 50, 99) == expected
+
+
+def test_survey_refuses_more_samples_than_one_entropy_word(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(experiments, "_pinned_integers", draw)
+    with pytest.raises(BadParam):
+        run_tree_experiment((8,), 2 ** 32 + 1, 1)
+    with pytest.raises(Drawn):  # k = 2^32 - 1 still fits one word
+        run_tree_experiment((8,), 2 ** 32, 1)
