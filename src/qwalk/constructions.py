@@ -15,6 +15,7 @@ from .errors import (
     IdentityInConnection,
     InvalidRoot,
     UnknownGadget,
+    require_int,
 )
 from .graphs import (
     PureState,
@@ -29,20 +30,20 @@ from .graphs import (
 
 
 def path_graph(n: int) -> WeightedGraph:
-    if n < 1:
+    if require_int(n, "path size") < 1:
         raise BadParam("path needs at least one vertex")
     return WeightedGraph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> WeightedGraph:
-    if n < 3:
+    if require_int(n, "cycle size") < 3:
         raise BadParam("cycle needs at least three vertices")
     edges = tuple((i, i + 1, 1.0) for i in range(n - 1)) + ((0, n - 1, 1.0),)
     return WeightedGraph(n, edges)
 
 
 def complete_graph(n: int) -> WeightedGraph:
-    if n < 1:
+    if require_int(n, "complete graph size") < 1:
         raise BadParam("complete graph needs at least one vertex")
     return WeightedGraph(
         n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n))
@@ -52,7 +53,7 @@ def complete_graph(n: int) -> WeightedGraph:
 def blow_up(h: WeightedGraph, n: int) -> WeightedGraph:
     """n-fold all-fibers join: adjacency J_n (x) A(h); copy j of vertex a is
     indexed j*|V(h)| + a."""
-    if n < 1:
+    if require_int(n, "blow-up copy count") < 1:
         raise BadParam("blow-up needs at least one copy")
     if h.tails:
         raise BadParam("blow-up of a tailed graph is not supported")
@@ -276,7 +277,12 @@ def flyswatter_core() -> WeightedGraph:
 def named_gadget(name: str, h: WeightedGraph | None = None, h_root: int = 0,
                  n: int | None = None, p: int | None = None,
                  tail_len: int | None = None) -> Gadget:
-    """Catalog of fixture graphs with their designated (src, dst, tau)."""
+    """Catalog of fixture graphs with their designated (src, dst, tau).
+
+    Raises BadParam when n, p or tail_len is given but is not an integer."""
+    for value, what in ((n, "n"), (p, "p"), (tail_len, "tail length")):
+        if value is not None:
+            require_int(value, what)
     if name == "p2_twins":
         g = _p2_twins_base(h, h_root)
         return Gadget(name, g, pair_state(0, 4), pair_state(1, 3), pi / 2,

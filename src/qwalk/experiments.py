@@ -370,7 +370,7 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     Raises BadParam unless the sizes are an iterable of integers, the
     sample count a nonnegative integer of at most 2^32 (so that k fits one
     entropy word) and the seed a nonnegative integer; a size below 6 is
-    NotATree."""
+    NotATree.  All of these are checked before any tree is drawn."""
     samples_per_size = require_int(samples_per_size, "sample count", 0)
     if samples_per_size > 1 << 32:
         raise BadParam(f"at most 2^32 samples per size, got {samples_per_size}")
@@ -380,10 +380,10 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     except TypeError:
         raise BadParam(f"tree sizes must be an iterable of integers, got {sizes!r}") from None
     sizes = [require_int(size, "tree size") for size in sizes]
+    if any(size < 6 for size in sizes):
+        raise NotATree("the limb needs at least six vertices")
     reports = []
     for size in sizes:
-        if size < 6:
-            raise NotATree("the limb needs at least six vertices")
         hits = verified = 0
         rows = max(1, DRAW_BLOCK // (size - 2))
         for start in range(0, samples_per_size, rows):

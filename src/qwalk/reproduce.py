@@ -1,5 +1,9 @@
-"""Reproduction matrix: a registry of numbered claims, each with a runner
-that reports expected vs observed, grouped into named sets for the CLI."""
+"""Reproduction matrix: the paper's claims, grouped into named sets for the CLI.
+
+A transfer, sedentary or PGST claim is a list of labelled cases run by one
+of three checks (``_pst``, ``_sedentary``, ``_pgst``).  A claim's ``expected``
+text is the same on PASS and FAIL; a FAIL row's ``observed`` text names the
+first failing case.  A claim builds its graphs when it runs, not at import."""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .constructions import (
     path_graph,
 )
 from .errors import NoTransfer, QwalkError, Unreached
-from .experiments import exhaustive_tree_experiment, limb_tree, run_tree_experiment
+from .experiments import exhaustive_tree_experiment, run_tree_experiment
 from .graphs import (
     WeightedGraph,
     negate_edges,
@@ -34,6 +38,7 @@ from .signed import SignVector, compose_signed, switch
 from .transfer import check_pst, pgst_witness, sedentary_estimate
 
 PST_EXPECT = "fidelity >= 1 - 1e-9"
+FIDELITY_AT = "fidelity {fidelity:.12f} at t={tau:.12g}"
 
 
 @dataclass(frozen=True)
@@ -56,248 +61,95 @@ class ClaimResult:
         }
 
 
-def _pst(g, src, dst, tau) -> tuple[str, str, bool]:
+# -- the three checks -----------------------------------------------------
+
+
+def _pst(cases, passed: str = FIDELITY_AT) -> tuple[str, str, bool]:
+    """check_pst on each (label, graph, src, dst, tau) case, in order.
+
+    On a pass, ``passed`` is formatted with the worst fidelity and the last
+    case's time."""
+    worst = 1.0
+    for label, g, src, dst, tau in cases:
+        try:
+            worst = min(worst, check_pst(g, src, dst, tau).fidelity)
+        except NoTransfer as exc:
+            observed = FIDELITY_AT.format(fidelity=exc.fidelity, tau=tau)
+            return PST_EXPECT, f"{label}: {observed}", False
+    return PST_EXPECT, passed.format(fidelity=worst, tau=tau), True
+
+
+def _sedentary(expected: str, cases, passed: str) -> tuple[str, str, bool]:
+    """sedentary_estimate on each (label, graph, state, horizon, bound) case:
+    its grid minimum must reach the bound."""
+    for label, g, state, horizon, bound in cases:
+        est = sedentary_estimate(g, state, horizon)
+        if est.grid_min < bound:
+            return expected, f"{label}: {est.grid_min:.6f} < {bound:.6f}", False
+    return expected, passed, True
+
+
+def _pgst(g, src, dst, target: float) -> tuple[str, str, bool]:
+    expected = f"fidelity >= {target} for some t <= 1e4"
     try:
-        rep = check_pst(g, src, dst, tau)
-        return PST_EXPECT, f"fidelity {rep.fidelity:.12f} at t={tau:.12g}", True
-    except NoTransfer as exc:
-        return PST_EXPECT, f"fidelity {exc.fidelity:.12f} at t={tau:.12g}", False
+        rep = pgst_witness(g, src, dst, target, 1e4)
+    except Unreached as exc:
+        return expected, f"best fidelity {exc.best_fidelity:.6f}", False
+    return expected, f"fidelity {rep.fidelity:.6f} at t={rep.tau:.6f}", True
 
 
-def _gadget_pst(name, **kw) -> tuple[str, str, bool]:
+# -- cases ----------------------------------------------------------------
+
+
+def _gadget(name: str, label: str | None = None, **kw):
+    """A transfer case: a named gadget with its designated states and time."""
     gd = named_gadget(name, **kw)
-    return _pst(gd.graph, gd.src, gd.dst, gd.tau)
+    return label or name, gd.graph, gd.src, gd.dst, gd.tau
 
 
-# -- claim runners --------------------------------------------------------
+def _switched_c4(signs, src, dst):
+    g = switch(named_gadget("c4_quotient").graph, SignVector(signs))
+    return [("switched c4_quotient", g, src, dst, pi / (2 * sqrt(2.0)))]
 
 
-def _quotient_demo_base() -> WeightedGraph:
-    return named_gadget("c4_quotient").graph
-
-
-def _claim_quotient_plus():
-    return _gadget_pst("c4_quotient")
-
-
-def _claim_quotient_switch_pair():
-    g = switch(_quotient_demo_base(),
-               SignVector((1, -1, 1, 1, -1, 1)))
-    return _pst(g, pair_state(0, 1), pair_state(3, 4), pi / (2 * sqrt(2.0)))
-
-
-def _claim_quotient_switch_mixed():
-    g = switch(_quotient_demo_base(),
-               SignVector((1, 1, 1, 1, -1, 1)))
-    return _pst(g, plus_state(0, 1), pair_state(3, 4), pi / (2 * sqrt(2.0)))
-
-
-def _claim_quotient_matrix():
-    g = _quotient_demo_base()
-    ed = coarsest_equitable(g, Partition.of([(0, 1), (2,), (3, 4), (5,)]))
-    b = quotient(ed)
+def _quotient_matrix():
+    g = named_gadget("c4_quotient").graph
+    b = quotient(coarsest_equitable(g, Partition.of([(0, 1), (2,), (3, 4), (5,)])))
     target = sqrt(2.0) * cycle_graph(4).core_adjacency()
     resid = float(np.max(np.abs(b - target)))
     return ("quotient = sqrt2 * C_4 within 1e-10",
             f"max residual {resid:.3g}", resid < 1e-10)
 
 
-def _h_variants() -> list[tuple[str, WeightedGraph | None, int]]:
+def _hosts() -> list[tuple[str, WeightedGraph | None]]:
     rng = np.random.default_rng(7)
     n = 10
     mask = rng.random((n, n)) < 0.35
     edges = tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)
                   if mask[i, j])
-    rand10 = WeightedGraph(n, edges)
-    return [("K1", None, 0), ("P4", path_graph(4), 0),
-            ("C5", cycle_graph(5), 0), ("rand10", rand10, 0)]
+    return [("K1", None), ("P4", path_graph(4)), ("C5", cycle_graph(5)),
+            ("rand10", WeightedGraph(n, edges))]
 
 
-def _claim_p2_family(kind: str):
-    worst = 1.0
-    for label, h, root in _h_variants():
-        gd = named_gadget(kind, h=h, h_root=root)
-        try:
-            rep = check_pst(gd.graph, gd.src, gd.dst, gd.tau)
-            worst = min(worst, rep.fidelity)
-        except NoTransfer as exc:
-            return (PST_EXPECT, f"failed for H={label}: {exc.fidelity:.12f}",
-                    False)
-    return PST_EXPECT, f"worst fidelity over 4 hosts {worst:.12f}", True
-
-
-def _claim_p3_layouts():
-    for name in ("p3_twins_spur", "p3_twins_path"):
-        expected, observed, ok = _gadget_pst(name)
-        if not ok:
-            return expected, f"{name}: {observed}", False
-    return PST_EXPECT, "both hub layouts pass at pi/sqrt2", True
-
-
-def _claim_blowup_p2():
-    for n in (2, 3, 4):
-        g = blow_up(path_graph(2), n)
-        src = fiber_sum_state(2, n, 0)
-        dst = fiber_sum_state(2, n, 1)
-        expected, observed, ok = _pst(g, src, dst, pi / (2 * n))
-        if not ok:
-            return expected, f"n={n}: {observed}", False
-    return PST_EXPECT, "copies 2,3,4 pass at pi/(2n)", True
-
-
-def _claim_blowup_p3():
-    g = blow_up(path_graph(3), 2)
-    return _pst(g, fiber_sum_state(3, 2, 0), fiber_sum_state(3, 2, 2),
-                pi / (2 * sqrt(2.0)))
+def _p2_family(kind: str):
+    return _pst((_gadget(kind, f"H={label}", h=h) for label, h in _hosts()),
+                "worst fidelity over 4 hosts {fidelity:.12f}")
 
 
 def _cross_negated_double(h: WeightedGraph) -> WeightedGraph:
     g = blow_up(h, 2)
-    cross = [(a, b) for a, b, _ in g.edges
-             if (a < h.n) != (b < h.n)]
-    return negate_edges(g, cross)
+    return negate_edges(g, [(a, b) for a, b, _ in g.edges if (a < h.n) != (b < h.n)])
 
 
-def _claim_blowup_signed():
-    # cross-copy negation turns the frozen pair fibers into carriers at tau/2
-    for h, tau, a, b in ((path_graph(2), pi / 2, 0, 1),
-                         (path_graph(3), pi / sqrt(2.0), 0, 2)):
-        g = _cross_negated_double(h)
-        src = pair_state(a, h.n + a)
-        dst = pair_state(b, h.n + b)
-        expected, observed, ok = _pst(g, src, dst, tau / 2)
-        if not ok:
-            return expected, observed, False
-    return PST_EXPECT, "signed double copies of P_2 and P_3 pass at tau/2", True
+def _layers(moduli, s1, s2, state, src, dst):
+    """Transfer at pi/2 between the same two states in each of the four
+    layers of a signed Cayley composition: vertex x of layer j is 4x + j."""
+    g = compose_signed(cayley(CayleySpec(moduli, s1)), cayley(CayleySpec(moduli, s2)))
+    return ((f"layer {j}", g, state(4 * src[0] + j, 4 * src[1] + j),
+             state(4 * dst[0] + j, 4 * dst[1] + j), pi / 2) for j in range(4))
 
 
-def _claim_sedentary_kn():
-    for n in (3, 5, 8):
-        est = sedentary_estimate(complete_graph(n), vertex_state(0), 10.0)
-        bound = (n - 2) / n - 1e-6
-        if est.grid_min < bound:
-            return (f"grid min >= (n-2)/n - 1e-6",
-                    f"K_{n}: {est.grid_min:.6f} < {bound:.6f}", False)
-    return ("grid min >= (n-2)/n - 1e-6 over one period",
-            "K_3, K_5, K_8 vertex states pass", True)
-
-
-def _claim_sedentary_twins():
-    for n in (3, 4, 5):
-        gd = named_gadget("kn_twin_gadget", n=n)
-        est = sedentary_estimate(gd.graph, gd.src, 60.0)
-        bound = 1 - 2 / n - 1e-6
-        if est.grid_min < bound:
-            return ("grid min >= 1 - 2/n - 1e-6",
-                    f"n={n}: {est.grid_min:.6f} < {bound:.6f}", False)
-    return ("grid min >= 1 - 2/n - 1e-6",
-            "clique-twin pair states pass for n=3,4,5", True)
-
-
-def _claim_sedentary_blowup():
-    for n in (3, 5, 8):
-        g = blow_up(complete_graph(n), 2)
-        est = sedentary_estimate(g, plus_state(0, n), 10.0)
-        bound = (n - 2) / n - 1e-6
-        if est.grid_min < bound:
-            return ("grid min >= (n-2)/n - 1e-6",
-                    f"double K_{n}: {est.grid_min:.6f} < {bound:.6f}", False)
-    return ("grid min >= (n-2)/n - 1e-6",
-            "double-copy clique plus states pass for n=3,5,8", True)
-
-
-def _claim_signed_c6():
-    g = negate_edges(cycle_graph(6), [(3, 4), (0, 5)])
-    return _pst(g, plus_state(1, 5), plus_state(2, 4), pi / 2)
-
-
-def _compose_z6z4() -> WeightedGraph:
-    moduli = (6, 4)
-    s1 = CayleySpec(moduli, ((1, 0), (5, 0)))
-    s2 = CayleySpec(moduli, tuple((0, j) for j in range(1, 4)))
-    return compose_signed(cayley(s1), cayley(s2))
-
-
-def _claim_cayley_z6z4():
-    g = _compose_z6z4()
-    for j in range(4):
-        src = pair_state(0 * 4 + j, 2 * 4 + j)
-        dst = pair_state(3 * 4 + j, 5 * 4 + j)
-        expected, observed, ok = _pst(g, src, dst, pi / 2)
-        if not ok:
-            return expected, f"j={j}: {observed}", False
-    return PST_EXPECT, "pair transfer passes for all 4 layers at pi/2", True
-
-
-def _claim_cayley_z8z2z2():
-    moduli = (8, 2, 2)
-    s1 = CayleySpec(moduli, ((1, 0, 0), (7, 0, 0)))
-    s2 = CayleySpec(moduli, ((0, 0, 1), (0, 1, 0), (0, 1, 1)))
-    g = compose_signed(cayley(s1), cayley(s2))
-    for j in range(4):
-        src = plus_state(0 * 4 + j, 4 * 4 + j)
-        dst = plus_state(2 * 4 + j, 6 * 4 + j)
-        expected, observed, ok = _pst(g, src, dst, pi / 2)
-        if not ok:
-            return expected, f"layer {j}: {observed}", False
-    return PST_EXPECT, "plus transfer passes on all 4 layers at pi/2", True
-
-
-def _claim_flyswatter_tails():
-    for tail_len in (1, 2, 4, 8, 0):
-        gd = named_gadget("flyswatter", tail_len=tail_len)
-        try:
-            check_pst(gd.graph, gd.src, gd.dst, gd.tau)
-        except NoTransfer as exc:
-            return (PST_EXPECT,
-                    f"tail {tail_len or 'inf'}: fidelity {exc.fidelity:.12f}",
-                    False)
-    return PST_EXPECT, "tail lengths 1,2,4,8 and certified infinite pass", True
-
-
-def _claim_h2p_tails():
-    for p in (3, 4, 5, 6):
-        for tail_len in (1, 3, 0):
-            gd = named_gadget("h2p", p=p, tail_len=tail_len)
-            try:
-                check_pst(gd.graph, gd.src, gd.dst, gd.tau)
-            except NoTransfer as exc:
-                return (PST_EXPECT,
-                        f"p={p}, tail {tail_len or 'inf'}: "
-                        f"fidelity {exc.fidelity:.12f}", False)
-    return PST_EXPECT, "p=3..6 with finite and infinite handles pass", True
-
-
-def _claim_rooted_p3_tail():
-    gd = named_gadget("p3_twins_spur", tail_len=0)
-    return _pst(gd.graph, gd.src, gd.dst, gd.tau)
-
-
-def _claim_pgst_double_c8():
-    g = blow_up(cycle_graph(8), 2)
-    src = fiber_sum_state(8, 2, 0)
-    dst = fiber_sum_state(8, 2, 4)
-    try:
-        rep = pgst_witness(g, src, dst, 0.999, 1e4)
-        return ("fidelity >= 0.999 for some t <= 1e4",
-                f"fidelity {rep.fidelity:.6f} at t={rep.tau:.6f}", True)
-    except Unreached as exc:
-        return ("fidelity >= 0.999 for some t <= 1e4",
-                f"best fidelity {exc.best_fidelity:.6f}", False)
-
-
-def _claim_pgst_signed_c8():
-    g = negate_edges(cycle_graph(8), [(0, 7), (3, 4)])
-    try:
-        rep = pgst_witness(g, plus_state(1, 7), plus_state(3, 5), 0.99, 1e4)
-        return ("fidelity >= 0.99 for some t <= 1e4",
-                f"fidelity {rep.fidelity:.6f} at t={rep.tau:.6f}", True)
-    except Unreached as exc:
-        return ("fidelity >= 0.99 for some t <= 1e4",
-                f"best fidelity {exc.best_fidelity:.6f}", False)
-
-
-def _claim_trees_exhaustive():
+def _trees_exhaustive():
     rep = exhaustive_tree_experiment(6, verify=True)
     ok = rep.hit_count == 360 and rep.verified_count == rep.hit_count
     return ("360 of 1296 labelled 6-vertex trees carry the limb, all verified",
@@ -305,100 +157,127 @@ def _claim_trees_exhaustive():
             f"{rep.verified_count} verified", ok)
 
 
-def _claim_trees_exact():
-    # the limb and its two signed variants (the p2_twins_signed_* patterns)
-    # on limb_tree(100): arms 0-1 and 4-3 on the centre 2
-    rep = exhaustive_tree_experiment(100)
-    share = f"{rep.hit_fraction:.6f}"
-    g = limb_tree(100)
-    for label, h, src, dst in (
-            ("pair", g, pair_state(0, 4), pair_state(1, 3)),
-            ("plus-plus", negate_edges(g, [(2, 3)]), plus_state(0, 4), plus_state(1, 3)),
-            ("plus-pair", negate_edges(g, [(3, 4)]), plus_state(0, 4), pair_state(1, 3))):
-        expected, observed, ok = _pst(h, src, dst, pi / 2)
-        if not ok:
-            return expected, f"{label}: {observed}", False
+def _trees_exact():
+    share = f"{exhaustive_tree_experiment(100).hit_fraction:.6f}"
+    # the limb and its two signed variants on a star of 95 leaves: the
+    # gadgets hang it on the star's centre, which gives limb_tree(100)
+    star = WeightedGraph(96, tuple((0, v, 1.0) for v in range(1, 96)))
+    _, observed, ok = _pst(
+        (_gadget(kind, label, h=star) for label, kind in (
+            ("pair", "p2_twins"), ("plus-plus", "p2_twins_signed_plusplus"),
+            ("plus-pair", "p2_twins_signed_pluspair"))),
+        f"share {share}; all three transfers pass")
     return ("limb share 0.602517 at n=100; 3 limb transfers at pi/2",
-            f"share {share}; all three transfers pass", share == "0.602517")
+            observed, ok and share == "0.602517")
 
 
-def _claim_trees_sampled():
+def _trees_sampled():
     reports = run_tree_experiment((8, 12, 16), 200, seed=2024)
-    for rep in reports:
-        if rep.verified_count != rep.hit_count:
-            return ("every structural hit verifies at pi/2",
-                    f"size {rep.size}: {rep.verified_count}/{rep.hit_count}",
-                    False)
-    obs = ", ".join(f"n={r.size}: {r.hit_count}/200" for r in reports)
-    return "every structural hit verifies at pi/2", obs, True
+    bad = [f"size {r.size}: {r.verified_count}/{r.hit_count}"
+           for r in reports if r.verified_count != r.hit_count]
+    observed = bad[0] if bad else ", ".join(f"n={r.size}: {r.hit_count}/200" for r in reports)
+    return "every structural hit verifies at pi/2", observed, not bad
 
 
 CLAIM_SETS: dict[str, list[tuple[str, str, object]]] = {
     "quotient": [
         ("quotient-plus", "6-vertex demo: plus transfer at pi/(2*sqrt2)",
-         _claim_quotient_plus),
+         lambda: _pst([_gadget("c4_quotient")])),
         ("quotient-switch-pair", "switched variant: pair-to-pair transfer",
-         _claim_quotient_switch_pair),
+         lambda: _pst(_switched_c4((1, -1, 1, 1, -1, 1),
+                                   pair_state(0, 1), pair_state(3, 4)))),
         ("quotient-switch-mixed", "switched variant: plus-to-pair transfer",
-         _claim_quotient_switch_mixed),
+         lambda: _pst(_switched_c4((1, 1, 1, 1, -1, 1),
+                                   plus_state(0, 1), pair_state(3, 4)))),
         ("quotient-matrix", "symmetrized quotient equals sqrt2 * C_4",
-         _claim_quotient_matrix),
+         _quotient_matrix),
     ],
     "gadgets": [
         ("p2-pair", "twin P_2 arms: pair transfer at pi/2 over 4 host graphs",
-         lambda: _claim_p2_family("p2_twins")),
+         lambda: _p2_family("p2_twins")),
         ("p2-plusplus", "switched twin P_2 arms: plus-to-plus at pi/2",
-         lambda: _claim_p2_family("p2_twins_signed_plusplus")),
+         lambda: _p2_family("p2_twins_signed_plusplus")),
         ("p2-pluspair", "switched twin P_2 arms: plus-to-pair at pi/2",
-         lambda: _claim_p2_family("p2_twins_signed_pluspair")),
+         lambda: _p2_family("p2_twins_signed_pluspair")),
         ("p3-layouts", "twin P_3 arms, both hub layouts, at pi/sqrt2",
-         _claim_p3_layouts),
+         lambda: _pst((_gadget(name) for name in ("p3_twins_spur", "p3_twins_path")),
+                      "both hub layouts pass at pi/sqrt2")),
     ],
     "blowups": [
         ("blowup-p2", "copies of P_2: fiber-sum transfer at pi/(2n)",
-         _claim_blowup_p2),
+         lambda: _pst(((f"n={n}", blow_up(path_graph(2), n), fiber_sum_state(2, n, 0),
+                        fiber_sum_state(2, n, 1), pi / (2 * n)) for n in (2, 3, 4)),
+                      "copies 2,3,4 pass at pi/(2n)")),
         ("blowup-p3", "double P_3: fiber plus transfer at pi/(2*sqrt2)",
-         _claim_blowup_p3),
+         lambda: _pst([("double P_3", blow_up(path_graph(3), 2), fiber_sum_state(3, 2, 0),
+                        fiber_sum_state(3, 2, 2), pi / (2 * sqrt(2.0)))])),
+        # cross-copy negation turns the frozen pair fibers into carriers at tau/2
         ("blowup-signed", "cross-negated double copies: pair fibers at tau/2",
-         _claim_blowup_signed),
+         lambda: _pst(((f"P_{m}", _cross_negated_double(path_graph(m)), pair_state(a, m + a),
+                        pair_state(b, m + b), tau / 2)
+                       for m, tau, a, b in ((2, pi / 2, 0, 1), (3, pi / sqrt(2.0), 0, 2))),
+                      "signed double copies of P_2 and P_3 pass at tau/2")),
     ],
     "sedentary": [
         ("sedentary-kn", "clique vertex states stay near start",
-         _claim_sedentary_kn),
+         lambda: _sedentary(
+             "grid min >= (n-2)/n - 1e-6 over one period",
+             ((f"K_{n}", complete_graph(n), vertex_state(0), 10.0, (n - 2) / n - 1e-6)
+              for n in (3, 5, 8)),
+             "K_3, K_5, K_8 vertex states pass")),
         ("sedentary-twins", "clique-twin pair states stay near start",
-         _claim_sedentary_twins),
+         lambda: _sedentary(
+             "grid min >= 1 - 2/n - 1e-6",
+             ((f"n={n}", gd.graph, gd.src, 60.0, 1 - 2 / n - 1e-6) for n in (3, 4, 5)
+              for gd in [named_gadget("kn_twin_gadget", n=n)]),
+             "clique-twin pair states pass for n=3,4,5")),
         ("sedentary-blowup", "double-clique plus states stay near start",
-         _claim_sedentary_blowup),
+         lambda: _sedentary(
+             "grid min >= (n-2)/n - 1e-6",
+             ((f"double K_{n}", blow_up(complete_graph(n), 2), plus_state(0, n), 10.0,
+               (n - 2) / n - 1e-6) for n in (3, 5, 8)),
+             "double-copy clique plus states pass for n=3,5,8")),
     ],
     "cayley": [
         ("signed-c6", "two-negative-edge C_6: plus transfer at pi/2",
-         _claim_signed_c6),
+         lambda: _pst([("signed C_6", negate_edges(cycle_graph(6), [(3, 4), (0, 5)]),
+                        plus_state(1, 5), plus_state(2, 4), pi / 2)])),
         ("cayley-z6z4", "signed circulant composition on 24 vertices",
-         _claim_cayley_z6z4),
+         lambda: _pst(_layers((6, 4), ((1, 0), (5, 0)), ((0, 1), (0, 2), (0, 3)),
+                              pair_state, (0, 2), (3, 5)),
+                      "pair transfer passes for all 4 layers at pi/2")),
         ("cayley-z8z2z2", "signed circulant composition on 32 vertices",
-         _claim_cayley_z8z2z2),
+         lambda: _pst(_layers((8, 2, 2), ((1, 0, 0), (7, 0, 0)),
+                              ((0, 0, 1), (0, 1, 0), (0, 1, 1)), plus_state, (0, 4), (2, 6)),
+                      "plus transfer passes on all 4 layers at pi/2")),
     ],
     "tails": [
         ("flyswatter-tails", "grid-with-handle pair transfer, all tail lengths",
-         _claim_flyswatter_tails),
+         lambda: _pst((_gadget("flyswatter", f"tail {t or 'inf'}", tail_len=t)
+                       for t in (1, 2, 4, 8, 0)),
+                      "tail lengths 1,2,4,8 and certified infinite pass")),
         ("h2p-tails", "matched-cycle pair transfer, finite/infinite handles",
-         _claim_h2p_tails),
+         lambda: _pst((_gadget("h2p", f"p={p}, tail {t or 'inf'}", p=p, tail_len=t)
+                       for p in (3, 4, 5, 6) for t in (1, 3, 0)),
+                      "p=3..6 with finite and infinite handles pass")),
         ("rooted-p3-tail", "hub-tail twin P_3 arms with infinite tail",
-         _claim_rooted_p3_tail),
+         lambda: _pst([_gadget("p3_twins_spur", tail_len=0)])),
     ],
     "pgst": [
         ("pgst-double-c8", "double C_8 antipodal plus fibers reach 0.999",
-         _claim_pgst_double_c8),
+         lambda: _pgst(blow_up(cycle_graph(8), 2), fiber_sum_state(8, 2, 0),
+                       fiber_sum_state(8, 2, 4), 0.999)),
         ("pgst-signed-c8", "signed C_8 plus states reach 0.99",
-         _claim_pgst_signed_c8),
+         lambda: _pgst(negate_edges(cycle_graph(8), [(0, 7), (3, 4)]),
+                       plus_state(1, 7), plus_state(3, 5), 0.99)),
     ],
     "trees": [
         ("trees-exhaustive", "all labelled 6-vertex trees, exact limb count",
-         _claim_trees_exhaustive),
+         _trees_exhaustive),
         ("trees-exact", "all labelled 100-vertex trees, exact limb share; "
-         "signed limbs", _claim_trees_exact),
+         "signed limbs", _trees_exact),
         ("trees-sampled", "sampled trees n=8,12,16: hits all verify",
-         _claim_trees_sampled),
+         _trees_sampled),
     ],
 }
 

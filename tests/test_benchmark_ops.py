@@ -2,10 +2,10 @@
 from `perfbench/workloads.py`.  `mixed` runs at its tiny size (the claims, the
 tree survey with its exhaustive and sampled hit counts, twin detection and
 verification, pair/plus transforms and balance recovery), and its
-`tree_survey` and `structure` sections also at full size; `tailed_horizon`
-(PST search, sedentary estimate, check_pst and evolve on infinite-tail
-gadgets) runs at both sizes.  The benchmark's tracer must find every name it
-wraps."""
+`claims`, `tree_survey` and `structure` sections also at full size;
+`tailed_horizon` (PST search, sedentary estimate, check_pst and evolve on
+infinite-tail gadgets) runs at both sizes.  The benchmark's tracer must find
+every name it wraps."""
 
 import importlib
 import os
@@ -37,6 +37,18 @@ def test_tailed_horizon_ops_pass_their_oracles(size):
     # the seed commit's sedentary minimum and the check_pst/evolve fidelity
     failures = []
     for op in workloads.build("tailed_horizon", 1, size=size):
+        try:
+            op.check(op.run())
+        except Exception as exc:
+            failures.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+    assert not failures
+
+
+def test_claims_full_ops_pass_their_oracles():
+    # all 25 claims of `qwalk reproduce --set all`, read from CLAIM_SETS as the
+    # benchmark reads it; the tiny size runs only one claim per set
+    failures = []
+    for op in workloads.section_ops("claims", 1, "full"):
         try:
             op.check(op.run())
         except Exception as exc:

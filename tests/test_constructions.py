@@ -132,3 +132,21 @@ def test_every_transfer_gadget_passes_its_fixture():
         gd = named_gadget(name)
         rep = check_pst(gd.graph, gd.src, gd.dst, gd.tau)
         assert rep.fidelity >= 1 - 1e-9, name
+
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: cycle_graph(4.0), id="cycle_graph"),
+    pytest.param(lambda: path_graph(3.0), id="path_graph"),
+    pytest.param(lambda: complete_graph(2.5), id="complete_graph"),
+    pytest.param(lambda: blow_up(path_graph(2), 2.0), id="blow_up"),
+    pytest.param(lambda: named_gadget("h2p", p=5.0), id="h2p-p"),
+    pytest.param(lambda: named_gadget("kn_twin_gadget", n=3.0), id="kn_twin_gadget-n"),
+    pytest.param(lambda: named_gadget("pn_prime", n=5.0), id="pn_prime-n"),
+    pytest.param(lambda: named_gadget("pn_prime", n=5, tail_len=2.0), id="pn_prime-tail_len"),
+    # 0.0 == 0 would otherwise silently select the infinite tail
+    pytest.param(lambda: named_gadget("flyswatter", tail_len=0.0), id="flyswatter-tail_len"),
+])
+def test_non_integer_sizes_are_refused(build):
+    with pytest.raises(BadParam):
+        build()

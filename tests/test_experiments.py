@@ -484,3 +484,13 @@ def test_survey_refuses_more_samples_than_one_entropy_word(monkeypatch):
         run_tree_experiment((8,), 2 ** 32 + 1, 1)
     with pytest.raises(Drawn):  # k = 2^32 - 1 still fits one word
         run_tree_experiment((8,), 2 ** 32, 1)
+
+
+def test_survey_refuses_a_small_size_before_any_draw(monkeypatch):
+    # a size below 6 later in the list must not cost the earlier sizes' surveys
+    def draw(*args):
+        raise AssertionError("drew trees before checking every size")
+
+    monkeypatch.setattr(experiments, "_pinned_integers", draw)
+    with pytest.raises(NotATree):
+        run_tree_experiment((24, 5), 3000, 1)
