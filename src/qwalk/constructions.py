@@ -74,7 +74,17 @@ def fiber_sum_state(h_n: int, copies: int, a: int, b: int | None = None,
 
     With b given, returns the normalized sum over copies of
     (e_a + sign*e_b); with b=None, the plain fiber sum of vertex a.
+
+    Raises BadParam unless h_n and copies are integers of at least 1 and a
+    (and b, which must differ from a) an integer vertex in [0, h_n).
     """
+    h_n = require_int(h_n, "vertices per copy", 1)
+    copies = require_int(copies, "copies", 1)
+    for v in (a,) if b is None else (a, b):
+        if not 0 <= require_int(v, "fiber vertex") < h_n:
+            raise BadParam(f"fiber vertex {v} not in [0, {h_n})")
+    if a == b:
+        raise BadParam("a fiber pair needs two distinct vertices")
     amps: list[tuple[int, complex]] = []
     if b is None:
         s = 1.0 / sqrt(copies)
@@ -158,7 +168,11 @@ def one_sum(g: WeightedGraph, h: WeightedGraph, u_g: int, u_h: int
     """Glue h onto g by identifying h's vertex u_h with g's vertex u_g.
 
     g keeps its vertex indices; the other vertices of h follow after g's.
+    Raises BadParam unless both roots are integers, and InvalidRoot unless
+    each is a vertex of its graph.
     """
+    u_g = require_int(u_g, "host root")
+    u_h = require_int(u_h, "attached root")
     if not 0 <= u_g < g.n:
         raise InvalidRoot(f"vertex {u_g} not in the host graph")
     if not 0 <= u_h < h.n:
@@ -279,8 +293,9 @@ def named_gadget(name: str, h: WeightedGraph | None = None, h_root: int = 0,
                  tail_len: int | None = None) -> Gadget:
     """Catalog of fixture graphs with their designated (src, dst, tau).
 
-    Raises BadParam when n, p or tail_len is given but is not an integer."""
-    for value, what in ((n, "n"), (p, "p"), (tail_len, "tail length")):
+    Raises BadParam when h_root is not an integer, or n, p or tail_len is
+    given but is not an integer."""
+    for value, what in ((h_root, "h_root"), (n, "n"), (p, "p"), (tail_len, "tail length")):
         if value is not None:
             require_int(value, what)
     if name == "p2_twins":

@@ -8,12 +8,15 @@ stream (NumPy's SeedSequence hash, PCG64, and ``Generator.integers``'
 bounded-integer rejection) for a whole block of trees in one vectorised
 pass, so its pinned draws no longer depend on NumPy keeping
 ``Generator.integers`` stable (NEP 19 promises stream stability only for
-bit generators).  Each sequence is decoded to per-vertex neighbour lists
-and the limb is found on those; only a hit is built as a validated graph
-with a validated twin structure and has its transfer checked.  The exhaustive survey counts all n^(n-2) labelled trees
-exactly: the trees without the limb are counted by their exponential
-generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
-VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
+bit generators).  Each block of sequences is then surveyed as arrays, with
+no per-tree Python loop and no graph object: all its rows are decoded in
+lockstep to edge arrays, the limb is found from each vertex's degree and
+neighbour sum, and each hit's transfer is checked on the full spectrum of
+its dense adjacency matrix.  The exhaustive survey counts all n^(n-2)
+labelled trees exactly: the trees without the limb are counted by their
+exponential generating function (Flajolet & Sedgewick, Analytic
+Combinatorics, 2009, VII.4), in one pass of an integer recurrence, and the
+rest carry it.  Both
 count uniform labelled trees: this demonstrates the transfer mechanism on a
 tractable tree model; it is not a statement about any other random-tree
 measure.
@@ -21,21 +24,21 @@ measure.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, perm, pi
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import BadParam, NoTransfer, NotATree, require_int
-from .graphs import WeightedGraph, pair_state
-from .transfer import check_pst
+from .errors import BadParam, NotATree, require_int
+from .graphs import WeightedGraph
+from .transfer import PST_TOL
 from .twins import TwinStructure
 
 
-DRAW_BLOCK = 1 << 16   # sequence entries the survey draws per block of trees
+# sequence entries the survey draws per block of trees, and adjacency
+# entries per stacked eigh of its hits
+DRAW_BLOCK = 1 << 16
 
 # numpy.random.SeedSequence: pool size and hash constants
 _POOL = 4
@@ -214,32 +217,85 @@ def _pinned_integers(prefix, start: int, stop: int, bound: int, count: int) -> n
             steps *= 2
 
 
-def _prufer_lists(seq, n: int) -> list[list[int]]:
-    """Per-vertex neighbour lists of the labelled tree on n vertices with
-    Pruefer sequence ``seq``, which must hold n-2 ints in [0, n)."""
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        nbrs[leaf].append(v)
-        nbrs[v].append(leaf)
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = leaves  # every decoding step pops one leaf; two are left
-    nbrs[u].append(w)
-    nbrs[w].append(u)
-    return nbrs
+def _prufer_edges(seqs: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n-1, 2) edges of the labelled trees on n >= 2 vertices
+    whose Pruefer sequences are the rows of ``seqs`` (ints in [0, n)), all
+    rows decoded in lockstep: step i joins every row's smallest current leaf
+    to its entry i, and the last edge joins the leaf that remains to n-1.
+    Each step scans whole rows, so a block costs O(rows n^2)."""
+    rows = len(seqs)
+    at = np.arange(rows) * n
+    # degree is flat, row r at r*n; per_row is a (rows, n) view of it, in
+    # which a decoded leaf's degree drops to 0
+    degree = np.bincount((seqs + at[:, None]).ravel(), minlength=rows * n) + 1
+    per_row = degree.reshape(rows, n)
+    edges = np.empty((rows, n - 1, 2), np.int64)
+    for i in range(n - 2):
+        leaf = np.argmax(per_row == 1, axis=1)
+        v = seqs[:, i]
+        edges[:, i, 0] = leaf
+        edges[:, i, 1] = v
+        degree[at + leaf] = 0
+        degree[at + v] -= 1
+    edges[:, -1, 0] = np.argmax(per_row == 1, axis=1)
+    edges[:, -1, 1] = n - 1
+    return edges
 
 
-def _tree_graph(nbrs) -> WeightedGraph:
-    """The unit-weight graph with these neighbour lists."""
-    return WeightedGraph(len(nbrs), tuple((a, b, 1.0) for a, ends in enumerate(nbrs)
-                                          for b in ends if a < b))
+def _limbs(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (rows, n-1, 2) tree ``edges`` that carry a double-P_2
+    limb, and their (hits, 2, 2) arms ((l1, m1), (l2, m2)).
+
+    Each vertex's degree and the sum of its neighbours come from one
+    bincount each.  A leaf l's neighbour is m = nsum[l]; when m has degree
+    2, the arm l-m hangs from the centre c = nsum[m] - l.  Sorting the arms
+    by (row, c, m) puts, first in each row, the first centre in vertex order
+    with two arms and its two arms of smallest midpoint, in ascending
+    order."""
+    rows = len(edges)
+    ends = (edges + (np.arange(rows) * n)[:, None, None]).ravel()
+    degree = np.bincount(ends, minlength=rows * n)
+    nsum = np.bincount(ends, weights=edges[:, :, ::-1].ravel(),
+                       minlength=rows * n).astype(np.int64)
+    at = np.flatnonzero(degree == 1)
+    row = at // n
+    leaf, mid = at - row * n, nsum[at]
+    arm = degree[row * n + mid] == 2
+    row, leaf, mid = row[arm], leaf[arm], mid[arm]
+    centre = nsum[row * n + mid] - leaf
+    owner = row * n + centre
+    order = np.argsort(owner * n + mid)
+    owner = owner[order]
+    pair = np.flatnonzero(owner[1:] == owner[:-1])
+    first = pair[np.diff(owner[pair] // n, prepend=-1) != 0]
+    take = order[np.stack((first, first + 1), axis=1)]
+    return row[take[:, 0]], np.stack((leaf[take], mid[take]), axis=2)
+
+
+def _hit_amplitudes(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
+    """v* e^(i pi A/2) u for u and v the pair states of each hit's leaves
+    (l1, l2) and midpoints (m1, m2), on the full spectrum of the tree's dense
+    adjacency A: sum_k (phi_k[m1] - phi_k[m2])(phi_k[l1] - phi_k[l2])/2
+    e^(i pi lambda_k/2).  One stacked ``eigh`` takes the adjacencies of up
+    to DRAW_BLOCK entries at a time."""
+    out = np.empty(len(edges), complex)
+    step = max(1, DRAW_BLOCK // (n * n))
+    for lo in range(0, len(edges), step):
+        e = edges[lo:lo + step]
+        (l1, m1), (l2, m2) = arms[lo:lo + step].transpose(1, 2, 0)
+        h = np.arange(len(e))
+        a = np.zeros((len(e), n, n))
+        a[h[:, None], e[:, :, 0], e[:, :, 1]] = a[h[:, None], e[:, :, 1], e[:, :, 0]] = 1.0
+        lam, phi = np.linalg.eigh(a)
+        d = (phi[h, m1] - phi[h, m2]) * (phi[h, l1] - phi[h, l2])
+        out[lo:lo + step] = (d * np.exp(0.5j * pi * lam)).sum(axis=1) / 2
+    return out
+
+
+def _verify_hits(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
+    """Per hit, whether the pair transfer leaves -> midpoints passes at pi/2:
+    an independent full-spectrum check, not the twin theorem."""
+    return np.abs(_hit_amplitudes(edges, arms, n)) >= 1 - PST_TOL
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
@@ -254,7 +310,8 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
     for v in seq:
         if type(v) is not int or not 0 <= v < n:
             raise BadParam(f"Pruefer entries must be integers in [0, {n}), got {v!r}")
-    return _tree_graph(_prufer_lists(seq, n))
+    edges = _prufer_edges(np.array(seq, np.int64).reshape(1, n - 2), n)[0]
+    return WeightedGraph(n, tuple((a, b, 1.0) for a, b in edges.tolist()))
 
 
 def random_tree(n: int, seed) -> WeightedGraph:
@@ -281,8 +338,9 @@ def limb_tree(n: int) -> WeightedGraph:
     return WeightedGraph(n, tuple(edges))
 
 
-def _assert_tree(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
-    """The graph's neighbour lists, once it is known to be a finite tree."""
+def _tree_edges(g: WeightedGraph) -> np.ndarray:
+    """The graph's edges as a (1, n-1, 2) array, once it is known to be a
+    finite tree."""
     if g.tails or len(g.edges) != g.n - 1:
         raise NotATree("graph is not a finite tree")
     nbrs = g.adjacency_lists
@@ -295,28 +353,7 @@ def _assert_tree(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
                 stack.append(v)
     if len(seen) != g.n:
         raise NotATree("graph is not connected")
-    return nbrs
-
-
-def _limb(nbrs) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """The two (leaf, midpoint) arms of a double-P_2 limb on a tree, if any.
-
-    A leaf whose neighbour m has degree 2 ends an arm of the centre that is
-    m's other neighbour.  The first centre in vertex order with two arms is
-    taken, with its two arms of smallest midpoint, in ascending order."""
-    arms: dict[int, list[tuple[int, int]]] = {}
-    for leaf, ends in enumerate(nbrs):
-        if len(ends) != 1:
-            continue
-        m = ends[0]
-        mid = nbrs[m]
-        if len(mid) == 2:
-            arms.setdefault(mid[1] if mid[0] == leaf else mid[0], []).append((leaf, m))
-    centres = [c for c, at in arms.items() if len(at) > 1]
-    if not centres:
-        return None
-    first, second = sorted(arms[min(centres)], key=itemgetter(1))[:2]
-    return first, second
+    return np.array([(a, b) for a, b, _ in g.edges], np.int64).reshape(1, g.n - 1, 2)
 
 
 def find_p5_limb(g: WeightedGraph) -> TwinStructure | None:
@@ -328,8 +365,8 @@ def find_p5_limb(g: WeightedGraph) -> TwinStructure | None:
     and its first two arms in neighbour order are returned.  Raises NotATree
     unless g is a finite tree.
     """
-    arms = _limb(_assert_tree(g))
-    return None if arms is None else TwinStructure.of(g, *arms)
+    rows, arms = _limbs(_tree_edges(g), g.n)
+    return TwinStructure.of(g, *arms[0].tolist()) if len(rows) else None
 
 
 @dataclass(frozen=True)
@@ -344,17 +381,6 @@ class LimbReport:
         return self.hit_count / self.sample_count if self.sample_count else 0.0
 
 
-def _verify_hit(g: WeightedGraph, ts: TwinStructure) -> bool:
-    """Whether the pair transfer leaves -> midpoints passes at pi/2."""
-    l1, m1 = ts.x1
-    l2, m2 = ts.x2
-    try:
-        check_pst(g, pair_state(l1, l2), pair_state(m1, m2), pi / 2)
-    except NoTransfer:
-        return False
-    return True
-
-
 def run_tree_experiment(sizes, samples_per_size: int, seed: int
                         ) -> list[LimbReport]:
     """Sample trees per size, detect the limb, and verify every hit at pi/2.
@@ -362,10 +388,11 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     Tree k of each size decodes the Pruefer sequence that
     ``random_tree(size, (seed, size, k))`` draws, so the draws stay stable
     per (seed, size, k).  The sequences of up to DRAW_BLOCK entries are
-    computed together, as rows of one array, by ``_pinned_integers``.  Each
-    is decoded to neighbour lists and the limb is looked for on them; only
-    a hit is built as a validated graph, with a validated twin structure,
-    for the transfer check.
+    computed together, as rows of one array, by ``_pinned_integers``, and
+    each block is surveyed with array operations: ``_prufer_edges`` decodes
+    its rows in lockstep, ``_limbs`` finds the limbs from degrees and
+    neighbour sums, and ``_verify_hits`` checks each hit's transfer on the
+    full spectrum of its adjacency matrix.  No graph object is built.
 
     Raises BadParam unless the sizes are an iterable of integers, the
     sample count a nonnegative integer of at most 2^32 (so that k fits one
@@ -388,15 +415,11 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
         rows = max(1, DRAW_BLOCK // (size - 2))
         for start in range(0, samples_per_size, rows):
             stop = min(start + rows, samples_per_size)
-            for seq in _pinned_integers((seed, size), start, stop, size, size - 2).tolist():
-                nbrs = _prufer_lists(seq, size)
-                arms = _limb(nbrs)
-                if arms is None:
-                    continue
-                hits += 1
-                g = _tree_graph(nbrs)
-                if _verify_hit(g, TwinStructure.of(g, *arms)):
-                    verified += 1
+            edges = _prufer_edges(_pinned_integers((seed, size), start, stop, size, size - 2),
+                                  size)
+            found, arms = _limbs(edges, size)
+            hits += len(found)
+            verified += int(np.count_nonzero(_verify_hits(edges[found], arms, size)))
         reports.append(LimbReport(size, samples_per_size, hits, verified))
     return reports
 
@@ -447,8 +470,8 @@ def exhaustive_tree_experiment(n: int, verify: bool = False) -> LimbReport:
     hits = total - limb_free
     verified = hits
     if verify:
-        g = limb_tree(n)
-        ts = find_p5_limb(g)
-        if ts is None or not _verify_hit(g, ts):
+        edges = _tree_edges(limb_tree(n))
+        found, arms = _limbs(edges, n)
+        if not (len(found) and _verify_hits(edges, arms, n)[0]):
             verified = 0
     return LimbReport(n, total, hits, verified)

@@ -8,6 +8,7 @@ from qwalk import (
     cayley,
     complete_graph,
     cycle_graph,
+    fiber_sum_state,
     named_gadget,
     one_sum,
     path_graph,
@@ -150,3 +151,31 @@ def test_every_transfer_gadget_passes_its_fixture():
 def test_non_integer_sizes_are_refused(build):
     with pytest.raises(BadParam):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    # a fractional root passed the range check and glued nothing, leaving
+    # the attached graph disconnected
+    pytest.param(lambda: one_sum(path_graph(3), path_graph(2), 0, 1.5), id="one_sum-u_h"),
+    pytest.param(lambda: one_sum(path_graph(3), path_graph(2), 1.0, 0), id="one_sum-u_g"),
+    pytest.param(lambda: named_gadget("p2_twins", h=path_graph(4), h_root=2.5),
+                 id="p2_twins-h_root"),
+])
+def test_non_integer_roots_are_refused(build):
+    with pytest.raises(BadParam):
+        build()
+
+
+@pytest.mark.parametrize("args", [
+    (2, 2.0, 0),   # was a bare TypeError
+    (2, 0, 0),     # was a ZeroDivisionError
+    (2, 2, 3),     # vertex 3 went silently into the next copy
+    (2, 2, -1),
+    (0, 2, 0),
+    (2, 2, 0, 2),
+    (2, 2, 1, 1),
+    (2, 2, 0, 1.0),
+])
+def test_fiber_sum_state_refuses_bad_input(args):
+    with pytest.raises(BadParam):
+        fiber_sum_state(*args)

@@ -3,7 +3,7 @@ import os
 import random
 import re
 from itertools import combinations, permutations, product
-from math import e, factorial
+from math import e, factorial, pi
 
 import numpy as np
 import pytest
@@ -21,8 +21,11 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_limb, _pinned_integers, _prufer_lists, _verify_hit,
-                                limb_tree, prufer_decode)
+from qwalk.experiments import (_hit_amplitudes, _limbs, _pinned_integers, _prufer_edges,
+                                _tree_edges, _verify_hits, limb_tree, prufer_decode)
+from qwalk.graphs import pair_state
+from qwalk.spectral import transfer_amplitude
+from qwalk.transfer import check_pst
 from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
@@ -131,6 +134,17 @@ def test_exhaustive_n6_matches_combinatorial_oracle():
     assert rep.verified_count == rep.hit_count
 
 
+def _transfers(g, arms):
+    """Whether the pair transfer leaves -> midpoints of the limb ``arms``
+    passes ``check_pst`` at pi/2: the survey verifier's oracle."""
+    (l1, m1), (l2, m2) = arms
+    try:
+        check_pst(g, pair_state(l1, l2), pair_state(m1, m2), pi / 2)
+    except NoTransfer:
+        return False
+    return True
+
+
 def _labelled_walk(n):
     """The census's oracle: every one of the n^(n-2) Pruefer sequences."""
     total = hits = verified = 0
@@ -140,7 +154,7 @@ def _labelled_walk(n):
         ts = find_p5_limb(g)
         if ts is not None:
             hits += 1
-            verified += _verify_hit(g, ts)
+            verified += _transfers(g, (ts.x1, ts.x2))
     return total, hits, verified
 
 
@@ -202,24 +216,32 @@ def test_every_census_hit_class_verifies():
         for g in _free_trees(n):
             ts = find_p5_limb(g)
             if ts is not None:
-                assert _verify_hit(g, ts)
+                assert _transfers(g, (ts.x1, ts.x2))
+                arms = np.array([[ts.x1, ts.x2]])
+                assert _verify_hits(_tree_edges(g), arms, n).tolist() == [True]
                 checked += 1
     assert checked > 0
 
 
+def _refuse_all(edges, arms, n):
+    return np.zeros(len(arms), bool)
+
+
 def test_failed_verification_verifies_nothing(monkeypatch):
-    monkeypatch.setattr(experiments, "_verify_hit", lambda g, ts: False)
+    monkeypatch.setattr(experiments, "_verify_hits", _refuse_all)
     rep = exhaustive_tree_experiment(8, verify=True)
     assert (rep.hit_count, rep.verified_count) == (40320, 0)
 
 
 def test_failed_transfer_counts_as_unverified(monkeypatch):
-    def fail(*args, **kwargs):
-        raise NoTransfer(0.5)
-
-    monkeypatch.setattr(experiments, "check_pst", fail)
-    rep = exhaustive_tree_experiment(8, verify=True)
-    assert (rep.hit_count, rep.verified_count) == (40320, 0)
+    # arms that are not a limb: on limb_tree(9) (arms 0-1 and 4-3 on the
+    # centre 2), a midpoint swapped for the centre's extra leaf 5
+    edges = _tree_edges(limb_tree(9))
+    arms = np.array([[[0, 1], [4, 3]], [[0, 1], [4, 5]], [[0, 5], [4, 3]]])
+    assert _verify_hits(np.repeat(edges, 3, axis=0), arms, 9).tolist() == [True, False, False]
+    # a verifier that passes nothing leaves every hit unverified and raises
+    # nothing
+    monkeypatch.setattr(experiments, "_verify_hits", _refuse_all)
     (rep,) = run_tree_experiment([8], 60, seed=7)
     assert rep.hit_count > 0 and rep.verified_count == 0
 
@@ -304,9 +326,10 @@ def test_run_experiment_rejects_bad_params():
         run_tree_experiment((5,), 3, seed=1)
 
 
-# -- the per-tree survey path, one validated graph per sampled tree, found by
-# a scan over centres: the oracle that the list decoder, the leaf-based limb
-# search and the survey loop must agree with
+# -- the per-tree survey path, one validated graph per sampled tree, its limb
+# found by a scan over centres and its transfer checked by check_pst: the
+# oracle that the lockstep decoder, the limb finder and the verifier must
+# agree with
 
 def _heap_decode(seq, n):
     degree = [1] * n
@@ -346,7 +369,7 @@ def _centre_scan_limb(g):
 
 def _per_tree_survey(sizes, samples, seed):
     """Reports and (sequence, graph, arms) hits of the survey, one validated
-    graph per sampled tree."""
+    graph and twin structure per sampled tree."""
     reports, hits = [], []
     for size in sizes:
         hit_count = verified = 0
@@ -358,7 +381,8 @@ def _per_tree_survey(sizes, samples, seed):
                 continue
             hit_count += 1
             hits.append((seq, g, arms))
-            verified += _verify_hit(g, TwinStructure.of(g, *arms))
+            TwinStructure.of(g, *arms)
+            verified += _transfers(g, arms)
         reports.append(LimbReport(size, samples, hit_count, verified))
     return reports, hits
 
@@ -371,11 +395,12 @@ def test_survey_matches_per_tree_path(seed, monkeypatch):
     expected, expected_hits = _per_tree_survey(sizes, samples, seed)
     hits = []
 
-    def record(g, ts):
-        hits.append((g, (ts.x1, ts.x2)))
-        return _verify_hit(g, ts)
+    def record(edges, arms, n):
+        hits.extend((WeightedGraph(n, tuple((a, b, 1.0) for a, b in e)),
+                     tuple(map(tuple, a))) for e, a in zip(edges.tolist(), arms.tolist()))
+        return _verify_hits(edges, arms, n)
 
-    monkeypatch.setattr(experiments, "_verify_hit", record)
+    monkeypatch.setattr(experiments, "_verify_hits", record)
     assert run_tree_experiment(sizes, samples, seed) == expected
     assert len(hits) == len(expected_hits)
     for (g, arms), (seq, g_ref, arms_ref) in zip(hits, expected_hits):
@@ -384,29 +409,62 @@ def test_survey_matches_per_tree_path(seed, monkeypatch):
 
 
 def test_list_decoder_and_leaf_limb_match_per_tree_path():
-    rng = random.Random(13)
+    # one block per size, decoded and searched as the survey does, rows with
+    # and without a limb alike
+    rng = np.random.default_rng(13)
     for n in range(2, 41):
-        for _ in range(40):
-            seq = tuple(rng.randrange(n) for _ in range(n - 2))
-            nbrs = _prufer_lists(seq, n)
-            # the lists are a tree: n - 1 symmetric edges, all of the oracle's,
-            # reaching every vertex from 0
-            edges = {(a, b) for a, ends in enumerate(nbrs) for b in ends if a < b}
-            assert sum(map(len, nbrs)) == 2 * len(edges) == 2 * (n - 1)
-            assert all(a in nbrs[b] for a, ends in enumerate(nbrs) for b in ends)
+        seqs = rng.integers(0, n, (40, n - 2))
+        edges = _prufer_edges(seqs, n)
+        assert edges.shape == (40, n - 1, 2)
+        found, arms = _limbs(edges, n)
+        limbs = dict(zip(found.tolist(), arms.tolist()))
+        assert found.tolist() == sorted(limbs)  # one limb per row, rows in order
+        for row, seq in enumerate(seqs.tolist()):
             g = _heap_decode(seq, n)
-            assert edges == {(a, b) for a, b, _ in g.edges}
-            seen, stack = {0}, [0]
-            while stack:
-                for v in nbrs[stack.pop()]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            assert len(seen) == n
-            assert prufer_decode(seq, n) == g
+            assert {tuple(sorted(e)) for e in edges[row].tolist()} == {
+                (a, b) for a, b, _ in g.edges}
+            assert prufer_decode(tuple(seq), n) == g
             ts = find_p5_limb(g)
-            assert _limb(nbrs) == _centre_scan_limb(g) == (
-                None if ts is None else (ts.x1, ts.x2))
+            expected = _centre_scan_limb(g)
+            assert expected == (None if ts is None else (ts.x1, ts.x2))
+            got = limbs.get(row)
+            assert (None if got is None else tuple(map(tuple, got))) == expected
+    found, arms = _limbs(np.zeros((0, 5, 2), np.int64), 6)
+    assert found.shape == (0,) and arms.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_verifier_amplitudes_match_transfer_amplitude(seed):
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for n in range(6, 41, 2):
+        seqs = rng.integers(0, n, (30, n - 2))
+        edges = _prufer_edges(seqs, n)
+        found, arms = _limbs(edges, n)
+        amps = _hit_amplitudes(edges[found], arms, n)
+        assert _verify_hits(edges[found], arms, n).all()
+        for row, ((l1, m1), (l2, m2)), amp in zip(found.tolist(), arms.tolist(), amps):
+            g = prufer_decode(tuple(seqs[row].tolist()), n)
+            ref, _ = transfer_amplitude(g, pair_state(l1, l2), pair_state(m1, m2), pi / 2)
+            assert abs(amp - ref) < 1e-12
+            checked += 1
+    assert checked > 50
+
+
+def test_survey_builds_no_graph(monkeypatch):
+    built = []
+    init = WeightedGraph.__init__
+
+    def count(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", count)
+    (rep,) = run_tree_experiment((16,), 200, 5)
+    assert rep.hit_count > 0 and rep.verified_count == rep.hit_count
+    assert built == []
+    prufer_decode((3, 3, 3, 4), 6)
+    assert len(built) == 1  # the counter does see a graph being built
 
 
 # -- the survey's batched draws against NumPy's generator, their reference
