@@ -167,9 +167,10 @@ class FidelityCurve:
         return cls(lam[starts[keep]], w[keep])
 
     def __call__(self, ts) -> np.ndarray:
-        """v* U(t) u at each time in ts."""
+        """v* U(t) u at each time in ts.  Weights of shape (support, k) give
+        k sums per time, one column each (a curve and its derivatives)."""
         ts = np.asarray(ts, dtype=float).ravel()
-        out = np.empty(ts.shape, dtype=complex)
+        out = np.empty(ts.shape + self.weights.shape[1:], dtype=complex)
         # bound the (times x support) phase matrix held at once
         rows = max(1, CURVE_BLOCK // max(1, self.eigenvalues.size))
         for i in range(0, ts.size, rows):

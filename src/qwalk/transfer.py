@@ -7,10 +7,10 @@ projects u and v once into a FidelityCurve.  Its scan grids are uniform, so
 they are evaluated with the baby-step/giant-step factorisation
 exp(i(gB + j)h lambda) = exp(igBh lambda) exp(ijh lambda): one matrix product
 per block (`FidelityCurve.grid`), not one complex exponential per time and
-eigenvalue.  The candidate peaks are then refined together by golden section
-in lockstep, one curve evaluation per step for all of them.  The curve's
-frequencies are bounded by twice the maximum absolute degree M; the grids
-sample above that Nyquist rate so no peak is missed.
+eigenvalue.  All candidates are then refined at once by Newton's method on
+the curve's exact derivatives, with a bisection safeguard.  The frequencies
+are bounded by twice the maximum absolute degree M; the grids sample above
+that Nyquist rate so no peak is missed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import BadParam, NoTransfer, Unreached
 from .graphs import PureState, WeightedGraph, degree_profile, state_to_document
 from .spectral import (
     DEFAULT_TAIL_TOL,
+    FidelityCurve,
     TruncationCertificate,
     transfer_amplitude,
     transfer_curve,
@@ -34,7 +35,6 @@ from .spectral import (
 PST_TOL = 1e-9
 TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
-GOLDEN = (np.sqrt(5.0) - 1) / 2
 SEDENTARY_GRID = 20_000
 PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
 
@@ -85,56 +85,60 @@ class SedentaryEstimate:
         }
 
 
-def _golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization over the brackets [lo[i], hi[i]] in
-    lockstep: f maps an array of times to an array of values, and each step
-    calls it once, on the new point of every bracket still wider than
-    TIME_RESOLUTION (or than one ulp of its end, past t = 8192).  The brackets
-    do not interact, so each converges as it would alone.  Returns the
-    maximizers and the maxima."""
+def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sign * |f| for the curve f over the brackets [lo[i], hi[i]] in
+    lockstep, one curve evaluation per step for all live brackets.
+
+    Safeguarded Newton (rtsafe) on g' = 0 for g = |f|^2, whose derivatives
+    g' = 2 Re(conj(f) f') and g'' = 2 (|f'|^2 + Re(conj(f) f'')) are exact.
+    Only brackets where sign * g' falls from > 0 to < 0 iterate.  The Newton
+    step is taken where sign * g'' < 0, it lands inside the bracket and it is
+    under half the step before last; else the bracket is bisected.  A bracket
+    stops when its Newton step or width is within TIME_RESOLUTION (or one ulp
+    of t).  Returns the best of each bracket's last point and ends: the
+    times and the curve's values there."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    a, b = lo.copy(), hi.copy()
-    n = a.size
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fcd = f(np.concatenate((c, d)))
-    fc, fd = fcd[:n], fcd[n:]
+    lam = curve.eigenvalues
+    # columns f, f', f'': weights w, i lam w and -lam^2 w
+    jet = FidelityCurve(lam, curve.weights[:, None] * (1j * lam[:, None]) ** np.arange(3))
 
-    def live_of(idx):
-        return idx[b[idx] - a[idx] > np.maximum(TIME_RESOLUTION, np.spacing(b[idx]))]
+    def evaluate(ts):  # f, sign * g' / 2 and sign * g'' / 2
+        f = jet(ts).T
+        return (f[0], sign * (f[0].conj() * f[1]).real,
+                sign * (np.abs(f[1]) ** 2 + (f[0].conj() * f[2]).real))
 
-    live = live_of(np.arange(n))
-    while live.size:
-        up = fc[live] < fd[live]
-        lu, ld = live[up], live[~up]
-        # up: the bracket drops [a, c]; down: it drops [d, b]
-        a[lu], c[lu], fc[lu] = c[lu], d[lu], fd[lu]
-        b[ld], d[ld], fd[ld] = d[ld], c[ld], fc[ld]
-        d[lu] = a[lu] + GOLDEN * (b[lu] - a[lu])
-        c[ld] = b[ld] - GOLDEN * (b[ld] - a[ld])
-        fx = f(np.concatenate((d[lu], c[ld])))
-        fd[lu], fc[ld] = fx[:lu.size], fx[lu.size:]
-        live = live_of(live)
-    t = (a + b) / 2
-    # near a flat maximum the function values are indistinguishable at double
-    # precision, so polish with one parabolic step over a wider stencil, kept
-    # narrow enough to fit inside its bracket at long times
-    h = np.minimum(1e-5 * np.maximum(1.0, np.abs(t)), (hi - lo) / 8)
-    inner = np.flatnonzero((lo + h < t) & (t < hi - h))
-    k = inner.size
-    fs = f(np.concatenate((t, t[inner] - h[inner], t[inner] + h[inner])))
-    f0, fm, fp = fs[:n], fs[n:n + k], fs[n + k:]
-    denom = fp - 2.0 * f0[inner] + fm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = 0.5 * h[inner] * (fm - fp) / denom
-    # a concave stencil whose vertex lies inside it is trusted over the golden
-    # midpoint; comparing the two values would let last-bit rounding decide
-    ok = (denom < 0) & (np.abs(shift) < h[inner])
-    if ok.any():
-        polish = inner[ok]
-        t[polish] += shift[ok]
-        f0[polish] = f(t[polish])
-    return t, f0
+    ts = np.stack(((lo + hi) / 2, lo, hi))
+    fs, d1, d2 = (v.reshape(ts.shape) for v in evaluate(ts))
+    live = np.flatnonzero((d1[1] > 0) & (d1[2] < 0))
+    t, f, d1, d2 = ts[0], fs[0], d1[0], d2[0]  # the interior points, in place
+    a, b, last, before = lo.copy(), hi.copy(), hi - lo, hi - lo  # and the last 2 steps
+    while True:
+        x, s1, s2 = t[live], d1[live], d2[live]
+        up = s1 > 0
+        a[live[up]], b[live[~up]] = x[up], x[~up]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(s2 < 0, -s1 / s2, np.inf)
+        # converged before contained: a converged step may round onto an end
+        tol = np.maximum(TIME_RESOLUTION, np.spacing(x))
+        go = (np.abs(dx) > tol) & (b[live] - a[live] > tol)
+        live, x, dx = live[go], x[go], dx[go]
+        if not live.size:
+            break
+        new = np.where((a[live] < x + dx) & (x + dx < b[live])
+                       & (np.abs(dx) < before[live] / 2), x + dx, (a[live] + b[live]) / 2)
+        before[live], last[live] = last[live], np.abs(new - x)
+        t[live] = new
+        f[live], d1[live], d2[live] = evaluate(new)
+    best, cols = np.argmax(sign * np.abs(fs), axis=0), np.arange(lo.size)
+    return ts[best, cols], fs[best, cols]
+
+
+def _grid_count(points: float) -> int:
+    """int(points); BadParam when the horizon makes the scan grid infinite."""
+    if not points < np.inf:
+        raise BadParam(f"the horizon needs {points} grid points")
+    return int(points)
 
 
 def _scan(curve, step: float, total: int):
@@ -174,12 +178,11 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     if not t_max > 0:
         raise BadParam(f"t_max must be positive, got {t_max}")
     curve, cert = transfer_curve(g, u, v, t_max, tol)
-    n = max(4096, int(64 * t_max * max(degree_profile(g).m, 1.0)))
+    n = max(4096, _grid_count(64 * t_max * max(degree_profile(g).m, 1.0)))
     step = t_max / n
     # a peak has no larger neighbour (0 beyond both ends); a window's last
     # point is decided with the next window, so ext carries it and its left
-    prev = np.zeros(1)
-    first = 1  # grid index of ext[1]
+    prev, first = np.zeros(1), 1  # first: the grid index of ext[1]
     peaks = []
     for _, f in chain(_scan(curve, step, n), [(None, np.zeros(1))]):
         ext = np.concatenate((prev, f))
@@ -189,15 +192,13 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
         first += mid.size
         prev = ext[-2:]
     peaks = np.concatenate(peaks)
-    taus, fids = _golden_max(lambda t: np.abs(curve(t)),
-                             np.maximum(peaks - step, TIME_RESOLUTION),
-                             np.minimum(peaks + step, t_max))
+    taus, amps = _refine(curve, np.maximum(peaks - step, TIME_RESOLUTION),
+                         np.minimum(peaks + step, t_max))
     kind = "periodic" if u.is_parallel_to(v) else "PST"
     reports: list[TransferReport] = []
-    for t_star, f_star, amp in zip(taus, fids, curve(taus)):
-        if not f_star >= 1 - pst_tol:
-            continue
-        if reports and abs(reports[-1].tau - t_star) < DEDUP_TIME:
+    for t_star, f_star, amp in zip(taus, np.abs(amps), amps):
+        if not f_star >= 1 - pst_tol or (
+                reports and abs(reports[-1].tau - t_star) < DEDUP_TIME):
             continue
         reports.append(TransferReport(u, v, float(t_star), complex(amp) / abs(amp),
                                       float(f_star), kind, cert))
@@ -218,9 +219,8 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     if not t_cap > 0:
         raise BadParam(f"t_cap must be positive, got {t_cap}")
     curve, cert = transfer_curve(g, u, v, t_cap, tol)
-    m = max(degree_profile(g).m, 1.0)
-    step = 1.0 / (64 * m)
-    total = int(np.ceil(t_cap / step))
+    step = 1.0 / (64 * max(degree_profile(g).m, 1.0))
+    total = _grid_count(np.ceil(t_cap / step))
     best_f = 0.0
     skipping = u.is_parallel_to(v)
 
@@ -234,8 +234,7 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
             below = np.nonzero(f < target_fidelity - 0.005)[0]
             if below.size == 0:
                 continue
-            ts = ts[below[0]:]
-            f = f[below[0]:]
+            ts, f = ts[below[0]:], f[below[0]:]
             skipping = False
         best_f = max(best_f, float(f.max()))
         hits = np.flatnonzero(f >= target_fidelity - 0.005)
@@ -244,16 +243,15 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
             # all refined at once; the earliest that reaches the target wins
             runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
             peaks = ts[[run[np.argmax(f[run])] for run in runs]]
-            taus, fids = _golden_max(lambda t: np.abs(curve(t)),
-                                     np.maximum(peaks - step, TIME_RESOLUTION),
-                                     np.minimum(peaks + step, t_cap))
+            taus, amps = _refine(curve, np.maximum(peaks - step, TIME_RESOLUTION),
+                                 np.minimum(peaks + step, t_cap))
+            fids = np.abs(amps)
             best_f = max(best_f, float(fids.max()))
             reached = np.flatnonzero(fids >= target_fidelity)
             if reached.size:
-                t_star, f_star = taus[reached[0]], fids[reached[0]]
-                amp = complex(curve(t_star)[0])
-                return TransferReport(u, v, float(t_star), amp / abs(amp),
-                                      float(f_star), "PGST-witness", cert)
+                amp = complex(amps[reached[0]])
+                return TransferReport(u, v, float(taus[reached[0]]), amp / abs(amp),
+                                      float(fids[reached[0]]), "PGST-witness", cert)
     raise Unreached(best_f)
 
 
@@ -301,9 +299,11 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
 
     step = horizon / SEDENTARY_GRID
     f = np.abs(curve.grid(step, SEDENTARY_GRID))
-    lows = (np.argpartition(f, 32)[:32] + 1) * step
-    _, neg_f = _golden_max(lambda t: -np.abs(curve(t)),
-                           np.maximum(lows - step, TIME_RESOLUTION),
-                           np.minimum(lows + step, horizon))
-    grid_min = min(float(f.min()), float(-neg_f.max()))
+    # the 32 lowest local minima (inf beyond both ends), one per basin
+    ext = np.concatenate(([np.inf], f, [np.inf]))
+    mins = np.flatnonzero((f <= ext[:-2]) & (f <= ext[2:]))
+    lows = (mins[np.argpartition(f[mins], min(32, mins.size - 1))[:32]] + 1) * step
+    _, amps = _refine(curve, np.maximum(lows - step, TIME_RESOLUTION),
+                      np.minimum(lows + step, horizon), sign=-1.0)
+    grid_min = min(float(f.min()), float(np.abs(amps).min()))
     return SedentaryEstimate(u, grid_min, horizon, period)

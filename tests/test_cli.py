@@ -128,6 +128,17 @@ def test_bad_parameters_exit_2(tmp_path, capsys):
     assert "PASS" not in capsys.readouterr().out
 
 
+def test_horizon_without_a_finite_grid_exits_2(tmp_path, capsys):
+    gfile = tmp_path / "p2.json"
+    main(["construct", "path", "--n", "2", "-o", str(gfile)])
+    pair = ["--vertex", "0", "--vertex-dst", "1"]
+    assert main(["check", "search", str(gfile), *pair, "--t-max", "1e308"]) == 2
+    assert main(["check", "pgst", str(gfile), *pair, "--t-cap", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["check", "pst", "{g}", "--pair", "0,x", "--pair-dst", "1,2", "--tau", "1"],
      "--pair"),

@@ -27,6 +27,7 @@ from qwalk import (
     fidelity,
     graph_to_document,
     pair_state,
+    path_graph,
     plus_state,
     reduced_hamiltonian,
     switch,
@@ -48,7 +49,8 @@ from qwalk.spectral import (
     SpectralDecomposition,
     required_truncation,
 )
-from qwalk.transfer import GOLDEN, TIME_RESOLUTION, _golden_max
+from qwalk import transfer
+from qwalk.transfer import SEDENTARY_GRID, TIME_RESOLUTION, _refine
 from qwalk.twins import CHECK_HORIZON, WEIGHT_TOL
 from conftest import random_twin_instance
 
@@ -378,9 +380,12 @@ def test_grid_matches_pointwise_curve_at_long_horizons(size, lam_max, seed, coun
     np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
 
+GOLDEN = (math.sqrt(5.0) - 1) / 2
+
+
 def _scalar_golden_max(f, lo, hi):
-    """Reference: golden section over one bracket with a scalar f, then the
-    same parabolic polish; the routine that the lockstep one replaced."""
+    """Reference: golden section over one bracket with a scalar f, then a
+    parabolic polish; the routine that safeguarded Newton replaced."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -410,25 +415,56 @@ def _scalar_golden_max(f, lo, hi):
 @given(size=st.integers(1, 30), lam_max=st.floats(0.1, 8.0),
        seed=st.integers(0, 2 ** 32 - 1), brackets=st.integers(1, 40),
        sign=st.sampled_from([1.0, -1.0]))
-def test_lockstep_golden_matches_scalar_reference(size, lam_max, seed, brackets, sign):
+def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
+                                                         brackets, sign):
     curve = random_curve(size, lam_max, seed)
-
-    def f(ts):
-        # one time at a time, so both routines see bit-identical values
-        return np.array([sign * abs(np.exp(1j * t * curve.eigenvalues) @ curve.weights)
-                         for t in np.atleast_1d(ts)])
-
     rng = np.random.default_rng(seed)
     # brackets up to 8 scan steps of 1/(64 M) wide, some reaching t = 0
     lo = np.where(rng.random(brackets) < 0.2, TIME_RESOLUTION,
                   rng.uniform(0.0, 60.0, brackets))
     hi = lo + rng.uniform(TIME_RESOLUTION, 1 / (8 * lam_max), brackets)
-    ts, fs = _golden_max(f, lo, hi)
+    ts, fs = _refine(curve, lo, hi, sign)
+    np.testing.assert_allclose(fs, curve(ts), rtol=0, atol=1e-15)
+    assert np.all((lo <= ts) & (ts <= hi))
+    values = sign * np.abs(fs)
+    scale = np.abs(curve.weights).sum()
+    # golden section stops up to TIME_RESOLUTION short of an end maximum,
+    # where the value still changes by up to sum |w lam| per unit time
+    slack = TIME_RESOLUTION * np.abs(curve.weights * curve.eigenvalues).sum()
     for i in range(brackets):
-        t_ref, f_ref = _scalar_golden_max(lambda t: f(t)[0], lo[i], hi[i])
-        assert abs(fs[i] - f_ref) <= 1e-12
-        assert ts[i] == t_ref
-    np.testing.assert_array_equal(fs, f(ts))
+        grid = sign * np.abs(curve(np.linspace(lo[i], hi[i], 2001)))
+        assert values[i] >= grid.max() - 1e-14 * scale
+        _, f_ref = _scalar_golden_max(lambda t: sign * abs(curve(t)[0]), lo[i], hi[i])
+        assert f_ref - 1e-12 <= values[i] <= f_ref + 1e-12 + slack
+
+
+def _lowest_points_min(curve, horizon):
+    """Reference: the sedentary rule that refined the 32 lowest grid points,
+    several of them often in one basin."""
+    step = horizon / SEDENTARY_GRID
+    f = np.abs(curve.grid(step, SEDENTARY_GRID))
+    lows = (np.argpartition(f, 32)[:32] + 1) * step
+    _, amps = _refine(curve, np.maximum(lows - step, TIME_RESOLUTION),
+                      np.minimum(lows + step, horizon), sign=-1.0)
+    return min(float(f.min()), float(np.abs(amps).min()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 30), lam_max=st.floats(0.1, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1), horizon=st.floats(1.0, 300.0))
+def test_sedentary_basins_reach_no_higher_than_lowest_points(size, lam_max, seed,
+                                                             horizon):
+    # every basin the lowest points lie in has its minimum point among the 32
+    # lowest local minima, so refining the basins can only lower grid_min
+    curve = random_curve(size, lam_max, seed)
+    with patch.object(transfer, "transfer_curve", lambda *args: (curve, None)):
+        est = transfer.sedentary_estimate(path_graph(2), vertex_state(0), horizon)
+    reference = _lowest_points_min(curve, est.horizon)
+    # one basin's minimum, evaluated at two points within TIME_RESOLUTION of
+    # each other, differs by the roundoff of the phases t * lam
+    tol = (1e-15 * (1 + est.horizon * np.abs(curve.eigenvalues).max())
+           * np.abs(curve.weights).sum())
+    assert est.grid_min <= reference + tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,9 +21,9 @@ from qwalk import (
     sedentary_estimate,
     vertex_state,
 )
-from qwalk.errors import NoTransfer, Unreached
-from qwalk.spectral import exp_oracle
-from qwalk.transfer import _golden_max
+from qwalk.errors import BadParam, NoTransfer, Unreached
+from qwalk.spectral import FidelityCurve, exp_oracle
+from qwalk.transfer import SEDENTARY_GRID, _refine
 
 
 def test_check_pst_p2():
@@ -109,19 +109,94 @@ def test_pgst_witness_returns_the_earliest_run():
     assert fidelity(g, vertex_state(0), vertex_state(3), 53.389) > 0.9999
 
 
-def test_golden_max_stops_where_one_ulp_exceeds_the_resolution():
-    # past t = 8192 one ulp is wider than TIME_RESOLUTION; the bracket must
-    # stop shrinking there instead of looping forever
+def _counted_curve_calls():
+    """Patch FidelityCurve.__call__ to record the number of times per call."""
     calls = []
+    call = FidelityCurve.__call__
 
-    def f(ts):
-        calls.append(len(ts))
+    def counted(self, ts):
+        calls.append(np.size(ts))
         assert len(calls) < 1000, "refinement does not terminate"
-        return -np.abs(ts - 9000.0031)
+        return call(self, ts)
 
-    ts, fs = _golden_max(f, [9000.0, 12000.0], [9000.01, 12000.5])
-    np.testing.assert_allclose(ts, [9000.0031, 12000.0], rtol=0, atol=1e-11)
-    assert _golden_max(f, [], [])[0].size == 0
+    return calls, patch.object(FidelityCurve, "__call__", counted)
+
+
+# |f(t)| = |cos(t/2)|: maxima at t = 2 pi k, minima at t = pi (2k + 1)
+HALF_COS = FidelityCurve(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+
+
+# |f(t)|^2 = 17.25 + 4 cos t - cos 2t: a flat (quartic, g'' = 0) maximum 4.5
+# at t = 2 pi k, where Newton converges slowly and bisection takes over
+FLAT = FidelityCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 4.0, -0.5]) + 0j)
+
+
+@pytest.mark.parametrize("curve, top, max_calls, t_tol", [
+    (HALF_COS, 1.0, 10, 1e-11), (FLAT, 4.5, 200, 1e-6)], ids=["newton", "bisection"])
+def test_refinement_stops_where_one_ulp_exceeds_the_resolution(curve, top, max_calls,
+                                                               t_tol):
+    # past t = 8192 one ulp is wider than TIME_RESOLUTION; every bracket must
+    # stop there instead of looping forever
+    peaks = 2 * math.pi * np.array([1432, 1910])  # t ~ 9000 and 12000
+    calls, counting = _counted_curve_calls()
+    with counting:
+        ts, fs = _refine(curve, peaks - 0.01, peaks + 0.005)
+    assert len(calls) <= max_calls
+    np.testing.assert_allclose(ts, peaks, rtol=0, atol=t_tol)
+    np.testing.assert_allclose(np.abs(fs), top, rtol=1e-15)
+
+
+def test_refinement_of_no_bracket_is_empty():
+    for sign in (1.0, -1.0):
+        ts, fs = _refine(HALF_COS, [], [], sign)
+        assert ts.shape == fs.shape == (0,)
+
+
+def test_refinement_returns_an_end_extremum_exactly():
+    # |cos(t/2)| falls over (2 pi k, pi (2k + 1)): the maximum is the left end,
+    # the minimum the right end
+    lo, hi = 12000 * math.pi + np.array([0.1, 0.2]), 12000 * math.pi + np.array([0.6, 3.0])
+    ts, _ = _refine(HALF_COS, lo, hi)
+    np.testing.assert_array_equal(ts, lo)
+    ts, _ = _refine(HALF_COS, lo, hi, sign=-1.0)
+    np.testing.assert_array_equal(ts, hi)
+
+
+def test_search_refines_in_few_curve_evaluations():
+    # every one of the 315 peaks is refined in the same few lockstep calls
+    gd = named_gadget("flyswatter", tail_len=0)
+    calls, counting = _counted_curve_calls()
+    with counting:
+        reps = search_pst(gd.graph, gd.src, gd.dst, 1400.0)
+    assert len(reps) == 315
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("query", [
+    lambda g, u, v: search_pst(g, u, v, 1e308),
+    lambda g, u, v: pgst_witness(g, u, v, 0.9, 1e308),
+], ids=["search", "pgst"])
+def test_infinite_grid_is_a_bad_parameter(query):
+    with pytest.raises(BadParam):
+        query(path_graph(2), vertex_state(0), vertex_state(1))
+
+
+def test_sedentary_refines_one_point_per_basin():
+    # the 32 lowest grid points of h2p's attach vertex at horizon 30 include
+    # neighbours in one basin (5.2515, 5.253, 5.2545, 5.256); its lowest local
+    # minima lie at least two grid steps apart
+    gd = named_gadget("h2p", p=5, tail_len=0)
+    brackets = []
+
+    def spy(curve, lo, hi, sign=1.0):
+        brackets.append((lo, hi))
+        return _refine(curve, lo, hi, sign)
+
+    with patch("qwalk.transfer._refine", spy):
+        est = sedentary_estimate(gd.graph, vertex_state(5), 30.0)
+    (lo, hi), = brackets
+    step = est.horizon / SEDENTARY_GRID
+    assert np.all(np.diff(np.sort((lo + hi) / 2)) > 1.5 * step)
 
 
 def test_sedentary_kn_exact_period():
@@ -169,12 +244,12 @@ def test_report_serialization():
 
 def test_decoupled_search_reaches_long_horizons():
     # far past the horizon a truncation can certify (t ~ 1500): every odd
-    # multiple of pi/sqrt2, each pinned by the parabolic polish
+    # multiple of pi/sqrt2, each pinned by Newton on the exact derivatives
     gd = named_gadget("flyswatter", tail_len=0)
     reps = search_pst(gd.graph, gd.src, gd.dst, 1400.0)
     period = math.pi / math.sqrt(2)
     assert len(reps) == 315
-    assert all(abs(r.tau - (2 * k + 1) * period) < 1e-9 for k, r in enumerate(reps))
+    assert all(abs(r.tau - (2 * k + 1) * period) < 1e-11 for k, r in enumerate(reps))
     cert = reps[0].certificate
     assert cert.L == 0 and cert.dim == 4 and cert.residual * cert.t < 1e-11
 
