@@ -11,12 +11,12 @@ pass, so its pinned draws no longer depend on NumPy keeping
 bit generators).  Each block of sequences is then surveyed as arrays, with
 no per-tree Python loop and no graph object: all its rows are decoded in
 lockstep to edge arrays, the limb is found from each vertex's degree and
-neighbour sum, and each hit's transfer is checked on the full spectrum of
-its dense adjacency matrix.  The exhaustive survey counts all n^(n-2)
-labelled trees exactly: the trees without the limb are counted by their
-exponential generating function (Flajolet & Sedgewick, Analytic
-Combinatorics, 2009, VII.4), in one pass of an integer recurrence, and the
-rest carry it.  Both
+neighbour sum, and each hit's transfer is checked on the 2-dimensional
+Krylov space of its leaves' pair state, with an a-posteriori error bound
+and no eigensolver.  The exhaustive survey counts all n^(n-2) labelled
+trees exactly: the trees without the limb are counted by their exponential
+generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
+VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
 count uniform labelled trees: this demonstrates the transfer mechanism on a
 tractable tree model; it is not a statement about any other random-tree
 measure.
@@ -36,8 +36,7 @@ from .transfer import PST_TOL
 from .twins import TwinStructure
 
 
-# sequence entries the survey draws per block of trees, and adjacency
-# entries per stacked eigh of its hits
+# sequence entries the survey draws per block of trees
 DRAW_BLOCK = 1 << 16
 
 # numpy.random.SeedSequence: pool size and hash constants
@@ -272,30 +271,74 @@ def _limbs(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row[take[:, 0]], np.stack((leaf[take], mid[take]), axis=2)
 
 
+def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per hit of (hits, n-1, 2) tree ``edges`` and (hits, 2, 2) ``arms``
+    ((l1, m1), (l2, m2)): the amplitude v* e^(i pi A/2) u of the pair states
+    u = (e_l1 - e_l2)/sqrt 2 and v = (e_m1 - e_m2)/sqrt 2 on the 2-dimensional
+    Krylov space of u, and a bound on its error.
+
+    Two Lanczos steps, A u = a1 u + b1 q and A q = b1 u + a2 q + r, give
+    A Q = Q H + r e_2^T for Q = [u q] and the tridiagonal H = [[a1, b1],
+    [b1, a2]].  The amplitude is v* Q e^(i pi H/2) e_1, by the closed form
+    of a 2x2 exponential; by Duhamel it is within (pi/2)||r|| of the true
+    one (Saad, SIAM J. Numer. Anal. 1992).  Each product A x is one bincount
+    over the flat edge ends of all hits.  For a double-P_2 limb A.B = B.T
+    (B the arms' difference vectors, T the adjacency of P_2), so r is 0 up
+    to roundoff; nothing here assumes that, so wrong arms read a wrong
+    amplitude or an open space.  When b1 = 0, u is an eigenvector and q
+    is 0."""
+    hits = len(edges)
+    if not hits:  # an empty bincount is an integer array
+        return np.empty(0, complex), np.empty(0)
+    flat = edges + (np.arange(hits) * n)[:, None, None]
+    ends, other = flat.ravel(), flat[:, :, ::-1].ravel()
+
+    def times_a(x):  # each edge end gathers its neighbour's entry
+        return np.bincount(ends, weights=x.ravel()[other],
+                           minlength=hits * n).reshape(hits, n)
+
+    (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
+    h, s = np.arange(hits), 0.5 ** 0.5
+    u, v = np.zeros((hits, n)), np.zeros((hits, n))
+    u[h, l1] = v[h, m1] = s
+    u[h, l2] -= s
+    v[h, m2] -= s
+    w = times_a(u)
+    a1 = np.vecdot(u, w)
+    w -= a1[:, None] * u
+    b1 = np.sqrt(np.vecdot(w, w))
+    q = w / np.where(b1 > 0, b1, 1.0)[:, None]
+    z = times_a(q)
+    a2 = np.vecdot(q, z)
+    z -= b1[:, None] * u + a2[:, None] * q
+    r = np.sqrt(np.vecdot(z, z))
+    # e^(i t H) = e^(i t mean) (cos(t om) I + i sin(t om)/om K) for
+    # K = H - mean I = [[d, b1], [b1, -d]], om^2 = d^2 + b1^2
+    t = pi / 2
+    mean, d = (a1 + a2) / 2, (a1 - a2) / 2
+    om = np.hypot(d, b1)
+    sin_over = t * np.sinc(t * om / pi)  # sin(t om)/om, and t at om = 0
+    phase = np.exp(1j * t * mean)
+    amp = phase * (np.vecdot(v, u) * (np.cos(t * om) + 1j * d * sin_over)
+                   + np.vecdot(v, q) * 1j * b1 * sin_over)
+    return amp, t * r
+
+
 def _hit_amplitudes(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
-    """v* e^(i pi A/2) u for u and v the pair states of each hit's leaves
-    (l1, l2) and midpoints (m1, m2), on the full spectrum of the tree's dense
-    adjacency A: sum_k (phi_k[m1] - phi_k[m2])(phi_k[l1] - phi_k[l2])/2
-    e^(i pi lambda_k/2).  One stacked ``eigh`` takes the adjacencies of up
-    to DRAW_BLOCK entries at a time."""
-    out = np.empty(len(edges), complex)
-    step = max(1, DRAW_BLOCK // (n * n))
-    for lo in range(0, len(edges), step):
-        e = edges[lo:lo + step]
-        (l1, m1), (l2, m2) = arms[lo:lo + step].transpose(1, 2, 0)
-        h = np.arange(len(e))
-        a = np.zeros((len(e), n, n))
-        a[h[:, None], e[:, :, 0], e[:, :, 1]] = a[h[:, None], e[:, :, 1], e[:, :, 0]] = 1.0
-        lam, phi = np.linalg.eigh(a)
-        d = (phi[h, m1] - phi[h, m2]) * (phi[h, l1] - phi[h, l2])
-        out[lo:lo + step] = (d * np.exp(0.5j * pi * lam)).sum(axis=1) / 2
-    return out
+    """The amplitudes of ``_pair_transfer``, without their bounds."""
+    return _pair_transfer(edges, arms, n)[0]
 
 
 def _verify_hits(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
-    """Per hit, whether the pair transfer leaves -> midpoints passes at pi/2:
-    an independent full-spectrum check, not the twin theorem."""
-    return np.abs(_hit_amplitudes(edges, arms, n)) >= 1 - PST_TOL
+    """Per hit, whether the pair transfer leaves -> midpoints passes at pi/2
+    with its error bound: |amp| - (pi/2)||r|| >= 1 - PST_TOL on the
+    2-dimensional Krylov space of the leaves' pair state (``_pair_transfer``),
+    two sparse products with the stacked adjacencies and no eigensolver.  The
+    check is independent of the twin theorem: it reads the transfer off the
+    tree, and holds wrong arms unverified."""
+    amp, bound = _pair_transfer(edges, arms, n)
+    return np.abs(amp) - bound >= 1 - PST_TOL
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
@@ -392,7 +435,9 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     each block is surveyed with array operations: ``_prufer_edges`` decodes
     its rows in lockstep, ``_limbs`` finds the limbs from degrees and
     neighbour sums, and ``_verify_hits`` checks each hit's transfer on the
-    full spectrum of its adjacency matrix.  No graph object is built.
+    2-dimensional Krylov space of its pair state, two sparse products with
+    all of the block's hits at once and an error bound that the verdict
+    takes into account.  No graph object and no dense matrix is built.
 
     Raises BadParam unless the sizes are an iterable of integers, the
     sample count a nonnegative integer of at most 2^32 (so that k fits one

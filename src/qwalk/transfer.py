@@ -37,6 +37,7 @@ TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
 SEDENTARY_GRID = 20_000
 PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
+MAX_GRID = 1 << 32  # grid points a scan may walk: about 2 minutes at 4e7 points/s
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,11 @@ def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
 
 
 def _grid_count(points: float) -> int:
-    """int(points); BadParam when the horizon makes the scan grid infinite."""
-    if not points < np.inf:
-        raise BadParam(f"the horizon needs {points} grid points")
+    """int(points); BadParam when the horizon makes the scan grid longer than
+    MAX_GRID points (or not finite), so it could not be walked."""
+    if not points <= MAX_GRID:
+        raise BadParam(f"the horizon needs {points:.3g} grid points, "
+                       f"more than the {MAX_GRID} a scan may walk")
     return int(points)
 
 
@@ -173,12 +176,13 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     """All PST times in (0, t_max], found by grid scan plus local refinement.
 
     Returns refined local fidelity maxima reaching 1 - pst_tol, deduplicated
-    within 1e-6 in t.
+    within 1e-6 in t.  The grid has max(4096, 64 M t_max) points (M the
+    maximum absolute degree); BadParam when that exceeds MAX_GRID = 2^32.
     """
     if not t_max > 0:
         raise BadParam(f"t_max must be positive, got {t_max}")
-    curve, cert = transfer_curve(g, u, v, t_max, tol)
     n = max(4096, _grid_count(64 * t_max * max(degree_profile(g).m, 1.0)))
+    curve, cert = transfer_curve(g, u, v, t_max, tol)
     step = t_max / n
     # a peak has no larger neighbour (0 beyond both ends); a window's last
     # point is decided with the next window, so ext carries it and its left
@@ -212,15 +216,17 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
 
     This only witnesses high fidelity at a finite time; it does not decide the
     limiting behaviour.  For u parallel to v the initial plateau around t=0 is
-    skipped and the first return is reported.
+    skipped and the first return is reported.  The grid has ceil(64 M t_cap)
+    points (M the maximum absolute degree); BadParam when that exceeds
+    MAX_GRID = 2^32.
     """
     if not target_fidelity < 1:
         raise BadParam(f"target fidelity must be below 1, got {target_fidelity}")
     if not t_cap > 0:
         raise BadParam(f"t_cap must be positive, got {t_cap}")
-    curve, cert = transfer_curve(g, u, v, t_cap, tol)
     step = 1.0 / (64 * max(degree_profile(g).m, 1.0))
     total = _grid_count(np.ceil(t_cap / step))
+    curve, cert = transfer_curve(g, u, v, t_cap, tol)
     best_f = 0.0
     skipping = u.is_parallel_to(v)
 

@@ -132,11 +132,17 @@ def test_horizon_without_a_finite_grid_exits_2(tmp_path, capsys):
     gfile = tmp_path / "p2.json"
     main(["construct", "path", "--n", "2", "-o", str(gfile)])
     pair = ["--vertex", "0", "--vertex-dst", "1"]
-    assert main(["check", "search", str(gfile), *pair, "--t-max", "1e308"]) == 2
-    assert main(["check", "pgst", str(gfile), *pair, "--t-cap", "1e308"]) == 2
+    start = time.monotonic()
+    # 64 * 1e200 grid points are finite, but are refused at once, not
+    # scanned for ever
+    for horizon in ("1e308", "1e200"):
+        assert main(["check", "search", str(gfile), *pair, "--t-max", horizon]) == 2
+        assert main(["check", "pgst", str(gfile), *pair, "--t-cap", horizon]) == 2
+    assert time.monotonic() - start < 5
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert "Traceback" not in captured.err
+    assert captured.err.count("grid points") == 4
 
 
 @pytest.mark.parametrize("argv, flag", [

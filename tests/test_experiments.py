@@ -7,6 +7,7 @@ from math import e, factorial, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk import (
     LimbReport,
@@ -21,11 +22,12 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_hit_amplitudes, _limbs, _pinned_integers, _prufer_edges,
-                                _tree_edges, _verify_hits, limb_tree, prufer_decode)
+from qwalk.experiments import (_hit_amplitudes, _limbs, _pair_transfer, _pinned_integers,
+                                _prufer_edges, _tree_edges, _verify_hits, limb_tree,
+                                prufer_decode)
 from qwalk.graphs import pair_state
 from qwalk.spectral import transfer_amplitude
-from qwalk.transfer import check_pst
+from qwalk.transfer import PST_TOL, check_pst
 from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
@@ -449,6 +451,79 @@ def test_verifier_amplitudes_match_transfer_amplitude(seed):
             assert abs(amp - ref) < 1e-12
             checked += 1
     assert checked > 50
+
+
+def _dense_amplitudes(edges, arms, n):
+    """The verifier's oracle: v* e^(i pi A/2) u for the pair states of each
+    row's leaves (l1, l2) and midpoints (m1, m2), on the full spectrum of the
+    tree's dense adjacency A: sum_k (phi_k[m1] - phi_k[m2])(phi_k[l1] -
+    phi_k[l2])/2 e^(i pi lambda_k/2)."""
+    rows = np.arange(len(edges))
+    x, y = edges[:, :, 0], edges[:, :, 1]
+    a = np.zeros((len(edges), n, n))
+    a[rows[:, None], x, y] = a[rows[:, None], y, x] = 1
+    lam, phi = np.linalg.eigh(a)
+    (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
+    d = (phi[rows, m1] - phi[rows, m2]) * (phi[rows, l1] - phi[rows, l2])
+    return (d * np.exp(0.5j * pi * lam)).sum(axis=1) / 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(6, 40), st.integers(0, 2 ** 32 - 1))
+def test_krylov_amplitudes_match_the_dense_oracle(n, seed):
+    # real hits, and wrong arms: a hit's second leaf moved to another vertex,
+    # and four vertices drawn at random
+    rng = np.random.default_rng(seed)
+    edges = _prufer_edges(rng.integers(0, n, (30, n - 2)), n)
+    found, arms = _limbs(edges, n)
+    amp, bound = _pair_transfer(edges[found], arms, n)
+    assert np.all(np.abs(amp - _dense_amplitudes(edges[found], arms, n)) < 1e-12)
+    assert np.all(bound < 1e-12) and _verify_hits(edges[found], arms, n).all()
+    moved = arms.copy()
+    moved[:, 1, 0] = rng.integers(0, n, len(arms))
+    drawn = rng.integers(0, n, (len(edges), 2, 2))
+    for rows, wrong in ((edges[found], moved), (edges, drawn)):
+        amp, bound = _pair_transfer(rows, wrong, n)
+        oracle = _dense_amplitudes(rows, wrong, n)
+        assert np.all(np.abs(amp - oracle) <= bound + 1e-12)
+        # a verified transfer is a true one
+        verified = _verify_hits(rows, wrong, n)
+        assert np.all(np.abs(oracle[verified]) >= 1 - PST_TOL - 1e-12)
+
+
+def test_wrong_arms_fail_on_the_amplitude_or_the_residual():
+    # limb_tree(9)'s leaves 0 and 4 go to their midpoints 1 and 3; to the
+    # midpoint 1 and the centre's extra leaf 5 only half the amplitude goes
+    amp, bound = _pair_transfer(_tree_edges(limb_tree(9)), np.array([[[0, 1], [4, 5]]]), 9)
+    assert abs(abs(amp[0]) - 0.5) < 1e-15 and bound[0] < 1e-15
+    # the arms 0-1 and 4-3 of the path 0-...-4, with a sixth vertex hung on
+    # the leaf 0 or the midpoint 1: A.B != B.T, so the pair state's space
+    # does not close, and the residual bound refuses the transfer even where
+    # the amplitude on the space reads 1
+    arms = np.array([[[0, 1], [4, 3]]] * 2)
+    path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    edges = np.array([path + [(0, 5)], path + [(1, 5)]])
+    amp, bound = _pair_transfer(edges, arms, 6)
+    assert np.all(bound > 0.5)
+    assert abs(abs(amp[1]) - 1) < 1e-15
+    assert np.all(np.abs(amp - _dense_amplitudes(edges, arms, 6)) <= bound)
+    assert _verify_hits(edges, arms, 6).tolist() == [False, False]
+
+
+def test_survey_makes_no_dense_eigh(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def refuse(a, *args, **kwargs):
+        assert np.shape(a)[-1] <= 2, f"eigh on a {np.shape(a)} matrix"
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    (rep,) = run_tree_experiment((24,), 200, 5)
+    assert rep.hit_count > 0 and rep.verified_count == rep.hit_count
+    rep = exhaustive_tree_experiment(40, verify=True)
+    assert rep.verified_count == rep.hit_count > 0
+    with pytest.raises(AssertionError):  # the refusal does see a dense eigh
+        np.linalg.eigh(np.eye(3))
 
 
 def test_survey_builds_no_graph(monkeypatch):

@@ -23,7 +23,7 @@ from qwalk import (
 )
 from qwalk.errors import BadParam, NoTransfer, Unreached
 from qwalk.spectral import FidelityCurve, exp_oracle
-from qwalk.transfer import SEDENTARY_GRID, _refine
+from qwalk.transfer import MAX_GRID, SEDENTARY_GRID, _grid_count, _refine
 
 
 def test_check_pst_p2():
@@ -172,13 +172,35 @@ def test_search_refines_in_few_curve_evaluations():
     assert len(calls) <= 8
 
 
+# horizons whose grid on P_2 (M = 1) is just over MAX_GRID points: search
+# walks 64 t_max points, pgst ceil(64 t_cap)
+OVER_THE_GRID = MAX_GRID / 64 * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("query", [
     lambda g, u, v: search_pst(g, u, v, 1e308),
     lambda g, u, v: pgst_witness(g, u, v, 0.9, 1e308),
-], ids=["search", "pgst"])
+    lambda g, u, v: search_pst(g, u, v, 1e200),
+    lambda g, u, v: pgst_witness(g, u, v, 0.9, 1e200),
+    lambda g, u, v: search_pst(g, u, v, OVER_THE_GRID),
+    lambda g, u, v: pgst_witness(g, u, v, 0.9, OVER_THE_GRID),
+], ids=["search", "pgst", "search-1e200", "pgst-1e200", "search-over", "pgst-over"])
 def test_infinite_grid_is_a_bad_parameter(query):
-    with pytest.raises(BadParam):
+    # an infinite grid, or a finite one too long to walk (which used to scan
+    # without end), is refused before the curve is built
+    def refuse(*args):
+        raise AssertionError("built the curve of a grid that cannot be walked")
+
+    with patch("qwalk.transfer.transfer_curve", refuse), pytest.raises(BadParam):
         query(path_graph(2), vertex_state(0), vertex_state(1))
+
+
+def test_grid_limit_is_inclusive():
+    assert MAX_GRID == 2 ** 32
+    assert _grid_count(float(MAX_GRID)) == MAX_GRID
+    for points in (MAX_GRID + 1.0, math.inf, math.nan):
+        with pytest.raises(BadParam):
+            _grid_count(points)
 
 
 def test_sedentary_refines_one_point_per_basin():
