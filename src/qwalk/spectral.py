@@ -262,29 +262,51 @@ def truncation_bound(m: float, t: float, order: int) -> float:
     return 4.0 * series_tail(m * abs(t) / 2.0, order + 1)
 
 
+def _bisect(pred, lo: int, hi: int) -> tuple[int, int]:
+    """Narrow (lo, hi], pred(hi) true, to hi = lo + 1 with pred(hi) still true;
+    lo moves only onto depths where pred is false."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def required_truncation(m: float, t: float, tol: float, legs: int,
                         cap: int = MAX_TRUNCATION) -> int:
-    """Smallest depth L with certified error below tol, for a walk from the
-    core with `legs` legs (STATE or AMPLITUDE): its expansion is exact up to
-    order legs*(L+1) - 1.  Found by doubling, then bisection."""
+    """Smallest depth L >= 1 with certified error below tol, for a walk from
+    the core with `legs` legs (STATE or AMPLITUDE): its expansion is exact up
+    to order legs*(L+1) - 1."""
+    x = m * abs(t) / 2.0
+    logx = math.log(x) if x else -math.inf
+
     def certified(L: int) -> bool:
         return truncation_bound(m, t, legs * (L + 1) - 1) < tol
+
+    def first_term_small(L: int) -> bool:
+        # 4 x^k / k! < tol, with the term computed as series_tail sums it, so
+        # certified(L) implies it
+        k = legs * (L + 1)
+        exponent = k * logx - math.lgamma(k + 1)
+        return exponent <= 700.0 and 4.0 * math.exp(exponent) < tol
 
     if not certified(cap):
         raise NonConvergent(
             f"truncation beyond {cap} needed for t={t} (M={m}, tol={tol})"
         )
-    hi = 1
+    # The terms x^k / k! peak at k ~ x, and a depth below the peak sums every
+    # term up to it.  Past the peak a tail is mostly its first term, which
+    # costs one lgamma: bisect on that from the peak for a close lower bound
+    # (every depth where it fails is uncertified), then gallop and bisect on
+    # the certificate itself.
+    lo = min(int(x) // legs, cap)
+    lo, hi = _bisect(first_term_small, 0 if first_term_small(lo) else lo, cap)
+    step = 1
     while not certified(hi):
-        hi = min(2 * hi, cap)
-    lo = hi // 2  # uncertified, or 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo, hi, step = hi, min(hi + step, cap), 2 * step
+    return _bisect(certified, lo, hi)[1]
 
 
 def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:

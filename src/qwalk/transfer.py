@@ -37,6 +37,7 @@ TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
 SEDENTARY_GRID = 20_000
 PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
+GRID_FLOOR = 4096  # fewest points of a search grid; pgst_witness's first window
 MAX_GRID = 1 << 32  # grid points a scan may walk: about 2 minutes at 4e7 points/s
 
 
@@ -144,13 +145,15 @@ def _grid_count(points: float) -> int:
     return int(points)
 
 
-def _scan(curve, step: float, total: int):
-    """|curve| on the grid step * (1, ..., total), in windows of at most
-    PGST_WINDOW points: yields (times, values) per window."""
-    for start in range(1, total + 1, PGST_WINDOW):
-        count = min(PGST_WINDOW, total + 1 - start)
-        yield (np.arange(start, start + count) * step,
-               np.abs(curve.grid(step, count, first=start)))
+def _scan(curve, step: float, total: int, doubling: bool = False):
+    """|curve| on the grid step * (1, ..., total), in windows of PGST_WINDOW
+    points, or (doubling) of GRID_FLOOR points doubling up to PGST_WINDOW:
+    yields (first grid index, values) per window."""
+    start, size = 1, GRID_FLOOR if doubling else PGST_WINDOW
+    while start <= total:
+        count = min(size, PGST_WINDOW, total + 1 - start)
+        yield start, np.abs(curve.grid(step, count, first=start))
+        start, size = start + count, 2 * size
 
 
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
@@ -176,12 +179,12 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     """All PST times in (0, t_max], found by grid scan plus local refinement.
 
     Returns refined local fidelity maxima reaching 1 - pst_tol, deduplicated
-    within 1e-6 in t.  The grid has max(4096, 64 M t_max) points (M the
+    within 1e-6 in t.  The grid has max(GRID_FLOOR, 64 M t_max) points (M the
     maximum absolute degree); BadParam when that exceeds MAX_GRID = 2^32.
     """
     if not t_max > 0:
         raise BadParam(f"t_max must be positive, got {t_max}")
-    n = max(4096, _grid_count(64 * t_max * max(degree_profile(g).m, 1.0)))
+    n = max(GRID_FLOOR, _grid_count(64 * t_max * max(degree_profile(g).m, 1.0)))
     curve, cert = transfer_curve(g, u, v, t_max, tol)
     step = t_max / n
     # a peak has no larger neighbour (0 beyond both ends); a window's last
@@ -218,7 +221,8 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     limiting behaviour.  For u parallel to v the initial plateau around t=0 is
     skipped and the first return is reported.  The grid has ceil(64 M t_cap)
     points (M the maximum absolute degree); BadParam when that exceeds
-    MAX_GRID = 2^32.
+    MAX_GRID = 2^32.  It is walked in windows that double from GRID_FLOOR
+    points, and the walk stops at the first window that answers.
     """
     if not target_fidelity < 1:
         raise BadParam(f"target fidelity must be below 1, got {target_fidelity}")
@@ -229,35 +233,49 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     curve, cert = transfer_curve(g, u, v, t_cap, tol)
     best_f = 0.0
     skipping = u.is_parallel_to(v)
-
-    for ts, f in _scan(curve, step, total):
+    near = target_fidelity - 0.005  # grid points at or above this start a run
+    # the best point of a run cut by the last window's edge, carried into the
+    # next window so the run is refined around its true peak
+    held_t = held_f = np.empty(0)
+    # windows double from GRID_FLOOR points, so the scan stops near the witness
+    for start, f in _scan(curve, step, total, doubling=True):
+        end = start + f.size - 1  # the window's last grid index
+        ts = np.arange(start, end + 1) * step
         if ts[-1] > t_cap:
             ts[-1] = t_cap
             f[-1] = abs(curve(t_cap)[0])
         if skipping:
             # wait until fidelity falls below the refine threshold too, so the
             # tail of the initial plateau cannot be reported as a return
-            below = np.nonzero(f < target_fidelity - 0.005)[0]
+            below = np.nonzero(f < near)[0]
             if below.size == 0:
                 continue
             ts, f = ts[below[0]:], f[below[0]:]
             skipping = False
+        ts, f = np.concatenate((held_t, ts)), np.concatenate((held_f, f))
+        held_t = held_f = np.empty(0)
         best_f = max(best_f, float(f.max()))
-        hits = np.flatnonzero(f >= target_fidelity - 0.005)
-        if hits.size:
-            # one candidate per contiguous run of near-target grid points,
-            # all refined at once; the earliest that reaches the target wins
-            runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
-            peaks = ts[[run[np.argmax(f[run])] for run in runs]]
-            taus, amps = _refine(curve, np.maximum(peaks - step, TIME_RESOLUTION),
-                                 np.minimum(peaks + step, t_cap))
-            fids = np.abs(amps)
-            best_f = max(best_f, float(fids.max()))
-            reached = np.flatnonzero(fids >= target_fidelity)
-            if reached.size:
-                amp = complex(amps[reached[0]])
-                return TransferReport(u, v, float(taus[reached[0]]), amp / abs(amp),
-                                      float(fids[reached[0]]), "PGST-witness", cert)
+        hits = np.flatnonzero(f >= near)
+        if not hits.size:
+            continue
+        # one candidate per contiguous run of near-target grid points,
+        # all refined at once; the earliest that reaches the target wins
+        runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
+        peaks = [run[np.argmax(f[run])] for run in runs]
+        if hits[-1] == f.size - 1 and end < total:
+            held_t, held_f = ts[peaks[-1:]], f[peaks[-1:]]
+            del peaks[-1]
+            if not peaks:
+                continue
+        taus, amps = _refine(curve, np.maximum(ts[peaks] - step, TIME_RESOLUTION),
+                             np.minimum(ts[peaks] + step, t_cap))
+        fids = np.abs(amps)
+        best_f = max(best_f, float(fids.max()))
+        reached = np.flatnonzero(fids >= target_fidelity)
+        if reached.size:
+            amp = complex(amps[reached[0]])
+            return TransferReport(u, v, float(taus[reached[0]]), amp / abs(amp),
+                                  float(fids[reached[0]]), "PGST-witness", cert)
     raise Unreached(best_f)
 
 

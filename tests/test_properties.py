@@ -35,6 +35,7 @@ from qwalk import (
     verify_twin_structure,
     vertex_state,
 )
+from qwalk.errors import Unreached
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import (
     EquitableData,
@@ -465,6 +466,48 @@ def test_sedentary_basins_reach_no_higher_than_lowest_points(size, lam_max, seed
     tol = (1e-15 * (1 + est.horizon * np.abs(curve.eigenvalues).max())
            * np.abs(curve.weights).sum())
     assert est.grid_min <= reference + tol
+
+
+def _pgst_outcome(curve, dst, target, t_cap, window):
+    """pgst_witness on `curve` (M = 1) from windows of `window` points
+    doubling up to PGST_WINDOW: (tau, fidelity), or (None, best fidelity)."""
+    with patch.object(transfer, "transfer_curve", lambda *args: (curve, None)), \
+            patch.object(transfer, "GRID_FLOOR", window):
+        try:
+            rep = transfer.pgst_witness(path_graph(2), vertex_state(0), dst,
+                                        target, t_cap)
+        except Unreached as exc:
+            return None, exc.best_fidelity
+    return rep.tau, rep.fidelity
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 30), lam_max=st.floats(0.1, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1), t_cap=st.floats(1.0, 300.0),
+       target=st.floats(0.3, 0.99), dst=st.sampled_from([0, 1]),
+       # 16 and 256 cut the grid into many more windows than GRID_FLOOR does
+       window=st.sampled_from([16, 256, transfer.GRID_FLOOR]))
+def test_doubling_pgst_scan_matches_one_window(size, lam_max, seed, t_cap, target,
+                                              dst, window):
+    # dst 0 is the source itself: the initial plateau is skipped first
+    curve = random_curve(size, lam_max, seed)
+    args = curve, vertex_state(dst), target, t_cap
+    with patch.object(transfer, "PGST_WINDOW", 1 << 16):  # > 64 * t_cap
+        tau, fid = _pgst_outcome(*args, 1 << 16)
+    got_tau, got_fid = _pgst_outcome(*args, window)
+    # the windows evaluate the same grid points to within the roundoff of the
+    # phases t * lam
+    tol = (1e-15 * (1 + t_cap * np.abs(curve.eigenvalues).max())
+           * np.abs(curve.weights).sum())
+    assert abs(got_fid - fid) <= tol
+    assert (got_tau is None) == (tau is None)
+    if tau is not None and abs(got_tau - tau) > 1e-12:
+        # only a run whose maxima tie within that roundoff (a curve of
+        # constant modulus, or equal periodic maxima) may be refined at
+        # another of its maxima
+        lo, hi = sorted((got_tau, tau))
+        between = np.abs(curve(np.arange(math.ceil(lo * 64), hi * 64) / 64))
+        assert between.min() >= target - 0.005 - tol
 
 
 @settings(max_examples=30, deadline=None)

@@ -23,6 +23,7 @@ from qwalk.errors import NonConvergent, TailsRequireTruncation
 from qwalk.spectral import (
     AMPLITUDE,
     CURVE_BLOCK,
+    MAX_TRUNCATION,
     STATE,
     FidelityCurve,
     SpectralDecomposition,
@@ -101,6 +102,44 @@ def test_required_truncation_is_minimal():
             < 0.6 * required_truncation(4.0, 50.0, 1e-9, STATE))
     with pytest.raises(NonConvergent):
         required_truncation(1e6, 1e6, 1e-9, STATE, cap=64)
+
+
+def _doubling_truncation(m, t, tol, legs, cap=MAX_TRUNCATION):
+    """Reference: the search by doubling from L = 1, then bisection."""
+    def certified(L):
+        return truncation_bound(m, t, legs * (L + 1) - 1) < tol
+
+    if not certified(cap):
+        raise NonConvergent("reference")
+    hi = 1
+    while not certified(hi):
+        hi = min(2 * hi, cap)
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("legs", [STATE, AMPLITUDE])
+@pytest.mark.parametrize("m, t, tol, cap", [
+    (3.0, 30.0, 1e-9, MAX_TRUNCATION), (3.0, 300.0, 1e-9, MAX_TRUNCATION),
+    (2.0, 1400.0, 1e-9, MAX_TRUNCATION), (2.0, -1400.0, 1e-12, 2 * MAX_TRUNCATION),
+    # the terms are small from the start: tiny x, or a tolerance above them
+    (0.0, 5.0, 1e-9, 64), (1.0, 1e-3, 1e-9, 64), (3.0, 2.0, 1e6, 64),
+    (3.0, 2.0, 30.0, 64), (1.0, 0.5, 2.0, 64), (3.0, 30.0, 1e-9, 7),
+])
+def test_required_truncation_matches_doubling_search(m, t, tol, cap, legs):
+    try:
+        expected = _doubling_truncation(m, t, tol, legs, cap)
+    except NonConvergent:
+        with pytest.raises(NonConvergent):
+            required_truncation(m, t, tol, legs, cap)
+    else:
+        assert required_truncation(m, t, tol, legs, cap) == expected
 
 
 def test_certificate_bound_dominates_observed_drift():

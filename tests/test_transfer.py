@@ -22,8 +22,9 @@ from qwalk import (
     vertex_state,
 )
 from qwalk.errors import BadParam, NoTransfer, Unreached
+from qwalk.reproduce import CLAIM_SETS
 from qwalk.spectral import FidelityCurve, exp_oracle
-from qwalk.transfer import MAX_GRID, SEDENTARY_GRID, _grid_count, _refine
+from qwalk.transfer import GRID_FLOOR, MAX_GRID, SEDENTARY_GRID, _grid_count, _refine
 
 
 def test_check_pst_p2():
@@ -79,17 +80,46 @@ def test_search_agrees_with_exp_oracle():
         assert abs(f - r.fidelity) < 1e-8
 
 
+def _grid_windows():
+    """Patch FidelityCurve.grid to record (first, count) per call."""
+    windows = []
+    grid = FidelityCurve.grid
+
+    def recorded(self, step, count, first=1):
+        windows.append((first, count))
+        return grid(self, step, count, first)
+
+    return windows, patch.object(FidelityCurve, "grid", recorded)
+
+
 def test_pgst_witness_found_and_unreached():
     g = blow_up(cycle_graph(8), 2)
     rep = pgst_witness(g, fiber_sum_state(8, 2, 0), fiber_sum_state(8, 2, 4),
                        0.999, 1e4)
     assert rep.kind == "PGST-witness"
     assert rep.fidelity >= 0.999
-    # P_6 end-to-end cannot reach 0.9999 quickly
-    with pytest.raises(Unreached) as exc:
+    # P_6 end-to-end cannot reach 0.9999 quickly, and the scan that says so
+    # covers the whole grid up to t_cap: ceil(50 * 64 M) points, M = 2
+    windows, recording = _grid_windows()
+    with recording, pytest.raises(Unreached) as exc:
         pgst_witness(path_graph(6), vertex_state(0), vertex_state(5),
                      0.9999, 50.0)
     assert 0 < exc.value.best_fidelity < 0.9999
+    ends = np.cumsum([count for _, count in windows])
+    assert [first for first, _ in windows] == [1, *(ends[:-1] + 1)]
+    assert ends[-1] == 50 * 64 * 2
+
+
+@pytest.mark.parametrize("claim, most", [("pgst-signed-c8", GRID_FLOOR),
+                                         ("pgst-double-c8", 3 * GRID_FLOOR)])
+def test_pgst_scan_stops_near_its_witness(claim, most):
+    # the witnesses sit at grid points 284 and 11660 of a 1.28e6-point grid:
+    # the scan evaluates the windows up to the one that answers, not the grid
+    run = {cid: fn for cid, _, fn in CLAIM_SETS["pgst"]}[claim]
+    windows, recording = _grid_windows()
+    with recording:
+        assert run()[2]
+    assert sum(count for _, count in windows) <= most
 
 
 def test_pgst_autocorrelation_skips_t0():
@@ -107,6 +137,13 @@ def test_pgst_witness_returns_the_earliest_run():
     assert abs(rep.tau - 28.0992589) < 1e-6
     assert 0.99 <= rep.fidelity < 0.997
     assert fidelity(g, vertex_state(0), vertex_state(3), 53.389) > 0.9999
+
+
+def test_pgst_witness_refines_a_run_cut_by_t_cap():
+    # the run around the P_4 witness (28.0992589) ends at the grid's last
+    # point, t_cap; no later window decides it, so it is refined at once
+    rep = pgst_witness(path_graph(4), vertex_state(0), vertex_state(3), 0.99, 28.1)
+    assert abs(rep.tau - 28.0992589) < 1e-6
 
 
 def _counted_curve_calls():
@@ -299,3 +336,24 @@ def test_windowed_search_matches_one_window(instance, pst_tol):
     for window in (1000, k - 2, k - 1, k, k + 1):
         with patch("qwalk.transfer.PGST_WINDOW", window):
             assert search_pst(g, u, v, t_max, pst_tol) == ref
+
+
+@pytest.mark.parametrize("g, u, v, target, t_cap", [
+    (blow_up(cycle_graph(8), 2), fiber_sum_state(8, 2, 0), fiber_sum_state(8, 2, 4),
+     0.999, 100.0),
+    (path_graph(4), vertex_state(0), vertex_state(3), 0.99, 200.0),
+], ids=["double-c8", "p4"])
+def test_windowed_pgst_matches_one_window(g, u, v, target, t_cap):
+    step = 1 / (64 * degree_profile(g).m)
+    assert t_cap / step < 1 << 20
+    with patch("qwalk.transfer.GRID_FLOOR", 1 << 20), \
+            patch("qwalk.transfer.PGST_WINDOW", 1 << 20):
+        ref = pgst_witness(g, u, v, target, t_cap)  # one window
+    assert pgst_witness(g, u, v, target, t_cap) == ref
+    # fixed windows ending just before, at and just after the first peak's
+    # grid point: a run cut by a window edge is refined around its peak
+    k = round(ref.tau / step)
+    for window in range(k - 6, k + 2):
+        with patch("qwalk.transfer.GRID_FLOOR", window), \
+                patch("qwalk.transfer.PGST_WINDOW", window):
+            assert pgst_witness(g, u, v, target, t_cap) == ref
