@@ -9,8 +9,10 @@ exp(i(gB + j)h lambda) = exp(igBh lambda) exp(ijh lambda): one matrix product
 per block (`FidelityCurve.grid`), not one complex exponential per time and
 eigenvalue.  All candidates are then refined at once by Newton's method on
 the curve's exact derivatives, with a bisection safeguard.  The frequencies
-are bounded by twice the maximum absolute degree M; the grids sample above
-that Nyquist rate so no peak is missed.
+are bounded by twice the maximum absolute degree M; all three scans
+(`search_pst`, `pgst_witness` and `sedentary_estimate`) sample 64 M points per
+unit time, far above that Nyquist rate, and walk their grids in `_scan`
+windows of at most PGST_WINDOW points.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from .spectral import (
 PST_TOL = 1e-9
 TIME_RESOLUTION = 1e-12
 DEDUP_TIME = 1e-6
-SEDENTARY_GRID = 20_000
 PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
-GRID_FLOOR = 4096  # fewest points of a search grid; pgst_witness's first window
+GRID_FLOOR = 4096  # fewest points of a search or sedentary grid; pgst_witness's first window
 MAX_GRID = 1 << 32  # grid points a scan may walk: about 2 minutes at 4e7 points/s
 
 
@@ -156,6 +157,23 @@ def _scan(curve, step: float, total: int, doubling: bool = False):
         start, size = start + count, 2 * size
 
 
+def _scan_extrema(curve, step: float, total: int, lowest: bool = False):
+    """Walk _scan's windows and yield, per window, the grid indices and values
+    of the points where |curve| has no larger (lowest: no smaller) neighbour,
+    with nothing beyond both ends of the grid.  A window's last point is
+    decided with the next window, so it is carried across the edge."""
+    pad = np.full(1, np.inf if lowest else -np.inf)
+    keep = np.less_equal if lowest else np.greater_equal
+    prev, first = pad, 1  # first: the grid index of ext[1]
+    for _, f in chain(_scan(curve, step, total), [(None, pad)]):
+        ext = np.concatenate((prev, f))
+        mid = ext[1:-1]
+        k = np.flatnonzero(keep(mid, ext[:-2]) & keep(mid, ext[2:]))
+        yield k + first, mid[k]
+        first += mid.size
+        prev = ext[-2:]
+
+
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,
               pst_tol: float = PST_TOL, tol: float = DEFAULT_TAIL_TOL
               ) -> TransferReport:
@@ -187,18 +205,8 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
     n = max(GRID_FLOOR, _grid_count(64 * t_max * max(degree_profile(g).m, 1.0)))
     curve, cert = transfer_curve(g, u, v, t_max, tol)
     step = t_max / n
-    # a peak has no larger neighbour (0 beyond both ends); a window's last
-    # point is decided with the next window, so ext carries it and its left
-    prev, first = np.zeros(1), 1  # first: the grid index of ext[1]
-    peaks = []
-    for _, f in chain(_scan(curve, step, n), [(None, np.zeros(1))]):
-        ext = np.concatenate((prev, f))
-        mid = ext[1:-1]
-        is_peak = (mid >= 0.99) & (mid >= ext[:-2]) & (mid >= ext[2:])
-        peaks.append((np.flatnonzero(is_peak) + first) * step)
-        first += mid.size
-        prev = ext[-2:]
-    peaks = np.concatenate(peaks)
+    maxima = _scan_extrema(curve, step, n)
+    peaks = np.concatenate([k[f >= 0.99] for k, f in maxima]) * step
     taus, amps = _refine(curve, np.maximum(peaks - step, TIME_RESOLUTION),
                          np.minimum(peaks + step, t_max))
     kind = "periodic" if u.is_parallel_to(v) else "PST"
@@ -215,14 +223,18 @@ def search_pst(g: WeightedGraph, u: PureState, v: PureState, t_max: float,
 def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
                  target_fidelity: float, t_cap: float,
                  tol: float = DEFAULT_TAIL_TOL) -> TransferReport:
-    """First time t <= t_cap with fidelity >= target_fidelity, or Unreached.
+    """A time t <= t_cap with fidelity >= target_fidelity, or Unreached.
 
-    This only witnesses high fidelity at a finite time; it does not decide the
-    limiting behaviour.  For u parallel to v the initial plateau around t=0 is
-    skipped and the first return is reported.  The grid has ceil(64 M t_cap)
-    points (M the maximum absolute degree); BadParam when that exceeds
-    MAX_GRID = 2^32.  It is walked in windows that double from GRID_FLOOR
-    points, and the walk stops at the first window that answers.
+    A run is a stretch of consecutive grid points with fidelity at or above
+    target_fidelity - 0.005.  Each run is refined to its peak, and the witness
+    is the refined peak of the earliest run whose peak reaches the target:
+    not the first time the fidelity crosses the target, which can be earlier
+    within that run.  This only witnesses high fidelity at a finite time; it
+    does not decide the limiting behaviour.  For u parallel to v the initial
+    plateau around t=0 is skipped and the first return is reported.  The grid
+    has ceil(64 M t_cap) points (M the maximum absolute degree); BadParam when
+    that exceeds MAX_GRID = 2^32.  It is walked in windows that double from
+    GRID_FLOOR points, and the walk stops at the first window that answers.
     """
     if not target_fidelity < 1:
         raise BadParam(f"target fidelity must be below 1, got {target_fidelity}")
@@ -310,6 +322,15 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     When the support eigenvalue differences are commensurable the curve is
     periodic; the horizon is then snapped to one exact period, making the
     refined grid minimum an estimate of the true infimum over all t > 0.
+
+    The (snapped) horizon gets max(GRID_FLOOR, 64 M horizon) grid points (M
+    the maximum absolute degree), walked in windows of PGST_WINDOW points, so
+    the cost grows with M * horizon and memory does not; BadParam when the
+    grid exceeds MAX_GRID = 2^32.  The 32 lowest local grid minima, one per
+    basin, are refined.  For g = |f|^2, |g''| <= spread^2 S^2 (spread the
+    width of the eigenvalue support, S = sum |w|), so with step h the
+    result's square exceeds the infimum of g over [h, horizon] by at most
+    spread^2 S^2 h^2 / 8.
     """
     if not horizon > 0:
         raise BadParam(f"horizon must be positive, got {horizon}")
@@ -321,13 +342,17 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
         # the truncation certificate stays valid)
         horizon = period
 
-    step = horizon / SEDENTARY_GRID
-    f = np.abs(curve.grid(step, SEDENTARY_GRID))
-    # the 32 lowest local minima (inf beyond both ends), one per basin
-    ext = np.concatenate(([np.inf], f, [np.inf]))
-    mins = np.flatnonzero((f <= ext[:-2]) & (f <= ext[2:]))
-    lows = (mins[np.argpartition(f[mins], min(32, mins.size - 1))[:32]] + 1) * step
+    n = max(GRID_FLOOR, _grid_count(64 * horizon * max(degree_profile(g).m, 1.0)))
+    step = horizon / n
+    # the 32 lowest local minima, one per basin; the lowest grid point is one
+    low_k, low_f = np.empty(0, dtype=np.intp), np.empty(0)
+    for k, f in _scan_extrema(curve, step, n, lowest=True):
+        low_k, low_f = np.concatenate((low_k, k)), np.concatenate((low_f, f))
+        if low_f.size > 32:
+            keep = np.argpartition(low_f, 31)[:32]
+            low_k, low_f = low_k[keep], low_f[keep]
+    lows = np.sort(low_k) * step
     _, amps = _refine(curve, np.maximum(lows - step, TIME_RESOLUTION),
                       np.minimum(lows + step, horizon), sign=-1.0)
-    grid_min = min(float(f.min()), float(np.abs(amps).min()))
+    grid_min = min(float(low_f.min()), float(np.abs(amps).min()))
     return SedentaryEstimate(u, grid_min, horizon, period)

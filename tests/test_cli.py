@@ -145,6 +145,18 @@ def test_horizon_without_a_finite_grid_exits_2(tmp_path, capsys):
     assert captured.err.count("grid points") == 4
 
 
+def test_sedentary_horizon_without_a_finite_grid_exits_2(tmp_path, capsys):
+    # P_4 is not periodic, so the horizon is not snapped: 64 M * 1e200 grid
+    # points are refused, as for search and pgst
+    gfile = tmp_path / "p4.json"
+    main(["construct", "path", "--n", "4", "-o", str(gfile)])
+    capsys.readouterr()
+    assert main(["check", "sedentary", str(gfile), "--vertex", "0",
+                 "--horizon", "1e200"]) == 2
+    captured = capsys.readouterr()
+    assert "grid_min" not in captured.out and "grid points" in captured.err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["check", "pst", "{g}", "--pair", "0,x", "--pair-dst", "1,2", "--tau", "1"],
      "--pair"),

@@ -5,7 +5,7 @@ import math
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qwalk import (
     Partition,
@@ -51,7 +51,7 @@ from qwalk.spectral import (
     required_truncation,
 )
 from qwalk import transfer
-from qwalk.transfer import SEDENTARY_GRID, TIME_RESOLUTION, _refine
+from qwalk.transfer import TIME_RESOLUTION, _exact_period, _refine
 from qwalk.twins import CHECK_HORIZON, WEIGHT_TOL
 from conftest import random_twin_instance
 
@@ -439,15 +439,41 @@ def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
         assert f_ref - 1e-12 <= values[i] <= f_ref + 1e-12 + slack
 
 
-def _lowest_points_min(curve, horizon):
-    """Reference: the sedentary rule that refined the 32 lowest grid points,
-    several of them often in one basin."""
-    step = horizon / SEDENTARY_GRID
-    f = np.abs(curve.grid(step, SEDENTARY_GRID))
+def _grid_counts():
+    """Patch FidelityCurve.grid to record the count of each call."""
+    counts = []
+    grid = FidelityCurve.grid
+
+    def recorded(self, step, count, first=1):
+        counts.append(count)
+        return grid(self, step, count, first)
+
+    return counts, patch.object(FidelityCurve, "grid", recorded)
+
+
+def _sedentary_scan(curve, horizon):
+    """sedentary_estimate on `curve` (M = 1) and the point count of its scan."""
+    counts, recording = _grid_counts()
+    with recording, patch.object(transfer, "transfer_curve", lambda *args: (curve, None)):
+        est = transfer.sedentary_estimate(path_graph(2), vertex_state(0), horizon)
+    return est, sum(counts)
+
+
+def _lowest_points_min(curve, horizon, count):
+    """Reference: the sedentary rule that refined the 32 lowest points of a
+    `count`-point grid, several of them often in one basin."""
+    step = horizon / count
+    f = np.abs(curve.grid(step, count))
     lows = (np.argpartition(f, 32)[:32] + 1) * step
     _, amps = _refine(curve, np.maximum(lows - step, TIME_RESOLUTION),
                       np.minimum(lows + step, horizon), sign=-1.0)
     return min(float(f.min()), float(np.abs(amps).min()))
+
+
+def _phase_roundoff(curve, horizon):
+    """The roundoff of |f| from the phases t * lam at t <= horizon."""
+    return (1e-15 * (1 + horizon * np.abs(curve.eigenvalues).max())
+            * np.abs(curve.weights).sum())
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,14 +484,39 @@ def test_sedentary_basins_reach_no_higher_than_lowest_points(size, lam_max, seed
     # every basin the lowest points lie in has its minimum point among the 32
     # lowest local minima, so refining the basins can only lower grid_min
     curve = random_curve(size, lam_max, seed)
-    with patch.object(transfer, "transfer_curve", lambda *args: (curve, None)):
-        est = transfer.sedentary_estimate(path_graph(2), vertex_state(0), horizon)
-    reference = _lowest_points_min(curve, est.horizon)
+    est, count = _sedentary_scan(curve, horizon)
+    reference = _lowest_points_min(curve, est.horizon, count)
     # one basin's minimum, evaluated at two points within TIME_RESOLUTION of
     # each other, differs by the roundoff of the phases t * lam
-    tol = (1e-15 * (1 + est.horizon * np.abs(curve.eigenvalues).max())
-           * np.abs(curve.weights).sum())
-    assert est.grid_min <= reference + tol
+    assert est.grid_min <= reference + _phase_roundoff(curve, est.horizon)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       horizon=st.floats(1.0, 300.0))
+def test_sedentary_scan_is_within_its_step_bound(size, seed, horizon):
+    # g = |f|^2 has |g''| <= spread^2 S^2 (spread = lam_max - lam_min,
+    # S = sum |w|).  The minimum of g over [h, horizon] is a grid point, or
+    # lies within h/2 of one where g' = 0; so the grid minimum's square
+    # exceeds it by at most spread^2 S^2 h^2 / 8, whatever refinement adds
+    curve = random_curve(size, 1.0, seed)  # |lam| <= 1 = M of P_2
+    period = _exact_period(curve.eigenvalues)
+    assume(period is None or period <= 300.0)  # a short reference grid
+    est, count = _sedentary_scan(curve, horizon)
+    h = est.horizon / count
+    # reference: every local minimum of a 4x finer grid on [h, horizon],
+    # refined without leaving it
+    fine = h / 4
+    f = np.abs(curve.grid(fine, 4 * count - 3, first=4))
+    ext = np.concatenate(([np.inf], f, [np.inf]))
+    mins = (np.flatnonzero((f <= ext[:-2]) & (f <= ext[2:])) + 4) * fine
+    _, amps = _refine(curve, np.maximum(mins - fine, h),
+                      np.minimum(mins + fine, est.horizon), sign=-1.0)
+    ref = min(float(f.min()), float(np.abs(amps).min()))
+    lam, scale = curve.eigenvalues, np.abs(curve.weights).sum()
+    bound = (lam.max() - lam.min()) ** 2 * scale ** 2 * h ** 2 / 8
+    # squares of values <= 1, each off by the phase roundoff
+    assert est.grid_min ** 2 <= ref ** 2 + bound + 4 * _phase_roundoff(curve, est.horizon)
 
 
 def _pgst_outcome(curve, dst, target, t_cap, window):

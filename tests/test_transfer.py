@@ -20,11 +20,12 @@ from qwalk import (
     search_pst,
     sedentary_estimate,
     vertex_state,
+    WeightedGraph,
 )
 from qwalk.errors import BadParam, NoTransfer, Unreached
 from qwalk.reproduce import CLAIM_SETS
 from qwalk.spectral import FidelityCurve, exp_oracle
-from qwalk.transfer import GRID_FLOOR, MAX_GRID, SEDENTARY_GRID, _grid_count, _refine
+from qwalk.transfer import GRID_FLOOR, MAX_GRID, _grid_count, _refine
 
 
 def test_check_pst_p2():
@@ -242,7 +243,7 @@ def test_grid_limit_is_inclusive():
 
 def test_sedentary_refines_one_point_per_basin():
     # the 32 lowest grid points of h2p's attach vertex at horizon 30 include
-    # neighbours in one basin (5.2515, 5.253, 5.2545, 5.256); its lowest local
+    # neighbours in one basin (5.2448, 5.25, 5.2552, 5.2604); its lowest local
     # minima lie at least two grid steps apart
     gd = named_gadget("h2p", p=5, tail_len=0)
     brackets = []
@@ -251,11 +252,85 @@ def test_sedentary_refines_one_point_per_basin():
         brackets.append((lo, hi))
         return _refine(curve, lo, hi, sign)
 
-    with patch("qwalk.transfer._refine", spy):
+    windows, recording = _grid_windows()
+    with recording, patch("qwalk.transfer._refine", spy):
         est = sedentary_estimate(gd.graph, vertex_state(5), 30.0)
     (lo, hi), = brackets
-    step = est.horizon / SEDENTARY_GRID
+    (_, count), = windows
+    step = est.horizon / count
     assert np.all(np.diff(np.sort((lo + hi) / 2)) > 1.5 * step)
+
+
+def test_sedentary_grid_follows_the_search_rule():
+    # max(GRID_FLOOR, 64 M horizon) points: 64 * 3 * 30 = 5760 on h2p (M = 3)
+    gd = named_gadget("h2p", p=5, tail_len=0)
+    windows, recording = _grid_windows()
+    with recording:
+        sedentary_estimate(gd.graph, vertex_state(5), 30.0)
+    assert windows == [(1, 5760)]
+    # every sedentary claim case snaps to a short period: the floor
+    for claim, _, run in CLAIM_SETS["sedentary"]:
+        windows, recording = _grid_windows()
+        with recording:
+            assert run()[2], claim
+        assert windows and all(w == (1, GRID_FLOOR) for w in windows), claim
+
+
+@pytest.mark.parametrize("g, u, horizon", [
+    (named_gadget("h2p", p=5, tail_len=0).graph, vertex_state(5), 30.0),
+    (complete_graph(5), vertex_state(0), 10.0),
+], ids=["h2p", "k5"])
+def test_windowed_sedentary_matches_one_window(g, u, horizon):
+    ref = sedentary_estimate(g, u, horizon)
+    refined = []
+
+    def spy(curve, lo, hi, sign=1.0):
+        refined.append(_refine(curve, lo, hi, sign))
+        return refined[-1]
+
+    windows, recording = _grid_windows()
+    with recording, patch("qwalk.transfer._refine", spy):
+        assert sedentary_estimate(g, u, horizon) == ref
+    (_, count), = windows  # the reference scan is one window
+    # windows ending just before, at and just after the lowest minimum's grid
+    # point, so the carry across a window edge decides it
+    (ts, amps), = refined
+    k = round(ts[np.argmin(np.abs(amps))] / (ref.horizon / count))
+    for window in (1000, k - 1, k, k + 1):
+        with patch("qwalk.transfer.PGST_WINDOW", window):
+            assert sedentary_estimate(g, u, horizon) == ref
+
+
+def _dense_random_graph():
+    # a non-periodic weighted graph on 12 vertices, M = 10.3
+    rng = np.random.default_rng(3)
+    n = 12
+    return WeightedGraph(n, tuple((i, j, float(rng.choice([1.0, 1.3, 0.7])))
+                                  for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < 0.8))
+
+
+def test_sedentary_long_horizon_finds_the_dip():
+    # 64 M horizon grid points (6.6e6 at 1e4); a grid of fixed size misses
+    # the deepest dips once 64 M horizon is far above it, and can read higher
+    # over a longer horizon, though the infimum can only fall
+    g = _dense_random_graph()
+    assert degree_profile(g).m == pytest.approx(10.3)
+    short = sedentary_estimate(g, vertex_state(0), 3000.0)
+    long = sedentary_estimate(g, vertex_state(0), 1e4)
+    assert short.period is None and long.period is None
+    assert long.grid_min <= 1e-5
+    assert long.grid_min <= short.grid_min
+
+
+def test_sedentary_huge_horizon():
+    # a periodic curve snaps to its period; a non-periodic one needs
+    # 64 M horizon grid points, more than MAX_GRID, as search_pst does
+    est = sedentary_estimate(complete_graph(5), vertex_state(0), 1e200)
+    np.testing.assert_allclose(est.period, 2 * math.pi / 5, rtol=1e-9)
+    assert est.horizon == est.period and est.grid_min >= 3 / 5 - 1e-6
+    with pytest.raises(BadParam, match="grid points"):
+        sedentary_estimate(path_graph(4), vertex_state(0), 1e200)
 
 
 def test_sedentary_kn_exact_period():
