@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb, perm, pi
 
 import numpy as np
 
 from .errors import BadParam, NotATree, require_int
 from .graphs import WeightedGraph
+from .spectral import _lanczos
 from .transfer import PST_TOL
 from .twins import TwinStructure
 
@@ -278,16 +280,14 @@ def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
     u = (e_l1 - e_l2)/sqrt 2 and v = (e_m1 - e_m2)/sqrt 2 on the 2-dimensional
     Krylov space of u, and a bound on its error.
 
-    Two Lanczos steps, A u = a1 u + b1 q and A q = b1 u + a2 q + r, give
-    A Q = Q H + r e_2^T for Q = [u q] and the tridiagonal H = [[a1, b1],
-    [b1, a2]].  The amplitude is v* Q e^(i pi H/2) e_1, by the closed form
-    of a 2x2 exponential; by Duhamel it is within (pi/2)||r|| of the true
-    one (Saad, SIAM J. Numer. Anal. 1992).  Each product A x is one bincount
-    over the flat edge ends of all hits.  For a double-P_2 limb A.B = B.T
-    (B the arms' difference vectors, T the adjacency of P_2), so r is 0 up
-    to roundoff; nothing here assumes that, so wrong arms read a wrong
-    amplitude or an open space.  When b1 = 0, u is an eigenvector and q
-    is 0."""
+    Two steps of ``spectral._lanczos``, one bincount product each over the
+    flat edge ends of all hits, give Q = [q1 q2], u = Q c + r, the 2x2
+    H = Q A Q^T and the residual R = AQ - HQ.  The amplitude is
+    (Q v)* e^(i pi H/2) c, by the closed form of a 2x2 exponential, within
+    (pi/2)||R|| + ||r|| of the true one by Duhamel (Saad, SIAM J. Numer.
+    Anal. 1992).  A double-P_2 limb has A.B = B.T (B the arms' difference
+    vectors, T the adjacency of P_2), so R is 0 up to roundoff; wrong arms
+    read a wrong amplitude or an open space."""
     hits = len(edges)
     if not hits:  # an empty bincount is an integer array
         return np.empty(0, complex), np.empty(0)
@@ -300,34 +300,23 @@ def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
 
     (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
     h, s = np.arange(hits), 0.5 ** 0.5
-    u, v = np.zeros((hits, n)), np.zeros((hits, n))
-    u[h, l1] = v[h, m1] = s
-    u[h, l2] -= s
+    u, v = np.zeros((hits, 1, n)), np.zeros((hits, n))
+    u[h, 0, l1] = v[h, m1] = s
+    u[h, 0, l2] -= s
     v[h, m2] -= s
-    w = times_a(u)
-    a1 = np.vecdot(u, w)
-    w -= a1[:, None] * u
-    b1 = np.sqrt(np.vecdot(w, w))
-    q = w / np.where(b1 > 0, b1, 1.0)[:, None]
-    z = times_a(q)
-    a2 = np.vecdot(q, z)
-    z -= b1[:, None] * u + a2[:, None] * q
-    r = np.sqrt(np.vecdot(z, z))
+    q, _, coef, size = next(islice(_lanczos(times_a, u), 1, None))
+    (c1, c2), (a1, b1), (_, a2) = coef.transpose(1, 2, 0)
+    vq1, vq2 = np.vecdot(v[:, None], q).T
     # e^(i t H) = e^(i t mean) (cos(t om) I + i sin(t om)/om K) for
     # K = H - mean I = [[d, b1], [b1, -d]], om^2 = d^2 + b1^2
     t = pi / 2
     mean, d = (a1 + a2) / 2, (a1 - a2) / 2
     om = np.hypot(d, b1)
     sin_over = t * np.sinc(t * om / pi)  # sin(t om)/om, and t at om = 0
-    phase = np.exp(1j * t * mean)
-    amp = phase * (np.vecdot(v, u) * (np.cos(t * om) + 1j * d * sin_over)
-                   + np.vecdot(v, q) * 1j * b1 * sin_over)
-    return amp, t * r
-
-
-def _hit_amplitudes(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
-    """The amplitudes of ``_pair_transfer``, without their bounds."""
-    return _pair_transfer(edges, arms, n)[0]
+    amp = np.exp(1j * t * mean) * (
+        np.cos(t * om) * (vq1 * c1 + vq2 * c2)
+        + 1j * sin_over * (vq1 * (d * c1 + b1 * c2) + vq2 * (b1 * c1 - d * c2)))
+    return amp, t * np.sqrt(size[:, 1:].sum(axis=1)) + np.sqrt(size[:, 0])
 
 
 def _verify_hits(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -107,6 +108,14 @@ class WeightedGraph:
         return tuple(map(tuple, lists))
 
     @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ends, other, weights): each edge listed from both of its ends, so
+        that A x = np.bincount(ends, weights=weights * x[other], minlength=n)."""
+        flat = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
+        a, b, w = flat[0::3].astype(np.intp), flat[1::3].astype(np.intp), flat[2::3]
+        return np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
+
+    @cached_property
     def degree_profile(self) -> DegreeProfile:
         """Signed and absolute core degrees, and the maximum absolute degree
         with tails included."""
@@ -139,10 +148,8 @@ class WeightedGraph:
     def core_adjacency(self) -> np.ndarray:
         """Adjacency matrix of the finite core, tails ignored."""
         a = np.zeros((self.n, self.n))
-        if self.edges:
-            u, v, w = (np.array(col) for col in zip(*self.edges))
-            a[u, v] = w
-            a[v, u] = w
+        ends, other, w = self.edge_arrays
+        a[ends, other] = w
         return a
 
     # -- transforms ------------------------------------------------------

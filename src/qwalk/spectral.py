@@ -1,29 +1,21 @@
 """Adjacency materialization, transition matrices U(t)=exp(itA), fidelities.
 
-The primary route is a dense symmetric eigendecomposition of the core.  A
-query on a tail-extended graph takes one of two certified routes, and its
-certificate, not the caller, picks the route.
+A graph without tails is answered by a dense symmetric eigendecomposition
+of its core.  A query on a tail-extended graph takes one of two certified
+routes, and its certificate, not the caller, picks the route.
 
-Decoupled route.  S is the orthogonal complement in the core of the Krylov
-space K of the attach vectors under the core adjacency.  K is invariant, so S
-is too, and S vanishes on every attach vertex; as A x at a tail's first
-vertex is w0 x[attach], S is invariant under the adjacency of the infinite
-graph as well, and no state in S ever reaches a tail.  Twin and
-equitable-partition structure confines the paper's pair and plus states to S
-(Godsil, "State transfer on graphs", 2012).  S is the sum over the
-eigenspaces of the core of their parts orthogonal to the projections of the
-attach vectors, so it is solved by the core's eigendecomposition alone, with
-no tail vertex materialized.  With Q an orthonormal eigenbasis of S and
-Lambda_S its eigenvalues, the residual on the infinite graph is
-
-    beta = ||A Q - Q Lambda_S|| <= hypot(||A_core Q - Q Lambda_S||_F,
-                                          ||w0 Q[attach]||_F),
-
-and by Duhamel's formula ||exp(itA) Q - Q exp(it Lambda_S)|| <= |t| beta at
-every t.  So with u = Q c + r, c = Q^T u, both Q exp(it Lambda_S) c and the
-amplitude (Q^T v)* exp(it Lambda_S) c err by at most |t| beta ||c|| + ||r||,
-and the route answers when that is below the tolerance.  States that touch an
-attach vertex fall back before any factorization.
+Krylov route.  A state u that avoids the attach vertices is answered on its
+Krylov space span{u, A u, A^2 u, ...} in the core, built by `_lanczos`.  The
+paper's pair and plus states keep it small: A B = B T for the twin
+differences B, so from span B its dimension is at most |X1| (Godsil, "State
+transfer on graphs", 2012).  For an orthonormal eigenbasis W of the core
+adjacency on the space, with eigenvalues Lambda, the residual on the
+infinite graph is beta = hypot(||A_core W - W Lambda||, ||w0 W[attach]||),
+as A x at a tail's first vertex is w0 x[attach].  By Duhamel's formula
+||exp(itA) W - W exp(it Lambda)|| <= |t| beta (Saad, SIAM J. Numer. Anal.
+1992; Hochbruck & Lubich, SIAM J. Numer. Anal. 1997), so with u = W c + r the
+evolved state and every amplitude err by at most |t| beta ||c|| + ||r||.  The
+space grows until that is below the tolerance; else the query falls back.
 
 Truncation route.  The graph is evaluated on a certified truncation, sized by
 the Chebyshev expansion of the walk (Tal-Ezer & Kosloff 1984; Weisse et al.,
@@ -81,16 +73,10 @@ def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
     dim = g.n + L * len(g.tails)
     a = np.zeros((dim, dim))
     a[:g.n, :g.n] = g.core_adjacency()
-    base = g.n
-    for t in g.tails:
-        prev = t.attach
+    for i, t in enumerate(g.tails):
+        path = [t.attach, *range(g.n + i * L, g.n + (i + 1) * L)]
         for k in range(L):
-            cur = base + k
-            w = t.weight(k)
-            a[prev, cur] = w
-            a[cur, prev] = w
-            prev = cur
-        base += L
+            a[path[k], path[k + 1]] = a[path[k + 1], path[k]] = t.weight(k)
     return a
 
 
@@ -135,14 +121,6 @@ def _real_product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mat @ x.view(float).reshape(len(x), -1)).view(complex)
 
 
-def _eigenspace_starts(lam: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues that open an eigenspace: eigenvalues
-    split only by eigensolver roundoff form one eigenspace."""
-    first = np.ones(lam.size, dtype=bool)
-    first[1:] = lam[1:] - lam[:-1] > EIGEN_MERGE
-    return first
-
-
 @dataclass(frozen=True)
 class FidelityCurve:
     """t -> v* U(t) u as the finite sum  sum_k w_k exp(i t lambda_k)  over the
@@ -161,7 +139,8 @@ class FidelityCurve:
         p = _real_product(decomp.eigenvectors.T, uv)
         w = p[:, 1].conj() * p[:, 0]
         lam = decomp.eigenvalues
-        starts = _eigenspace_starts(lam).nonzero()[0]
+        # eigenvalues split only by eigensolver roundoff share an eigenspace
+        starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > EIGEN_MERGE)
         w = np.add.reduceat(w, starts)
         keep = np.abs(w) > ZERO_WEIGHT
         return cls(lam[starts[keep]], w[keep])
@@ -211,17 +190,15 @@ class FidelityCurve:
 class TruncationCertificate:
     """Error bound of an evaluation, valid for every time s with |s| <= |t|.
 
-    L is the tail depth materialized: 0 for a graph without tails, and 0 on
-    the decoupled route, which materializes no tail vertex.  dim is the
-    dimension the answer was evaluated in (core + L per tail, or the
-    dimension of the decoupled subspace S of the core), and residual is the
-    residual beta of the basis of S on the infinite graph (0.0 on the
-    truncation route).
+    L is the tail depth materialized: 0 without tails and on the Krylov
+    route.  dim is the dimension the answer was evaluated in (core + L per
+    tail, or that of the state's Krylov space), and residual is that space's
+    beta on the infinite graph (0.0 on the other routes).
 
     For an amplitude query, `bound` covers the error of v* U(s) u for states
     u and v on the core; from `evolve`, the 2-norm error of the evolved state.
-    The truncation and decoupled parts are rigorous; `bound` is never below
-    an estimate of the eigensolver roundoff.
+    The truncation and Krylov parts are rigorous; `bound` is never below an
+    estimate of the eigensolver roundoff.
     """
 
     L: int
@@ -346,68 +323,94 @@ def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
     return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound, dim, 0.0)
 
 
-def _decoupled(g: WeightedGraph, x: np.ndarray, t: float, tol: float
-               ) -> tuple[SpectralDecomposition, TruncationCertificate] | None:
-    """The core adjacency restricted to S, the subspace of the core that no
-    tail sees, as a decomposition in core coordinates, with the certificate
-    of the evolution of the core vector x on it; None when x touches an attach
-    vertex, S is empty or the certificate cannot close below tol.
-
-    In the eigenvector coordinates of one eigenspace, S is the null space of
-    the eigenvectors' rows at the attach vertices; one SVD of the
-    block-diagonal matrix of those rows finds it for every eigenspace, and a
-    second eigendecomposition diagonalizes the adjacency on the null space,
-    whose basis the SVD mixes across eigenspaces.  A singular value counts as
-    zero below min(tol, 1) / max(1, |t|): a unit direction that leaks more
-    into a unit-weight tail alone takes |t| beta past tol, while eigenvectors
-    that lie in S carry eigensolver roundoff of order eps ||A|| / gap at the
-    attach vertices, which a smaller threshold would count as coupling.
-    Nothing here is trusted: with x = Q c + r, c = Q^T x, both v* U(s) x and
-    U(s) x err by at most |s| beta ||c|| + ||r|| for any real Q, and beta and
-    r are measured.
+def _lanczos(times_a, start: np.ndarray):
+    """Krylov bases of a (rows, k, n) stack of real start blocks S, by Lanczos
+    with full reorthogonalisation; times_a maps a (rows, n) stack x to A x.
+    A step appends each row's largest remainder of [S; AQ] outside span Q,
+    projected out again and normalized (zero stays zero), and its product,
+    then yields (Q, AQ, C, E): the (rows, d, n) bases, their products, and
+    the coordinates C in Q and squared remainder norms E of the rows of
+    [S; AQ].  So C[:, k:] is H = Q A Q^T transposed, and E[:, k:] sums to
+    ||AQ - HQ||^2.
     """
-    n = g.n
+    rows, k, n = start.shape
+    q = np.empty((rows, 0, n))
+    cand = rest = start
+    size = np.vecdot(start, start)
+    at = np.arange(rows)
+    while True:
+        w = rest[at, size.argmax(1)]
+        if q.shape[1]:
+            w -= ((w[:, None] @ q.transpose(0, 2, 1)) @ q)[:, 0]
+        w /= np.sqrt(np.vecdot(w, w) + np.finfo(float).tiny)[:, None]
+        q = np.concatenate((q, w[:, None]), axis=1)
+        cand = np.concatenate((cand, times_a(w)[:, None]), axis=1)
+        coef = cand @ q.transpose(0, 2, 1)
+        rest = cand - coef @ q
+        size = np.vecdot(rest, rest)
+        yield q, cand[:, k:], coef, size
+
+
+def _ritz(q: np.ndarray, aq: np.ndarray, h: np.ndarray
+          ) -> tuple[SpectralDecomposition, float]:
+    """H = Q A Q^T diagonalized, with its eigenvectors V in core coordinates
+    and their residual ||A V - V Lambda|| measured on the products AQ."""
+    inner = SpectralDecomposition.of(h)
+    rot, lam = inner.eigenvectors.T, inner.eigenvalues
+    vecs = rot @ q
+    return SpectralDecomposition(lam, vecs.T), _norm(rot @ aq - lam[:, None] * vecs)
+
+
+def _norm(a: np.ndarray) -> float:  # np.linalg.norm of a, without its dispatch
+    return math.sqrt(np.vdot(a, a).real)
+
+
+def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float, snap=None
+            ) -> tuple[SpectralDecomposition, TruncationCertificate] | None:
+    """The Krylov route from the core vector x (real and imaginary parts as
+    the start block): the decomposition on its space and the certificate at
+    t, or at snap(curve) of x's curve on the space so far; None when x
+    touches an attach vertex or the certificate cannot close.  The space
+    grows until |t| ||x|| beta + ||r|| < tol (||c|| <= ||x||), and gives up
+    when it fills the core or |t| ||x|| leak alone reaches tol."""
     attach = np.array([tail.attach for tail in g.tails])
-    if np.linalg.norm(x[attach]) >= tol:   # that part of x lies outside S
+    if _norm(x[attach]) >= tol:   # that part of x reaches a tail
         return None
-    a = g.core_adjacency()
-    core = SpectralDecomposition.of(a)
-    lam, vecs = core.eigenvalues, core.eigenvectors
-    space = np.cumsum(_eigenspace_starts(lam)) - 1   # eigenspace of each column
-    rows = np.zeros((space[-1] + 1, attach.size, n))
-    rows[space, :, np.arange(n)] = vecs[attach].T
-    _, sing, right = np.linalg.svd(rows.reshape(-1, n))
-    zero = min(tol, 1.0) / max(1.0, abs(t))
-    null = right[np.count_nonzero(sing >= zero):].T
-    k = null.shape[1]
-    if not k:
-        return None
-    inner = SpectralDecomposition.of(null.T @ (lam[:, None] * null))
-    q = vecs @ (null @ inner.eigenvectors)
-    w0 = np.array([tail.weight(0) for tail in g.tails])[:, None]
-    beta = math.hypot(float(np.linalg.norm(a @ q - q * inner.eigenvalues)),
-                      float(np.linalg.norm(w0 * q[attach])))
-    c = _real_product(q.T, x)
-    err = (abs(t) * beta * float(np.linalg.norm(c))
-           + float(np.linalg.norm(x - _real_product(q, c)[:, 0])))
+    ends, other, weights = g.edge_arrays
+
+    def times_a(y):  # an edgeless core's bincount is an integer array
+        return np.bincount(ends, weights=weights * y[0, other],
+                           minlength=g.n).astype(float, copy=False)[None]
+
+    w0, xnorm = np.array([tail.weight(0) for tail in g.tails]), _norm(x)
+    for q, aq, coef, size in _lanczos(times_a, x.view(float).reshape(g.n, 2).T[None]):
+        q, aq, coef, size = q[0], aq[0], coef[0], size[0]
+        if snap is not None:
+            t = snap(FidelityCurve.of(_ritz(q, aq, coef[2:])[0], x, x))
+        scale, leak, r = abs(t) * xnorm, _norm(w0 * q[:, attach]), math.sqrt(size[0] + size[1])
+        if scale * math.sqrt(size[2:].sum() + leak ** 2) + r < tol:
+            break
+        if len(q) == g.n or not scale * leak < tol:   # the leak only grows
+            return None
+    decomp, resid = _ritz(q, aq, coef[2:])   # beta, measured again
+    beta = math.hypot(resid, leak)
+    err = scale * beta + r
     if not err < tol:
         return None
-    bound = max(err, _finite_bound(degree_profile(g), k, t))
-    return (SpectralDecomposition(inner.eigenvalues, q),
-            TruncationCertificate(0, t, bound, k, beta))
+    bound = max(err, _finite_bound(degree_profile(g), len(q), t))
+    return decomp, TruncationCertificate(0, t, bound, len(q), beta)
 
 
 def _reduce(g: WeightedGraph, states: tuple[PureState, ...], t: float, tol: float,
-            legs: int
+            legs: int, snap=None
             ) -> tuple[SpectralDecomposition, TruncationCertificate, list[np.ndarray]]:
-    """(decomposition, certificate, each state as a vector in the
-    decomposition's coordinates): on the decoupled subspace S of the core
-    when the certificate of the first state closes it, else on the certified
-    truncation."""
+    """(decomposition, certificate, each state as a vector in its
+    coordinates): on the first state's Krylov space when `_krylov` (given
+    snap) closes its certificate, else on the certified truncation."""
     if g.tails:
         _validate(g, t, tol)
         vectors = [core_vector(g, s, g.n) for s in states]
-        closed = _decoupled(g, vectors[0], t, tol)
+        closed = _krylov(g, vectors[0], t, tol, snap)
         if closed is not None:
             return (*closed, vectors)
     decomp, cert = _prepare(g, t, tol, legs)
@@ -428,8 +431,8 @@ def transfer_curve(g: WeightedGraph, u: PureState, v: PureState, t: float,
                    tol: float = DEFAULT_TAIL_TOL
                    ) -> tuple[FidelityCurve, TruncationCertificate]:
     """The curve s -> v* U(s) u between core states, certified for every
-    |s| <= |t|: on the decoupled subspace S of the core when u lies in it,
-    else on the certified truncation."""
+    |s| <= |t|: on the Krylov space of u in the core when its certificate
+    closes there, else on the certified truncation."""
     decomp, cert, (uc, vc) = _reduce(g, (u, v), t, tol, AMPLITUDE)
     return FidelityCurve.of(decomp, uc, vc), cert
 
@@ -441,7 +444,7 @@ def evolve(g: WeightedGraph, state: PureState, t: float, tol: float = DEFAULT_TA
 
     The vector has length n + L * (number of tails): the core, then L entries
     per tail in declaration order.  When the certificate has L = 0 on a
-    tailed graph (the decoupled route), it is the core part alone, and the state
+    tailed graph (the Krylov route), it is the core part alone, and the state
     on the tails, which the bound covers, is below the tolerance.
     """
     decomp, cert, (uc,) = _reduce(g, (state,), t, tol, STATE)

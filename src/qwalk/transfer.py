@@ -27,9 +27,11 @@ import numpy as np
 from .errors import BadParam, NoTransfer, Unreached
 from .graphs import PureState, WeightedGraph, degree_profile, state_to_document
 from .spectral import (
+    AMPLITUDE,
     DEFAULT_TAIL_TOL,
     FidelityCurve,
     TruncationCertificate,
+    _reduce,
     transfer_amplitude,
     transfer_curve,
 )
@@ -334,12 +336,23 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     """
     if not horizon > 0:
         raise BadParam(f"horizon must be positive, got {horizon}")
-    curve, _ = transfer_curve(g, u, u, horizon, tol)
-    # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
-    period = _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])
+
+    def period_of(curve):
+        # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
+        return _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])
+
+    if g.tails:
+        # the Krylov route finds the period before it certifies, and
+        # certifies at the snapped horizon
+        decomp, _, (x,) = _reduce(g, (u,), horizon, tol, AMPLITUDE,
+                                  lambda curve: min(horizon, period_of(curve) or horizon))
+        curve = FidelityCurve.of(decomp, x, x)
+    else:
+        curve, _ = transfer_curve(g, u, u, horizon, tol)
+    period = period_of(curve)
     if period is not None and (period < horizon or not g.tails):
         # snap to exactly one period (for tailed graphs only ever shrink, so
-        # the truncation certificate stays valid)
+        # the certificate stays valid)
         horizon = period
 
     n = max(GRID_FLOOR, _grid_count(64 * horizon * max(degree_profile(g).m, 1.0)))

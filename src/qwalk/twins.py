@@ -105,9 +105,9 @@ class BlockCheck:
 def reduced_hamiltonian(ts: TwinStructure) -> np.ndarray:
     """The operator driving the pair-difference block: A(X1) - A', where
     A'[i, j] is the weight between x1[i] and f(x1[j])."""
-    a = ts.graph.core_adjacency()
-    x1, x2 = list(ts.x1), list(ts.x2)
-    return a[np.ix_(x1, x1)] - a[np.ix_(x1, x2)]
+    w, k = ts.graph.weight, len(ts.x1)
+    return np.array([[w(a, b) - w(a, c) for b, c in zip(ts.x1, ts.x2)]
+                     for a in ts.x1]).reshape(k, k)
 
 
 def verify_twin_structure(g: WeightedGraph, ts: TwinStructure) -> BlockCheck:

@@ -22,7 +22,7 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_hit_amplitudes, _limbs, _pair_transfer, _pinned_integers,
+from qwalk.experiments import (_limbs, _pair_transfer, _pinned_integers,
                                 _prufer_edges, _tree_edges, _verify_hits, limb_tree,
                                 prufer_decode)
 from qwalk.graphs import pair_state
@@ -443,7 +443,7 @@ def test_verifier_amplitudes_match_transfer_amplitude(seed):
         seqs = rng.integers(0, n, (30, n - 2))
         edges = _prufer_edges(seqs, n)
         found, arms = _limbs(edges, n)
-        amps = _hit_amplitudes(edges[found], arms, n)
+        amps = _pair_transfer(edges[found], arms, n)[0]
         assert _verify_hits(edges[found], arms, n).all()
         for row, ((l1, m1), (l2, m2)), amp in zip(found.tolist(), arms.tolist(), amps):
             g = prufer_decode(tuple(seqs[row].tolist()), n)

@@ -171,8 +171,40 @@ def decoupled_instances(draw):
     return g, u, v, coupled, t
 
 
+def _fourteen_vertex_twins():
+    """A weighted twin instance (x1 = 0, 1, 2 and x2 = 3, 4, 5, a unit tail
+    at 6) on which a route that split the core's eigenvectors by a singular
+    value threshold counted roundoff at the attach vertex as coupling, and
+    fell back to a depth-25 truncation."""
+    edges = ((0, 2, 1.0), (0, 7, 1.0), (0, 9, 1.0), (1, 4, 2.0), (1, 5, 1.0),
+             (1, 7, 2.0), (1, 11, 0.5), (1, 12, 0.5), (1, 13, 1.0), (2, 4, 1.0),
+             (2, 6, 1.0), (2, 8, 1.0), (2, 9, 1.0), (2, 12, 2.0), (3, 5, 1.0),
+             (3, 7, 1.0), (3, 9, 1.0), (4, 7, 2.0), (4, 11, 0.5), (4, 12, 0.5),
+             (4, 13, 1.0), (5, 6, 1.0), (5, 8, 1.0), (5, 9, 1.0), (5, 12, 2.0),
+             (6, 7, 2.0), (6, 8, 2.0), (6, 11, 0.5), (6, 12, 2.0), (6, 13, 2.0),
+             (8, 9, 0.5), (9, 13, 2.0), (10, 12, 1.0))
+    g = WeightedGraph(14, edges, (TailSpec(6),))
+
+    def twin_state(*amps):  # amplitudes on x1, negated on x2
+        return PureState(tuple(enumerate(amps + tuple(-a for a in amps))))
+
+    u = twin_state(-0.3894340368470881 - 0.1365517544653566j,
+                   0.3370740462775348 + 0.11724336915099062j,
+                   0.44718051124122143 - 0.04857385489817095j)
+    v = twin_state(-0.20707696469820308 - 0.27379818622442265j,
+                   0.5246299957455218 - 0.2802618383821599j,
+                   0.05493135531867797 + 0.1592259389206247j)
+    coupled = PureState(tuple(enumerate((
+        0.24323759453701857 + 0.5676834854369831j, 0.12388295440991016 - 0.11407124529233427j,
+        -0.08430762769778327 + 0.06931225725489971j, -0.24323759453701857 - 0.5676834854369831j,
+        -0.12388295440991016 + 0.11407124529233427j, 0.08430762769778327 - 0.06931225725489971j,
+        0.2773837250693061 + 0.28223701745034196j))))
+    return g, u, v, [coupled, vertex_state(2)], 2.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(decoupled_instances())
+@example(_fourteen_vertex_twins())
 def test_decoupled_states_take_the_krylov_route(inst):
     g, u, v, coupled, t = inst
     tol = 1e-12

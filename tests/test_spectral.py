@@ -160,25 +160,52 @@ def test_certificate_bound_dominates_observed_drift():
     assert abs(ref_amp - amp) < acert.bound
 
 
-@pytest.mark.parametrize("name, p, dim", [
-    ("flyswatter", None, 4), ("h2p", 5, 4), ("h2p", 6, 5), ("p3_twins_spur", None, 4),
-])
-def test_decoupled_subspace_complements_the_attach_krylov_space(name, p, dim):
-    # S is the orthogonal complement in the core of the Krylov space of the
-    # attach vertex, whatever the query states
+# the paper's infinite-tail gadgets, with the dimension of their source
+# state's Krylov space
+KRYLOV_GADGETS = [("flyswatter", None, 3), ("h2p", 5, 2), ("h2p", 6, 3),
+                  ("p3_twins_spur", None, 3), ("p3_twins_path", None, 3)]
+
+
+@pytest.mark.parametrize("name, p, dim", KRYLOV_GADGETS)
+def test_krylov_route_spans_the_states_krylov_space(name, p, dim):
+    # the route answers on K(u) = span{u, Au, A^2 u, ...}, which never
+    # reaches the tail: its dimension is the numerical rank of those vectors
     gd = named_gadget(name, p=p, tail_len=0)
     g = gd.graph
     a = g.core_adjacency()
     (tail,) = g.tails
-    krylov = [np.eye(g.n)[tail.attach]]
+    krylov = [gd.src.vector(g.n).real]
     for _ in range(g.n - 1):
         krylov.append(a @ krylov[-1])
     _, cert = transfer_curve(g, gd.src, gd.dst, gd.tau)
     assert cert.L == 0
-    assert cert.dim == g.n - np.linalg.matrix_rank(np.array(krylov)) == dim
+    assert cert.dim == np.linalg.matrix_rank(np.array(krylov)) == dim
     out, scert = evolve(g, gd.src, gd.tau)
     assert scert.L == 0 and scert.dim == dim and out.size == g.n
     assert abs(out[tail.attach]) <= scert.bound
+
+
+def test_tailed_krylov_query_makes_no_dense_eigh(monkeypatch):
+    eigh, sizes = np.linalg.eigh, []
+
+    def record(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    for name, p, _ in KRYLOV_GADGETS:
+        gd = named_gadget(name, p=p, tail_len=0)
+        sizes.clear()
+        _, cert = transfer_curve(gd.graph, gd.src, gd.dst, gd.tau)
+        assert cert.L == 0 and sizes and max(sizes) <= cert.dim < gd.graph.n
+
+
+def test_krylov_route_on_an_edgeless_core():
+    # every product is an empty bincount: the state is an eigenvector
+    g = WeightedGraph(3, (), (TailSpec(0),))
+    amp, cert = transfer_amplitude(g, pair_state(1, 2), pair_state(1, 2), 2.0)
+    assert cert.L == 0 and cert.dim == 1 and abs(amp - 1) < 1e-15
+    assert not g.core_adjacency().any()
 
 
 def test_exp_oracle_matches_spectral():

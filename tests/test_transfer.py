@@ -333,6 +333,16 @@ def test_sedentary_huge_horizon():
         sedentary_estimate(path_graph(4), vertex_state(0), 1e200)
 
 
+def test_sedentary_certifies_a_tailed_state_at_its_period():
+    # h2p's pair state never reaches the tail, and its curve has period pi:
+    # the certificate is made at the snapped horizon, not at 1e200
+    gd = named_gadget("h2p", p=5, tail_len=0)
+    near = sedentary_estimate(gd.graph, gd.src, 1e4)
+    far = sedentary_estimate(gd.graph, gd.src, 1e200)
+    assert abs(far.period - math.pi) < 1e-12 and far.horizon == far.period
+    assert abs(far.grid_min - near.grid_min) <= 1e-12
+
+
 def test_sedentary_kn_exact_period():
     est = sedentary_estimate(complete_graph(5), vertex_state(0), 10.0)
     assert est.period is not None
@@ -366,11 +376,11 @@ def test_report_serialization():
     assert abs(doc["tau"] - math.pi / 2) < 1e-9
     assert doc["truncation"]["L"] == 0 and doc["truncation"]["dim"] == 2
     assert doc["truncation"]["residual"] == 0.0
-    # on an infinite tail the pair state is answered on the decoupled
-    # subspace of the core
+    # on an infinite tail the pair state is answered on its Krylov space in
+    # the core
     gd = named_gadget("flyswatter", tail_len=0)
     trunc = check_pst(gd.graph, gd.src, gd.dst, gd.tau).to_document()["truncation"]
-    assert trunc["L"] == 0 and trunc["dim"] == 4 and trunc["residual"] < 1e-14
+    assert trunc["L"] == 0 and trunc["dim"] == 3 and trunc["residual"] < 1e-14
     est = sedentary_estimate(complete_graph(3), vertex_state(0), 5.0)
     doc = est.to_document()
     assert doc["period"] is not None
@@ -385,7 +395,7 @@ def test_decoupled_search_reaches_long_horizons():
     assert len(reps) == 315
     assert all(abs(r.tau - (2 * k + 1) * period) < 1e-11 for k, r in enumerate(reps))
     cert = reps[0].certificate
-    assert cert.L == 0 and cert.dim == 4 and cert.residual * cert.t < 1e-11
+    assert cert.L == 0 and cert.dim == 3 and cert.residual * cert.t < 1e-11
 
 
 def _flyswatter_pair():
