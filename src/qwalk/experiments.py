@@ -289,8 +289,6 @@ def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
     vectors, T the adjacency of P_2), so R is 0 up to roundoff; wrong arms
     read a wrong amplitude or an open space."""
     hits = len(edges)
-    if not hits:  # an empty bincount is an integer array
-        return np.empty(0, complex), np.empty(0)
     flat = edges + (np.arange(hits) * n)[:, None, None]
     ends, other = flat.ravel(), flat[:, :, ::-1].ravel()
 
@@ -321,11 +319,8 @@ def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
 
 def _verify_hits(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
     """Per hit, whether the pair transfer leaves -> midpoints passes at pi/2
-    with its error bound: |amp| - (pi/2)||r|| >= 1 - PST_TOL on the
-    2-dimensional Krylov space of the leaves' pair state (``_pair_transfer``),
-    two sparse products with the stacked adjacencies and no eigensolver.  The
-    check is independent of the twin theorem: it reads the transfer off the
-    tree, and holds wrong arms unverified."""
+    with the error bound of ``_pair_transfer``, |amp| - bound >= 1 - PST_TOL:
+    read off the tree with no eigensolver and no use of the twin theorem."""
     amp, bound = _pair_transfer(edges, arms, n)
     return np.abs(amp) - bound >= 1 - PST_TOL
 

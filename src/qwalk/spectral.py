@@ -73,10 +73,16 @@ def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
     dim = g.n + L * len(g.tails)
     a = np.zeros((dim, dim))
     a[:g.n, :g.n] = g.core_adjacency()
-    for i, t in enumerate(g.tails):
-        path = [t.attach, *range(g.n + i * L, g.n + (i + 1) * L)]
+    base = g.n
+    for t in g.tails:
+        prev = t.attach
         for k in range(L):
-            a[path[k], path[k + 1]] = a[path[k + 1], path[k]] = t.weight(k)
+            cur = base + k
+            w = t.weight(k)
+            a[prev, cur] = w
+            a[cur, prev] = w
+            prev = cur
+        base += L
     return a
 
 
@@ -394,10 +400,9 @@ def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float, snap=None
             return None
     decomp, resid = _ritz(q, aq, coef[2:])   # beta, measured again
     beta = math.hypot(resid, leak)
-    err = scale * beta + r
-    if not err < tol:
+    if not scale * beta + r < tol:
         return None
-    bound = max(err, _finite_bound(degree_profile(g), len(q), t))
+    bound = max(scale * beta + r, _finite_bound(degree_profile(g), len(q), t))
     return decomp, TruncationCertificate(0, t, bound, len(q), beta)
 
 

@@ -323,7 +323,12 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
 
     When the support eigenvalue differences are commensurable the curve is
     periodic; the horizon is then snapped to one exact period, making the
-    refined grid minimum an estimate of the true infimum over all t > 0.
+    refined grid minimum an estimate of the true infimum over all t > 0.  On
+    a tailed graph the snap only ever shrinks the horizon, and on the Krylov
+    route the period is that of the curve on the state's Krylov space, found
+    before the certificate closes: the result is certified over one period
+    only, and snapping treats that space as exactly invariant.  Its leak
+    into the tails, below tol over one period, may pass tol by the horizon.
 
     The (snapped) horizon gets max(GRID_FLOOR, 64 M horizon) grid points (M
     the maximum absolute degree), walked in windows of PGST_WINDOW points, so
@@ -341,14 +346,11 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
         # for u = v the weights are |<phi, u>|^2: 1e-16 is an overlap of 1e-8
         return _exact_period(curve.eigenvalues[np.abs(curve.weights) > 1e-16])
 
-    if g.tails:
-        # the Krylov route finds the period before it certifies, and
-        # certifies at the snapped horizon
-        decomp, _, (x,) = _reduce(g, (u,), horizon, tol, AMPLITUDE,
-                                  lambda curve: min(horizon, period_of(curve) or horizon))
-        curve = FidelityCurve.of(decomp, x, x)
-    else:
-        curve, _ = transfer_curve(g, u, u, horizon, tol)
+    # the Krylov route finds the period before it certifies, and certifies
+    # at the snapped horizon
+    decomp, _, (x,) = _reduce(g, (u,), horizon, tol, AMPLITUDE,
+                              lambda curve: min(horizon, period_of(curve) or horizon))
+    curve = FidelityCurve.of(decomp, x, x)
     period = period_of(curve)
     if period is not None and (period < horizon or not g.tails):
         # snap to exactly one period (for tailed graphs only ever shrink, so
