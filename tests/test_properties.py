@@ -418,7 +418,9 @@ GOLDEN = (math.sqrt(5.0) - 1) / 2
 
 def _scalar_golden_max(f, lo, hi):
     """Reference: golden section over one bracket with a scalar f, then a
-    parabolic polish; the routine that safeguarded Newton replaced."""
+    parabolic polish; the routine that safeguarded Newton replaced.  Returns
+    the better of the golden and the polished point: the polish's difference
+    quotients can land it off a maximum that golden section had found."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -433,6 +435,7 @@ def _scalar_golden_max(f, lo, hi):
             c = b - GOLDEN * (b - a)
             fc = f(c)
     t = (a + b) / 2
+    best = t, f(t)
     h = min(1e-5 * max(1.0, abs(t)), (hi - lo) / 8)
     if lo + h < t < hi - h:
         fm, f0, fp = f(t - h), f(t), f(t + h)
@@ -440,14 +443,16 @@ def _scalar_golden_max(f, lo, hi):
         if denom < 0:
             shift = 0.5 * h * (fm - fp) / denom
             if abs(shift) < h:
-                return t + shift, f(t + shift)
-    return t, f(t)
+                return max(best, (t + shift, f(t + shift)), key=lambda p: p[1])
+    return best
 
 
 @settings(max_examples=40, deadline=None)
 @given(size=st.integers(1, 30), lam_max=st.floats(0.1, 8.0),
        seed=st.integers(0, 2 ** 32 - 1), brackets=st.integers(1, 40),
        sign=st.sampled_from([1.0, -1.0]))
+# the parabolic polish lands 5e-10 off this minimum, 2.8e-11 above it
+@example(size=25, lam_max=6.90625, seed=1112, brackets=12, sign=-1.0)
 def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
                                                          brackets, sign):
     curve = random_curve(size, lam_max, seed)

@@ -53,6 +53,15 @@ def test_check_pst_tailed_gadget():
     assert rep.fidelity >= 1 - 1e-9
 
 
+def test_search_autocorrelation_skips_t0():
+    # C_4's return amplitude to a vertex is cos^2 t; the t=0 plateau, refined
+    # onto the grid's lower clip, is not a return
+    reps = search_pst(cycle_graph(4), vertex_state(0), vertex_state(0), 10.0)
+    assert [rep.kind for rep in reps] == ["periodic"] * 3
+    np.testing.assert_allclose([rep.tau for rep in reps],
+                               [math.pi, 2 * math.pi, 3 * math.pi], rtol=1e-14)
+
+
 def test_search_recovers_p2_time():
     reps = search_pst(path_graph(2), vertex_state(0), vertex_state(1), 4.0)
     assert len(reps) == 1
@@ -138,6 +147,19 @@ def test_pgst_witness_returns_the_earliest_run():
     assert abs(rep.tau - 28.0992589) < 1e-6
     assert 0.99 <= rep.fidelity < 0.997
     assert fidelity(g, vertex_state(0), vertex_state(3), 53.389) > 0.9999
+
+
+def test_pgst_witness_is_the_earliest_refined_maximum():
+    # this curve stays above 0.645 over [1.71, 5.67], with local maxima 0.8614
+    # at 2.5434 and 0.9092 at 4.7281: both are refined, and the earlier one,
+    # which reaches the target 0.65, is the witness, not the stretch's highest
+    curve = FidelityCurve(np.array((-1.841, -0.111, 0.148, 0.806)),
+                          np.array((-0.107 + 0.039j, 0.114 - 0.055j,
+                                    0.116 - 0.145j, -0.48 + 0.279j)))
+    with patch("qwalk.transfer.transfer_curve", lambda *args: (curve, None)):
+        rep = pgst_witness(path_graph(2), vertex_state(0), vertex_state(1), 0.65, 10.0)
+    assert abs(rep.tau - 2.5433704) < 1e-6
+    assert abs(rep.fidelity - 0.8614492) < 1e-6
 
 
 def test_pgst_witness_refines_a_run_cut_by_t_cap():
