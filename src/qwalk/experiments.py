@@ -2,14 +2,14 @@
 double-P_2 limb that forces pair transfer at pi/2?
 
 Sampled surveys draw trees uniformly over labelled trees via random Pruefer
-sequences, stable per (seed, size, index): tree k of a size is the sequence
-``np.random.default_rng((seed, size, k))`` draws.  The survey computes that
-stream (NumPy's SeedSequence hash, PCG64, and ``Generator.integers``'
-bounded-integer rejection) for a whole block of trees in one vectorised
-pass, so its pinned draws no longer depend on NumPy keeping
-``Generator.integers`` stable (NEP 19 promises stream stability only for
-bit generators).  Each block of sequences is then surveyed as arrays, with
-no per-tree Python loop and no graph object: all its rows are decoded in
+sequences, stable per (seed, size, index): the trees of a size are the rows
+of one stream, ``np.random.PCG64(np.random.SeedSequence((seed, size)))``,
+mapped to [0, size) by our own Lemire rejection, so tree k is the same for
+any larger sample count.  Only NumPy's bit-generator stream is relied on,
+the stream NEP 19 keeps stable, not ``Generator.integers``; the rows equal
+``np.random.default_rng((seed, size)).integers``' today, which the tests
+check.  Each block of sequences is then surveyed as arrays, with no
+per-tree Python loop and no graph object: all its rows are decoded in
 lockstep to edge arrays, the limb is found from each vertex's degree and
 neighbour sum, and each hit's transfer is checked on the 2-dimensional
 Krylov space of its leaves' pair state, with an a-posteriori error bound
@@ -25,7 +25,6 @@ measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from math import comb, perm, pi
 
@@ -41,181 +40,46 @@ from .twins import TwinStructure
 # sequence entries the survey draws per block of trees
 DRAW_BLOCK = 1 << 16
 
-# numpy.random.SeedSequence: pool size and hash constants
-_POOL = 4
-_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
-_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-# PCG64's 128-bit LCG multiplier, and masks, as Python ints: only the
-# step constants of _pcg_jumps are computed with them
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
-_ONE, _32, _58, _63, _64 = (np.uint64(v) for v in (1, 32, 58, 63, 64))
+_MASK32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _draw(n: int, seed) -> list[int]:
     """The Pruefer sequence of the tree drawn on n vertices for ``seed``, by
     NumPy's generator.  The tests pin this stream: the same seed must keep
-    giving the same tree.  The survey computes the same stream for a whole
-    tree size at once in ``_pinned_integers``, which the tests check against
-    this generator."""
+    giving the same tree."""
     return np.random.default_rng(seed).integers(0, n, size=n - 2).tolist()
 
 
-def _hash_consts(init, mult):
-    """The (xor, multiplier) pairs of SeedSequence's successive hash calls."""
-    while True:
-        nxt = init * mult
-        yield init, nxt
-        init = nxt
+class _Stream:
+    """Integers in [0, bound), 1 <= bound < 2^32, drawn in order from one
+    PCG64 stream seeded by ``np.random.SeedSequence(entropy)``.
 
+    Each 64-bit output gives two uint32 words, low word first, and a word x
+    is kept iff x bound mod 2^32 >= 2^32 mod bound, as x bound >> 32
+    (Lemire, ACM TOMACS 2019).  That is what ``Generator.integers(0, bound)``
+    draws from the same bit generator, but only the bit generator's stream
+    is NumPy's, the one NEP 19 keeps stable.  Values drawn past a ``take``
+    wait for the next one, so the values do not depend on how they are
+    split into takes."""
 
-def _seed_pool(words) -> list:
-    """SeedSequence's mixed entropy pool for the entropy ``words``: uint32
-    scalars, or uint32 arrays over rows for words that differ per row."""
-    consts = _hash_consts(_INIT_A, _MULT_A)
+    def __init__(self, entropy, bound: int):
+        self._bits = np.random.PCG64(np.random.SeedSequence(entropy))
+        self._bound = np.uint64(bound)
+        self._threshold = np.uint64((1 << 32) % bound)
+        self._spare = np.empty(0, np.int64)
 
-    def hashmix(value):
-        xor, mul = next(consts)
-        value = (value ^ xor) * mul
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ (value >> _XSHIFT)
-
-    pool = [hashmix(words[i] if i < len(words) else np.uint32(0)) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
-def _pcg_seed(pool):
-    """PCG64's (t, inc) from the pool, as (hi, lo) pairs of uint64 arrays:
-    with the first four uint64 words of ``generate_state`` as (initstate,
-    initseq), inc = 2 initseq + 1 and t = initstate + inc, so that the
-    seeded state is t M + inc."""
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    words = []
-    for i in range(8):
-        xor, mul = next(consts)
-        value = (pool[i % _POOL] ^ xor) * mul
-        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    state_hi, state_lo, seq_hi, seq_lo = (words[i] | (words[i + 1] << _32)
-                                          for i in range(0, 8, 2))
-    inc = ((seq_hi << _ONE) | (seq_lo >> _63), (seq_lo << _ONE) | _ONE)
-    return _add128((state_hi, state_lo), inc), inc
-
-
-def _add128(x, y):
-    """x + y mod 2^128 on (hi, lo) pairs of uint64 arrays."""
-    lo = x[1] + y[1]
-    return x[0] + y[0] + (lo < y[1]).astype(np.uint64), lo
-
-
-def _mul128(x, y):
-    """x y mod 2^128 on (hi, lo) pairs of uint64 arrays; the high half of
-    the low words' product is built from their 32-bit halves."""
-    (x_hi, x_lo), (y_hi, y_lo) = x, y
-    x0, x1 = x_lo & _MASK32, x_lo >> _32
-    y0, y1 = y_lo & _MASK32, y_lo >> _32
-    p01, p10 = x0 * y1, x1 * y0
-    carry = ((x0 * y0) >> _32) + (p01 & _MASK32) + (p10 & _MASK32)
-    hi = (x1 * y1 + (p01 >> _32) + (p10 >> _32) + (carry >> _32)
-          + x_hi * y_lo + x_lo * y_hi)
-    return hi, x_lo * y_lo
-
-
-def _split128(values) -> tuple[np.ndarray, np.ndarray]:
-    """Integers below 2^128 as a read-only (hi, lo) pair of uint64 arrays."""
-    pair = (np.array([v >> 64 for v in values], np.uint64),
-            np.array([v & _MASK64 for v in values], np.uint64))
-    for half in pair:
-        half.flags.writeable = False
-    return pair
-
-
-@lru_cache(maxsize=16)
-def _pcg_jumps(steps: int):
-    """(M^(j+1), 1 + M + ... + M^j) for j = 1..steps as (hi, lo) pairs of
-    uint64 arrays (M the PCG64 multiplier): the state j steps after seeding
-    with (t, inc) is M^(j+1) t + (1 + ... + M^j) inc."""
-    power, total = _PCG_MULT, 1
-    powers, totals = [], []
-    for _ in range(steps):
-        total = (total + power) & _MASK128
-        power = (power * _PCG_MULT) & _MASK128
-        powers.append(power)
-        totals.append(total)
-    return _split128(powers), _split128(totals)
-
-
-def _pcg_words(t, inc, steps: int) -> np.ndarray:
-    """The first 2*steps uint32 words, as uint64, of the PCG64 stream of
-    each row of (t, inc) (column arrays): the XSL-RR output of each step,
-    low word first."""
-    power, total = _pcg_jumps(steps)
-    hi, lo = _add128(_mul128(t, power), _mul128(inc, total))
-    turn = hi >> _58
-    x = hi ^ lo
-    out = (x >> turn) | (x << ((_64 - turn) & _63))
-    return np.stack((out & _MASK32, out >> _32), axis=2).reshape(len(out), 2 * steps)
-
-
-def _words32(value: int) -> list[int]:
-    """A nonnegative integer as SeedSequence's little-endian uint32 words."""
-    words = [value & 0xFFFFFFFF]
-    while value >> 32:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _pinned_integers(prefix, start: int, stop: int, bound: int, count: int) -> np.ndarray:
-    """Rows k = start..stop-1 (0 <= k < 2^32) of
-    ``np.random.default_rng((*prefix, k)).integers(0, bound, count)``, for
-    nonnegative integers ``prefix`` and 1 <= bound < 2^32, computed for all
-    rows at once.
-
-    The stream is NumPy's: SeedSequence hashes the entropy words into its
-    pool and generates PCG64's seed (O'Neill 2014), whose XSL-RR outputs
-    give uint32 words low word first, and ``Generator.integers`` keeps a
-    word x iff x bound mod 2^32 >= 2^32 mod bound, as x bound >> 32
-    (Lemire, ACM TOMACS 2019).  Rows that reject so many words that they
-    come up short are drawn again with twice the words."""
-    rows = stop - start
-    out = np.empty((rows, count), np.int64)
-    if rows == 0 or count == 0:
-        return out
-    words = [np.uint32(w) for p in prefix for w in _words32(p)]
-    words.append(np.arange(start, stop, dtype=np.uint32)[:, None])
-    scale, threshold = np.uint64(bound), np.uint64((1 << 32) % bound)
-    todo = np.arange(rows)
-    steps = (count + 1) // 2
-    with np.errstate(over="ignore"):
-        t, inc = _pcg_seed(_seed_pool(words))
-        while True:
-            scaled = _pcg_words(t, inc, steps) * scale
-            values = scaled >> _32
-            accept = (scaled & _MASK32) >= threshold
-            if accept[:, :count].all():
-                out[todo] = values[:, :count]
-                return out
-            rank = np.cumsum(accept, axis=1)
-            full = rank[:, -1] >= count
-            out[todo[full]] = values[full][accept[full] & (rank[full] <= count)].reshape(-1, count)
-            short = ~full
-            todo, t, inc = todo[short], (t[0][short], t[1][short]), (inc[0][short], inc[1][short])
-            if not todo.size:
-                return out
-            steps *= 2
+    def take(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` values, as int64."""
+        parts, have = [self._spare], len(self._spare)
+        while have < count:
+            raw = self._bits.random_raw((count - have + 1) // 2)
+            scaled = np.stack((raw & _MASK32, raw >> _32), axis=1).ravel() * self._bound
+            values = (scaled >> _32)[(scaled & _MASK32) >= self._threshold].astype(np.int64)
+            parts.append(values)
+            have += len(values)
+        drawn = np.concatenate(parts)
+        self._spare = drawn[count:]
+        return drawn[:count]
 
 
 def _prufer_edges(seqs: np.ndarray, n: int) -> np.ndarray:
@@ -412,21 +276,23 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
                         ) -> list[LimbReport]:
     """Sample trees per size, detect the limb, and verify every hit at pi/2.
 
-    Tree k of each size decodes the Pruefer sequence that
-    ``random_tree(size, (seed, size, k))`` draws, so the draws stay stable
-    per (seed, size, k).  The sequences of up to DRAW_BLOCK entries are
-    computed together, as rows of one array, by ``_pinned_integers``, and
-    each block is surveyed with array operations: ``_prufer_edges`` decodes
-    its rows in lockstep, ``_limbs`` finds the limbs from degrees and
-    neighbour sums, and ``_verify_hits`` checks each hit's transfer on the
-    2-dimensional Krylov space of its pair state, two sparse products with
-    all of the block's hits at once and an error bound that the verdict
-    takes into account.  No graph object and no dense matrix is built.
+    Tree k of a size is row k of ``(samples, size - 2)`` draws of one
+    ``_Stream((seed, size), size)``: the rows that
+    ``np.random.default_rng((seed, size)).integers(0, size, (samples,
+    size - 2))`` draws, so tree k stays the same for any larger sample count.
+    The rows are taken in blocks of up to DRAW_BLOCK entries, and each block
+    is surveyed with array operations: ``_prufer_edges`` decodes its rows in
+    lockstep, ``_limbs`` finds the limbs from degrees and neighbour sums,
+    and ``_verify_hits`` checks each hit's transfer on the 2-dimensional
+    Krylov space of its pair state, two sparse products with all of the
+    block's hits at once and an error bound that the verdict takes into
+    account.  No graph object and no dense matrix is built.
 
     Raises BadParam unless the sizes are an iterable of integers, the
-    sample count a nonnegative integer of at most 2^32 (so that k fits one
-    entropy word) and the seed a nonnegative integer; a size below 6 is
-    NotATree.  All of these are checked before any tree is drawn."""
+    sample count a nonnegative integer of at most 2^32 (the counts the
+    survey accepted when tree k's seed had to fit one entropy word) and the
+    seed a nonnegative integer; a size below 6 is NotATree.  All of these
+    are checked before any tree is drawn."""
     samples_per_size = require_int(samples_per_size, "sample count", 0)
     if samples_per_size > 1 << 32:
         raise BadParam(f"at most 2^32 samples per size, got {samples_per_size}")
@@ -441,10 +307,11 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     reports = []
     for size in sizes:
         hits = verified = 0
+        stream = _Stream((seed, size), size)
         rows = max(1, DRAW_BLOCK // (size - 2))
         for start in range(0, samples_per_size, rows):
-            stop = min(start + rows, samples_per_size)
-            edges = _prufer_edges(_pinned_integers((seed, size), start, stop, size, size - 2),
+            block = min(rows, samples_per_size - start)
+            edges = _prufer_edges(stream.take(block * (size - 2)).reshape(block, size - 2),
                                   size)
             found, arms = _limbs(edges, size)
             hits += len(found)

@@ -152,11 +152,11 @@ def _grid_count(points: float) -> int:
 def _scan(curve, step: float, total: int, doubling: bool = False):
     """|curve| on the grid step * (1, ..., total), in windows of PGST_WINDOW
     points, or (doubling) of GRID_FLOOR points doubling up to PGST_WINDOW:
-    yields (first grid index, values) per window."""
+    yields the values of each window."""
     start, size = 1, GRID_FLOOR if doubling else PGST_WINDOW
     while start <= total:
         count = min(size, PGST_WINDOW, total + 1 - start)
-        yield start, np.abs(curve.grid(step, count, first=start))
+        yield np.abs(curve.grid(step, count, first=start))
         start, size = start + count, 2 * size
 
 
@@ -170,7 +170,7 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
     pad = np.full(1, np.inf if lowest else -np.inf)
     keep = np.less_equal if lowest else np.greater_equal
     prev, first = pad, 1  # first: the grid index of ext[1]
-    for _, f in chain(_scan(curve, step, total, doubling), [(None, pad)]):
+    for f in chain(_scan(curve, step, total, doubling), [pad]):
         ext = np.concatenate((prev, f))
         mid = ext[1:-1]
         k = np.flatnonzero(keep(mid, ext[:-2]) & keep(mid, ext[2:]))
@@ -237,8 +237,8 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     curves that is earlier (still at or above the target) than the highest
     maximum of its stretch of near-target points.  This only witnesses high
     fidelity at a finite time; it does not decide the limiting behaviour.  For
-    u parallel to v the initial plateau, up to the first grid point below
-    near, is skipped.  The grid has n = ceil(64 M t_cap) points of step
+    u parallel to v the initial plateau, up to the first local grid minimum,
+    is skipped.  The grid has n = ceil(64 M t_cap) points of step
     t_cap / n (M the maximum absolute degree); BadParam when n exceeds
     MAX_GRID = 2^32.  _scan_extrema walks it in windows that double from
     GRID_FLOOR points, and the walk stops at the first window that answers.
@@ -252,14 +252,10 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     step = t_cap / n
     near = target_fidelity - 0.005  # local grid maxima at or above this are refined
     plateau, best_f = 0, 0.0  # the grid index where the initial plateau ends
-    if u.is_parallel_to(v):
-        for start, f in _scan(curve, step, n, doubling=True):
-            below = np.flatnonzero(f < near)
-            if below.size:
-                plateau, best_f = start + below[0], float(f[below[0]])
-                break
-        else:
-            raise Unreached(best_f)
+    if u.is_parallel_to(v):  # the grid's lowest point is a local minimum
+        k, f = next((k, f) for k, f in _scan_extrema(curve, step, n, lowest=True,
+                                                     doubling=True) if k.size)
+        plateau, best_f = int(k[0]), float(f[0])
     for k, f in _scan_extrema(curve, step, n, doubling=True):
         f = np.where(k > plateau, f, -np.inf)
         best_f = max(best_f, float(f.max(initial=0.0)))

@@ -149,8 +149,10 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     tail whose sorted rows agree after rounding to multiples of WEIGHT_TOL),
     three int bitsets per node: ``allowed``, the later candidates disjoint
     from and consistent with every chosen pair; ``used``, the chosen
-    vertices; ``needed``, the vertices whose weights some chosen swap moves.  A node is a structure iff ``needed & ~used`` is
-    empty.  The vertices each swap moves come from one numpy pass; a
+    vertices; ``needed``, the vertices whose weights some chosen swap
+    moves.  A node is a structure iff ``needed & ~used`` is empty.  The
+    bitsets of the vertices each swap moves, and of the candidates covering
+    each vertex, are built once, each from one ``np.packbits``; a
     candidate's row of compatible later candidates is built with numpy the
     first time a node ending in it is expanded.  Two prunes drop only
     subtrees that hold no structure, so the order is kept: a node returns
@@ -177,10 +179,10 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     candidates = list(zip(cu.tolist(), cv.tolist()))
     # per candidate, the vertices whose weights its swap moves (the pair's
     # own vertices among them are used as soon as it is chosen)
-    moved = np.abs(adj[cu] - adj[cv]) > WEIGHT_TOL
+    moved = _bit_rows(np.abs(adj[cu] - adj[cv]) > WEIGHT_TOL)
     # per vertex, the candidates containing it
     vertex = np.arange(g.n)[:, None]
-    covers = [_bits(m) for m in (cu == vertex) | (cv == vertex)]
+    covers = _bit_rows((cu == vertex) | (cv == vertex))
     compat: dict[int, int] = {}
 
     def later_compatible(i: int) -> int:
@@ -192,7 +194,7 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
             ok = ((np.abs(au[ju] - av[jv]) <= WEIGHT_TOL)
                   & (np.abs(au[jv] - av[ju]) <= WEIGHT_TOL)
                   & (ju != u) & (ju != v) & (jv != u) & (jv != v))
-            compat[i] = _bits(ok) << (i + 1)
+            compat[i] = _bit_rows(ok[None])[0] << (i + 1)
         return compat[i]
 
     results: list[TwinStructure] = []
@@ -227,7 +229,7 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
             j = low.bit_length() - 1
             u, v = candidates[j]
             pairs.append((u, v))
-            dfs(j, allowed, used | 1 << u | 1 << v, needed | _bits(moved[j]))
+            dfs(j, allowed, used | 1 << u | 1 << v, needed | moved[j])
             pairs.pop()
             if len(results) >= max_results:
                 return
@@ -236,6 +238,7 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     return results
 
 
-def _bits(mask: np.ndarray) -> int:
-    """A boolean array as an int whose bit k is mask[k]."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+def _bit_rows(masks: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as an int whose bit k is row[k]."""
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

@@ -22,9 +22,8 @@ from qwalk import (
 )
 from qwalk import experiments
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_limbs, _pair_transfer, _pinned_integers,
-                                _prufer_edges, _tree_edges, _verify_hits, limb_tree,
-                                prufer_decode)
+from qwalk.experiments import (_limbs, _pair_transfer, _prufer_edges, _Stream,
+                                _tree_edges, _verify_hits, limb_tree, prufer_decode)
 from qwalk.graphs import pair_state
 from qwalk.spectral import transfer_amplitude
 from qwalk.transfer import PST_TOL, check_pst
@@ -375,8 +374,8 @@ def _per_tree_survey(sizes, samples, seed):
     reports, hits = [], []
     for size in sizes:
         hit_count = verified = 0
-        for k in range(samples):
-            seq = np.random.default_rng((seed, size, k)).integers(0, size, size - 2).tolist()
+        rows = np.random.default_rng((seed, size)).integers(0, size, (samples, size - 2))
+        for seq in rows.tolist():
             g = _heap_decode(seq, size)
             arms = _centre_scan_limb(g)
             if arms is None:
@@ -542,57 +541,101 @@ def test_survey_builds_no_graph(monkeypatch):
     assert len(built) == 1  # the counter does see a graph being built
 
 
-# -- the survey's batched draws against NumPy's generator, their reference
+# -- the survey's draws against NumPy's generator, their reference
 
-def _numpy_rows(prefix, ks, bound, count):
-    return np.array([np.random.default_rng((*prefix, k)).integers(0, bound, count)
-                     for k in ks], dtype=np.int64).reshape(len(ks), count)
+# row k of the survey's stream for seed 2024 at size n: the same seeds must
+# keep giving the same trees
+RECORDED_ROWS = {
+    (6, 1): [5, 4, 5, 4],
+    (8, 2): [4, 0, 5, 6, 2, 3],
+    (12, 3): [6, 1, 0, 8, 6, 1, 8, 5, 9, 8],
+    (24, 4): [16, 4, 21, 3, 17, 12, 22, 10, 5, 6, 3, 3, 9, 8, 2, 9, 9, 6, 13, 5,
+              19, 1],
+}
+
+
+def _numpy_rows(seed, bound, rows, count):
+    return np.random.default_rng(seed).integers(0, bound, (rows, count))
+
+
+def _taken_rows(stream, splits, count):
+    """The rows a stream gives when taken in blocks of ``splits`` rows."""
+    rows = [stream.take(block * count).reshape(block, count) for block in splits]
+    assert all(r.dtype == np.int64 for r in rows)
+    return np.concatenate(rows)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 11, 3 ** 40, 2 ** 64])
 def test_pinned_integers_match_numpy(seed):
-    # 2 ** 32 and up give the seed two or three entropy words; the last block
-    # ends at the largest k that fits one word
+    # 2 ** 32 and up give the seed two or three entropy words; the takes
+    # split the rows at odd word counts, so values wait across them
+    splits = (2, 1, 37, 20)
     for size in range(2, 65):
-        for start, stop in ((0, 2), (size * 997, size * 997 + 1), (2 ** 32 - 2, 2 ** 32)):
-            got = _pinned_integers((seed, size), start, stop, size, size - 2)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, _numpy_rows((seed, size), range(start, stop),
-                                                  size, size - 2)), (seed, size, start)
+        got = _taken_rows(_Stream((seed, size), size), splits, size - 2)
+        assert np.array_equal(got, _numpy_rows((seed, size), size, sum(splits), size - 2)), \
+            (seed, size)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bound, count", [
-    (3 * 2 ** 30 + 1, 50),      # ~25 % of words rejected: every row is drawn again
-    (4252017623, 49),           # ~1 % rejected: some rows are drawn again
+    (3 * 2 ** 30 + 1, 50),      # ~25 % of words rejected: most takes draw again
+    (4252017623, 49),           # ~1 % rejected: some takes draw again
 ])
 def test_pinned_integers_reject_like_numpy(bound, count):
-    rows = _pinned_integers((2024, 7), 5, 45, bound, count)
-    assert np.array_equal(rows, _numpy_rows((2024, 7), range(5, 45), bound, count))
+    splits = (5, 1, 34)
+    got = _taken_rows(_Stream((2024, 7), bound), splits, count)
+    assert np.array_equal(got, _numpy_rows((2024, 7), bound, sum(splits), count))
 
 
 def test_pinned_integers_keep_recorded_draws():
-    # the survey's own stream gives the recorded trees, not only NumPy's
-    for (n, k), edges in RECORDED_TREES.items():
-        (seq,) = _pinned_integers((2024, n), k, k + 1, n, n - 2).tolist()
-        assert [(a, b) for a, b, _ in prufer_decode(tuple(seq), n).edges] == edges
+    # the survey's own stream gives the recorded rows, not only NumPy's
+    for (n, k), seq in RECORDED_ROWS.items():
+        rows = _taken_rows(_Stream((2024, n), n), (k, 1), n - 2)
+        assert rows[k].tolist() == seq
+        assert _numpy_rows((2024, n), n, k + 1, n - 2)[k].tolist() == seq
+
+
+def _survey_rows(monkeypatch, sizes, samples, seed):
+    """The Pruefer rows the survey decodes, per size."""
+    rows = {}
+
+    def record(seqs, n):
+        rows.setdefault(n, []).append(seqs.copy())
+        return _prufer_edges(seqs, n)
+
+    monkeypatch.setattr(experiments, "_prufer_edges", record)
+    run_tree_experiment(sizes, samples, seed)
+    return {n: np.concatenate(blocks) for n, blocks in rows.items()}
+
+
+@pytest.mark.parametrize("block", [40, 97, experiments.DRAW_BLOCK])
+def test_survey_rows_are_one_stream_per_size(block, monkeypatch):
+    # whatever the block, tree k of a size is row k of NumPy's draws for
+    # (seed, size), and the same for any larger sample count
+    monkeypatch.setattr(experiments, "DRAW_BLOCK", block)
+    seed = 2 ** 32 + 11
+    for samples in (23, 61):
+        rows = _survey_rows(monkeypatch, (6, 24, 40), samples, seed)
+        for n in (6, 24, 40):
+            assert np.array_equal(rows[n], _numpy_rows((seed, n), n, samples, n - 2))
 
 
 def test_survey_blocks_match_per_tree_path(monkeypatch):
     # 40 entries per block: blocks of 10, 1 and 1 trees for sizes 6, 24 and 40
     monkeypatch.setattr(experiments, "DRAW_BLOCK", 40)
-    blocks = []
+    takes = []
+    take = _Stream.take
 
-    def record(prefix, start, stop, bound, count):
-        blocks.append((prefix[1], start, stop))
-        return _pinned_integers(prefix, start, stop, bound, count)
+    def record(stream, count):
+        takes.append((int(stream._bound), count))
+        return take(stream, count)
 
-    monkeypatch.setattr(experiments, "_pinned_integers", record)
+    monkeypatch.setattr(_Stream, "take", record)
     expected, _ = _per_tree_survey((6, 24, 40), 23, 2 ** 32 + 11)
     assert run_tree_experiment((6, 24, 40), 23, 2 ** 32 + 11) == expected
-    assert [b for b in blocks if b[0] == 6] == [(6, 0, 10), (6, 10, 20), (6, 20, 23)]
-    assert [b[1:] for b in blocks if b[0] == 40] == [(k, k + 1) for k in range(23)]
+    assert [c for n, c in takes if n == 6] == [40, 40, 12]
+    assert [c for n, c in takes if n == 40] == [38] * 23
 
 
 def test_survey_builds_no_generator(monkeypatch):
@@ -612,10 +655,12 @@ def test_survey_refuses_more_samples_than_one_entropy_word(monkeypatch):
     def draw(*args):
         raise Drawn
 
-    monkeypatch.setattr(experiments, "_pinned_integers", draw)
+    # the cap stays where tree k's seed had to fit one entropy word; the
+    # patched draw stops the survey of 2^32 trees at its first block
+    monkeypatch.setattr(_Stream, "take", draw)
     with pytest.raises(BadParam):
         run_tree_experiment((8,), 2 ** 32 + 1, 1)
-    with pytest.raises(Drawn):  # k = 2^32 - 1 still fits one word
+    with pytest.raises(Drawn):
         run_tree_experiment((8,), 2 ** 32, 1)
 
 
@@ -624,6 +669,6 @@ def test_survey_refuses_a_small_size_before_any_draw(monkeypatch):
     def draw(*args):
         raise AssertionError("drew trees before checking every size")
 
-    monkeypatch.setattr(experiments, "_pinned_integers", draw)
+    monkeypatch.setattr(_Stream, "take", draw)
     with pytest.raises(NotATree):
         run_tree_experiment((24, 5), 3000, 1)

@@ -138,6 +138,14 @@ def test_pgst_autocorrelation_skips_t0():
     assert rep.tau > 0.5  # the t=0 plateau is excluded
 
 
+def test_pgst_autocorrelation_plateau_ends_at_the_first_minimum():
+    # K_8 from a vertex to itself: |f(t)| = |7 e^(-it) + e^(7it)| / 8 never
+    # falls below 0.75, dips to it at pi/8 and returns to 1 at pi/4
+    rep = pgst_witness(complete_graph(8), vertex_state(0), vertex_state(0), 0.7, 10.0)
+    assert abs(rep.tau - math.pi / 4) < 1e-9
+    assert rep.fidelity > 1 - 1e-12
+
+
 def test_pgst_witness_returns_the_earliest_run():
     # P_4 end to end passes 0.99 near t = 28.1 (0.9962) and again near 53.4
     # (0.99996): both runs lie in the first scan window and are refined
