@@ -11,10 +11,11 @@ the stream NEP 19 keeps stable, not ``Generator.integers``; the rows equal
 check.  Each block of sequences is then surveyed as arrays, with no
 per-tree Python loop and no graph object: all its rows are decoded in
 lockstep to edge arrays, the limb is found from each vertex's degree and
-neighbour sum, and each hit's transfer is checked on the 2-dimensional
-Krylov space of its leaves' pair state, with an a-posteriori error bound
-and no eigensolver.  The exhaustive survey counts all n^(n-2) labelled
-trees exactly: the trees without the limb are counted by their exponential
+neighbour sum, and each hit's transfer is checked exactly: the adjacency
+must map the leaves' difference vector to the midpoints' and back, up to
+one sign, which integer products decide with no eigensolver and no
+tolerance.  The exhaustive survey counts all n^(n-2) labelled trees
+exactly: the trees without the limb are counted by their exponential
 generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
 VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
 count uniform labelled trees: this demonstrates the transfer mechanism on a
@@ -25,15 +26,12 @@ measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from math import comb, perm, pi
+from math import comb, perm
 
 import numpy as np
 
 from .errors import BadParam, NotATree, require_int
 from .graphs import WeightedGraph
-from .spectral import _lanczos
-from .transfer import PST_TOL
 from .twins import TwinStructure
 
 
@@ -137,56 +135,37 @@ def _limbs(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row[take[:, 0]], np.stack((leaf[take], mid[take]), axis=2)
 
 
-def _pair_transfer(edges: np.ndarray, arms: np.ndarray, n: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per hit of (hits, n-1, 2) tree ``edges`` and (hits, 2, 2) ``arms``
-    ((l1, m1), (l2, m2)): the amplitude v* e^(i pi A/2) u of the pair states
-    u = (e_l1 - e_l2)/sqrt 2 and v = (e_m1 - e_m2)/sqrt 2 on the 2-dimensional
-    Krylov space of u, and a bound on its error.
-
-    Two steps of ``spectral._lanczos``, one bincount product each over the
-    flat edge ends of all hits, give Q = [q1 q2], u = Q c + r, the 2x2
-    H = Q A Q^T and the residual R = AQ - HQ.  The amplitude is
-    (Q v)* e^(i pi H/2) c, by the closed form of a 2x2 exponential, within
-    (pi/2)||R|| + ||r|| of the true one by Duhamel (Saad, SIAM J. Numer.
-    Anal. 1992).  A double-P_2 limb has A.B = B.T (B the arms' difference
-    vectors, T the adjacency of P_2), so R is 0 up to roundoff; wrong arms
-    read a wrong amplitude or an open space."""
-    hits = len(edges)
-    flat = edges + (np.arange(hits) * n)[:, None, None]
-    ends, other = flat.ravel(), flat[:, :, ::-1].ravel()
-
-    def times_a(x):  # each edge end gathers its neighbour's entry
-        return np.bincount(ends, weights=x.ravel()[other],
-                           minlength=hits * n).reshape(hits, n)
-
-    (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
-    h, s = np.arange(hits), 0.5 ** 0.5
-    u, v = np.zeros((hits, 1, n)), np.zeros((hits, n))
-    u[h, 0, l1] = v[h, m1] = s
-    u[h, 0, l2] -= s
-    v[h, m2] -= s
-    q, _, coef, size = next(islice(_lanczos(times_a, u), 1, None))
-    (c1, c2), (a1, b1), (_, a2) = coef.transpose(1, 2, 0)
-    vq1, vq2 = np.vecdot(v[:, None], q).T
-    # e^(i t H) = e^(i t mean) (cos(t om) I + i sin(t om)/om K) for
-    # K = H - mean I = [[d, b1], [b1, -d]], om^2 = d^2 + b1^2
-    t = pi / 2
-    mean, d = (a1 + a2) / 2, (a1 - a2) / 2
-    om = np.hypot(d, b1)
-    sin_over = t * np.sinc(t * om / pi)  # sin(t om)/om, and t at om = 0
-    amp = np.exp(1j * t * mean) * (
-        np.cos(t * om) * (vq1 * c1 + vq2 * c2)
-        + 1j * sin_over * (vq1 * (d * c1 + b1 * c2) + vq2 * (b1 * c1 - d * c2)))
-    return amp, t * np.sqrt(size[:, 1:].sum(axis=1)) + np.sqrt(size[:, 0])
-
-
 def _verify_hits(edges: np.ndarray, arms: np.ndarray, n: int) -> np.ndarray:
-    """Per hit, whether the pair transfer leaves -> midpoints passes at pi/2
-    with the error bound of ``_pair_transfer``, |amp| - bound >= 1 - PST_TOL:
-    read off the tree with no eigensolver and no use of the twin theorem."""
-    amp, bound = _pair_transfer(edges, arms, n)
-    return np.abs(amp) - bound >= 1 - PST_TOL
+    """Per hit of (hits, n-1, 2) tree ``edges`` and (hits, 2, 2) ``arms``
+    ((l1, m1), (l2, m2)), whether the pair transfer leaves -> midpoints
+    passes at pi/2, decided exactly: read off the tree with no eigensolver,
+    no tolerance and no use of the twin theorem.
+
+    With x = e_l1 - e_l2 and y = e_m1 - e_m2, a hit passes iff l1 != l2,
+    m1 != m2 and A x = s y, A y = s x for one s in {+1, -1}.  Then A^2 = I
+    on span{x, y}, so e^(i pi A/2) x = i A x = i s y: the pair state of the
+    leaves goes to that of the midpoints with amplitude i s.  A double-P_2
+    limb has A.B = B.T (B the arms' difference vectors, T the adjacency of
+    P_2), so its hits pass with s = +1.
+
+    One bincount over the flat edge ends of all hits gives A(x + 4y).  Its
+    entries are small integers, which float64 holds exactly, and as the
+    entries of A x and y lie in {-1, 0, 1}, A(x + 4y) = s(y + 4x) iff
+    A x = s y and A y = s x."""
+    hits = len(edges)
+    at = (np.arange(hits) * n)[:, None, None]
+    flat = edges + at
+    (l1, m1), (l2, m2) = (arms + at).transpose(1, 2, 0)
+    x, y = np.zeros((2, hits * n))
+    x[l1] = y[m1] = 1
+    x[l2] -= 1
+    y[m2] -= 1
+    # each edge end gathers its neighbour's entry
+    az = np.bincount(flat.ravel(), weights=(x + 4 * y)[flat[:, :, ::-1].ravel()],
+                     minlength=hits * n).reshape(hits, n)
+    w = (y + 4 * x).reshape(hits, n)
+    closes = (az == w).all(axis=1) | (az == -w).all(axis=1)
+    return closes & (l1 != l2) & (m1 != m2)
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> WeightedGraph:
@@ -283,10 +262,9 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     The rows are taken in blocks of up to DRAW_BLOCK entries, and each block
     is surveyed with array operations: ``_prufer_edges`` decodes its rows in
     lockstep, ``_limbs`` finds the limbs from degrees and neighbour sums,
-    and ``_verify_hits`` checks each hit's transfer on the 2-dimensional
-    Krylov space of its pair state, two sparse products with all of the
-    block's hits at once and an error bound that the verdict takes into
-    account.  No graph object and no dense matrix is built.
+    and ``_verify_hits`` checks each hit's transfer exactly, with one
+    integer product over all of the block's hits and no tolerance.  No
+    graph object and no dense matrix is built.
 
     Raises BadParam unless the sizes are an iterable of integers, the
     sample count a nonnegative integer of at most 2^32 (the counts the

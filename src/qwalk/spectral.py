@@ -330,31 +330,29 @@ def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
 
 
 def _lanczos(times_a, start: np.ndarray):
-    """Krylov bases of a (rows, k, n) stack of real start blocks S, by Lanczos
-    with full reorthogonalisation; times_a maps a (rows, n) stack x to A x.
-    A step appends each row's largest remainder of [S; AQ] outside span Q,
+    """Krylov bases of a real (k, n) start block S, by Lanczos with full
+    reorthogonalisation; times_a maps a length-n vector x to A x.  A step
+    appends the largest remainder of the rows of [S; AQ] outside span Q,
     projected out again and normalized (zero stays zero), and its product,
-    then yields (Q, AQ, C, E): the (rows, d, n) bases, their products, and
-    the coordinates C in Q and squared remainder norms E of the rows of
-    [S; AQ].  So C[:, k:] is H = Q A Q^T transposed, and E[:, k:] sums to
+    then yields (Q, AQ, C, E): the (d, n) basis, its products, and the
+    coordinates C in Q and squared remainder norms E of the rows of
+    [S; AQ].  So C[k:] is H = Q A Q^T transposed, and E[k:] sums to
     ||AQ - HQ||^2.
     """
-    rows, k, n = start.shape
-    q = np.empty((rows, 0, n))
+    k, n = start.shape
+    q = np.empty((0, n))
     cand = rest = start
     size = np.vecdot(start, start)
-    at = np.arange(rows)
     while True:
-        w = rest[at, size.argmax(1)]
-        if q.shape[1]:
-            w -= ((w[:, None] @ q.transpose(0, 2, 1)) @ q)[:, 0]
-        w /= np.sqrt(np.vecdot(w, w) + np.finfo(float).tiny)[:, None]
-        q = np.concatenate((q, w[:, None]), axis=1)
-        cand = np.concatenate((cand, times_a(w)[:, None]), axis=1)
-        coef = cand @ q.transpose(0, 2, 1)
+        w = rest[size.argmax()]
+        w = w - (w @ q.T) @ q
+        w /= np.sqrt(np.vecdot(w, w) + np.finfo(float).tiny)
+        q = np.concatenate((q, w[None]))
+        cand = np.concatenate((cand, times_a(w)[None]))
+        coef = cand @ q.T
         rest = cand - coef @ q
         size = np.vecdot(rest, rest)
-        yield q, cand[:, k:], coef, size
+        yield q, cand[k:], coef, size
 
 
 def _ritz(q: np.ndarray, aq: np.ndarray, h: np.ndarray
@@ -385,12 +383,11 @@ def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float, snap=None
     ends, other, weights = g.edge_arrays
 
     def times_a(y):  # an edgeless core's bincount is an integer array
-        return np.bincount(ends, weights=weights * y[0, other],
-                           minlength=g.n).astype(float, copy=False)[None]
+        return np.bincount(ends, weights=weights * y[other],
+                           minlength=g.n).astype(float, copy=False)
 
     w0, xnorm = np.array([tail.weight(0) for tail in g.tails]), _norm(x)
-    for q, aq, coef, size in _lanczos(times_a, x.view(float).reshape(g.n, 2).T[None]):
-        q, aq, coef, size = q[0], aq[0], coef[0], size[0]
+    for q, aq, coef, size in _lanczos(times_a, x.view(float).reshape(g.n, 2).T):
         if snap is not None:
             t = snap(FidelityCurve.of(_ritz(q, aq, coef[2:])[0], x, x))
         scale, leak, r = abs(t) * xnorm, _norm(w0 * q[:, attach]), math.sqrt(size[0] + size[1])

@@ -2,6 +2,7 @@ import heapq
 import os
 import random
 import re
+import sys
 from itertools import combinations, permutations, product
 from math import e, factorial, pi
 
@@ -16,17 +17,18 @@ from qwalk import (
     complete_graph,
     exhaustive_tree_experiment,
     find_p5_limb,
+    named_gadget,
     path_graph,
     random_tree,
     run_tree_experiment,
 )
-from qwalk import experiments
+from qwalk import experiments, spectral
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_limbs, _pair_transfer, _prufer_edges, _Stream,
-                                _tree_edges, _verify_hits, limb_tree, prufer_decode)
+from qwalk.experiments import (_limbs, _prufer_edges, _Stream, _tree_edges, _verify_hits,
+                               limb_tree, prufer_decode)
 from qwalk.graphs import pair_state
-from qwalk.spectral import transfer_amplitude
-from qwalk.transfer import PST_TOL, check_pst
+from qwalk.spectral import transfer_amplitude, transfer_curve
+from qwalk.transfer import check_pst
 from tree_census import _free_trees, _tree_class
 
 # random_tree(n, (2024, n, k)) as drawn before the draws were unboxed with
@@ -436,20 +438,27 @@ def test_list_decoder_and_leaf_limb_match_per_tree_path():
 
 @pytest.mark.parametrize("seed", [3, 29])
 def test_verifier_amplitudes_match_transfer_amplitude(seed):
+    # a limb's hit goes to its midpoints with amplitude exactly i
     rng = np.random.default_rng(seed)
     checked = 0
     for n in range(6, 41, 2):
         seqs = rng.integers(0, n, (30, n - 2))
         edges = _prufer_edges(seqs, n)
         found, arms = _limbs(edges, n)
-        amps = _pair_transfer(edges[found], arms, n)[0]
         assert _verify_hits(edges[found], arms, n).all()
-        for row, ((l1, m1), (l2, m2)), amp in zip(found.tolist(), arms.tolist(), amps):
+        for row, ((l1, m1), (l2, m2)) in zip(found.tolist(), arms.tolist()):
             g = prufer_decode(tuple(seqs[row].tolist()), n)
             ref, _ = transfer_amplitude(g, pair_state(l1, l2), pair_state(m1, m2), pi / 2)
-            assert abs(amp - ref) < 1e-12
+            assert abs(ref - 1j) < 1e-12
             checked += 1
     assert checked > 50
+
+
+def _dense_adjacency(edges, n):
+    rows = np.arange(len(edges))[:, None]
+    a = np.zeros((len(edges), n, n))
+    a[rows, edges[:, :, 0], edges[:, :, 1]] = a[rows, edges[:, :, 1], edges[:, :, 0]] = 1
+    return a
 
 
 def _dense_amplitudes(edges, arms, n):
@@ -458,71 +467,93 @@ def _dense_amplitudes(edges, arms, n):
     tree's dense adjacency A: sum_k (phi_k[m1] - phi_k[m2])(phi_k[l1] -
     phi_k[l2])/2 e^(i pi lambda_k/2)."""
     rows = np.arange(len(edges))
-    x, y = edges[:, :, 0], edges[:, :, 1]
-    a = np.zeros((len(edges), n, n))
-    a[rows[:, None], x, y] = a[rows[:, None], y, x] = 1
-    lam, phi = np.linalg.eigh(a)
+    lam, phi = np.linalg.eigh(_dense_adjacency(edges, n))
     (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
     d = (phi[rows, m1] - phi[rows, m2]) * (phi[rows, l1] - phi[rows, l2])
     return (d * np.exp(0.5j * pi * lam)).sum(axis=1) / 2
+
+
+def _dense_signs(edges, arms, n):
+    """x^T A y / 2 per row, for x = e_l1 - e_l2 and y = e_m1 - e_m2 on the
+    dense adjacency: the s of A x = s y where that holds."""
+    rows = np.arange(len(edges))
+    (l1, m1), (l2, m2) = arms.transpose(1, 2, 0)
+    a = _dense_adjacency(edges, n)
+    return (a[rows, l1, m1] - a[rows, l1, m2] - a[rows, l2, m1] + a[rows, l2, m2]) / 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(6, 40), st.integers(0, 2 ** 32 - 1))
 def test_krylov_amplitudes_match_the_dense_oracle(n, seed):
     # real hits, and wrong arms: a hit's second leaf moved to another vertex,
-    # and four vertices drawn at random
+    # and four vertices drawn at random.  A verified row's transfer is
+    # exact: its dense amplitude is i s, s = +1 on every real hit
     rng = np.random.default_rng(seed)
     edges = _prufer_edges(rng.integers(0, n, (30, n - 2)), n)
     found, arms = _limbs(edges, n)
-    amp, bound = _pair_transfer(edges[found], arms, n)
-    assert np.all(np.abs(amp - _dense_amplitudes(edges[found], arms, n)) < 1e-12)
-    assert np.all(bound < 1e-12) and _verify_hits(edges[found], arms, n).all()
+    assert _verify_hits(edges[found], arms, n).all()
+    assert np.all(_dense_signs(edges[found], arms, n) == 1)
     moved = arms.copy()
     moved[:, 1, 0] = rng.integers(0, n, len(arms))
     drawn = rng.integers(0, n, (len(edges), 2, 2))
-    for rows, wrong in ((edges[found], moved), (edges, drawn)):
-        amp, bound = _pair_transfer(rows, wrong, n)
-        oracle = _dense_amplitudes(rows, wrong, n)
-        assert np.all(np.abs(amp - oracle) <= bound + 1e-12)
-        # a verified transfer is a true one
+    for rows, wrong in ((edges[found], arms), (edges[found], moved), (edges, drawn)):
         verified = _verify_hits(rows, wrong, n)
-        assert np.all(np.abs(oracle[verified]) >= 1 - PST_TOL - 1e-12)
+        amp = _dense_amplitudes(rows[verified], wrong[verified], n)
+        sign = _dense_signs(rows[verified], wrong[verified], n)
+        assert np.all(np.abs(sign) == 1) and np.all(np.abs(amp - 1j * sign) < 1e-12)
 
 
 def test_wrong_arms_fail_on_the_amplitude_or_the_residual():
     # limb_tree(9)'s leaves 0 and 4 go to their midpoints 1 and 3; to the
     # midpoint 1 and the centre's extra leaf 5 only half the amplitude goes
-    amp, bound = _pair_transfer(_tree_edges(limb_tree(9)), np.array([[[0, 1], [4, 5]]]), 9)
-    assert abs(abs(amp[0]) - 0.5) < 1e-15 and bound[0] < 1e-15
+    edges, arms = _tree_edges(limb_tree(9)), np.array([[[0, 1], [4, 5]]])
+    assert abs(abs(_dense_amplitudes(edges, arms, 9)[0]) - 0.5) < 1e-15
+    assert _verify_hits(edges, arms, 9).tolist() == [False]
+    # arms that repeat a leaf or a midpoint make x or y zero, and A.0 = 0
+    arms = np.array([[[0, 1], [0, 1]], [[0, 1], [0, 3]], [[0, 1], [4, 1]]])
+    assert _verify_hits(np.repeat(edges, 3, axis=0), arms, 9).tolist() == [False] * 3
     # the arms 0-1 and 4-3 of the path 0-...-4, with a sixth vertex hung on
     # the leaf 0 or the midpoint 1: A.B != B.T, so the pair state's space
-    # does not close, and the residual bound refuses the transfer even where
-    # the amplitude on the space reads 1
+    # does not close, and the transfer is refused
     arms = np.array([[[0, 1], [4, 3]]] * 2)
     path = [(0, 1), (1, 2), (2, 3), (3, 4)]
     edges = np.array([path + [(0, 5)], path + [(1, 5)]])
-    amp, bound = _pair_transfer(edges, arms, 6)
-    assert np.all(bound > 0.5)
-    assert abs(abs(amp[1]) - 1) < 1e-15
-    assert np.all(np.abs(amp - _dense_amplitudes(edges, arms, 6)) <= bound)
+    assert np.all(np.abs(_dense_amplitudes(edges, arms, 6)) < 1 - 1e-3)
+    assert _verify_hits(edges, arms, 6).tolist() == [False, False]
+    # the leaves 1 and 3 of the vertex 0, each as its own midpoint: A x = 0,
+    # so their pair state stays put, with amplitude 1 to itself and -1 to
+    # its negative, which is no transfer to the midpoints
+    tree = [(0, 1), (0, 2), (0, 3), (2, 4), (4, 5)]
+    edges, arms = np.array([tree] * 2), np.array([[[1, 1], [3, 3]], [[1, 3], [3, 1]]])
+    assert np.allclose(_dense_amplitudes(edges, arms, 6), [1, -1], atol=1e-12)
+    g = WeightedGraph(6, tuple((a, b, 1.0) for a, b in tree))
+    amp, _ = transfer_amplitude(g, pair_state(1, 3), pair_state(1, 3), pi / 2)
+    assert abs(amp - 1) < 1e-12
     assert _verify_hits(edges, arms, 6).tolist() == [False, False]
 
 
 def test_survey_makes_no_dense_eigh(monkeypatch):
-    eigh = np.linalg.eigh
+    # nor any eigensolver or Krylov basis at all: its verdicts are exact
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the survey built {what}")
+        return call
 
-    def refuse(a, *args, **kwargs):
-        assert np.shape(a)[-1] <= 2, f"eigh on a {np.shape(a)} matrix"
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse("an eigendecomposition"))
+    lanczos = spectral._lanczos
+    for name, module in list(sys.modules.items()):  # every imported copy
+        if name.split(".")[0] == "qwalk" and getattr(module, "_lanczos", None) is lanczos:
+            monkeypatch.setattr(module, "_lanczos", refuse("a Krylov basis"))
     (rep,) = run_tree_experiment((24,), 200, 5)
     assert rep.hit_count > 0 and rep.verified_count == rep.hit_count
     rep = exhaustive_tree_experiment(40, verify=True)
     assert rep.verified_count == rep.hit_count > 0
-    with pytest.raises(AssertionError):  # the refusal does see a dense eigh
-        np.linalg.eigh(np.eye(3))
+    # the refusals do see an eigensolver and a Krylov basis
+    with pytest.raises(AssertionError, match="eigendecomposition"):
+        np.linalg.eigh(np.eye(2))
+    gd = named_gadget("flyswatter", tail_len=0)
+    with pytest.raises(AssertionError, match="Krylov basis"):
+        transfer_curve(gd.graph, gd.src, gd.dst, gd.tau)
 
 
 def test_survey_builds_no_graph(monkeypatch):
