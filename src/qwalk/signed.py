@@ -5,6 +5,11 @@ along: fidelity from u to v at t equals fidelity from Du to Dv at delta*t in
 the switched graph.  This module also provides balanced / anti-balanced
 detection, the pair<->plus transfer generators, and edge-disjoint signed
 composition A(H) - A(K) for commuting H, K.
+
+The pair<->plus generators rest on that identity: with delta = 1,
+U_{DAD}(t) = D*U(t)*D, so one spectral solve certifies the input transfer
+and each switched variant is certified by checking, exactly and without
+floats, that its graph and states are the D-images of the input's.
 """
 
 from __future__ import annotations
@@ -45,14 +50,23 @@ class SignVector:
     def flipping(cls, n: int, flipped, delta: int = 1) -> "SignVector":
         d = [1] * n
         for v in flipped:
+            _check_vertex(v, n)
             d[v] = -1
         return cls(tuple(d), delta)
 
     def apply_to_state(self, s: PureState) -> PureState:
+        for v, _ in s.support:
+            _check_vertex(v, len(self.d))
         return PureState(tuple((v, self.d[v] * c) for v, c in s.support))
 
     def to_document(self) -> dict:
         return {"d": list(self.d), "delta": self.delta}
+
+
+def _check_vertex(v: int, n: int) -> None:
+    # a negative index would silently wrap to a sign from the end of d
+    if not 0 <= v < n:
+        raise ParseError(f"vertex {v} outside the sign vector's 0..{n - 1}")
 
 
 def _sign(x, what: str) -> int:
@@ -156,23 +170,42 @@ def _canonical(s: PureState) -> PureState:
     return plus_state(a, b) if sign > 0 else pair_state(a, b)
 
 
+def _is_switch(gt: WeightedGraph, g: WeightedGraph, d: tuple[int, ...]) -> bool:
+    """True iff A(gt) = D*A(g)*D: the same edges in the same canonical order,
+    each weight d_a*d_b*w (a sign flip, exact in floating point), and the same
+    tails, as a tail takes its attach vertex's sign and keeps its weights."""
+    return (gt.n == g.n and gt.tails == g.tails and len(gt.edges) == len(g.edges)
+            and all(e == (a, b, d[a] * d[b] * w)
+                    for e, (a, b, w) in zip(gt.edges, g.edges)))
+
+
+def _is_switched_state(st: PureState, s: PureState, d: tuple[int, ...]) -> bool:
+    """True iff st = +D*s or -D*s amplitude for amplitude, for a canonical
+    pair/plus state s: the same two vertices, each sign flipped by d_v."""
+    ds = tuple((v, d[v] * c) for v, c in s.support)
+    return st.support in (ds, tuple((v, -c) for v, c in ds))
+
+
 def pairplus_transforms(g: WeightedGraph, src: PureState, dst: PureState,
                         tau: float) -> list[tuple[WeightedGraph, PureState, PureState]]:
     """Signed variants of g converting pair <-> plus transfer at the same time.
 
     src and dst must be pair or plus states with transfer at tau in g.  Each
-    output (g~, src~, dst~) differs from the input in at least one state type
-    and is re-certified by a fidelity check at tau.
+    output (g~, src~, dst~) differs from the input in at least one state type.
+    The input transfer is checked once, by a fidelity at tau on the exact
+    pair/plus states src and dst stand for; each output is certified by the
+    switching identity U_{DAD}(t) = D*U(t)*D, checked exactly on its edges,
+    tails and amplitudes, so a call makes one spectral solve.
     """
-    sa, sb, _ = _two_point(src)
-    da, db, _ = _two_point(dst)
-    base = fidelity(g, src, dst, tau)
+    src_c, dst_c = _canonical(src), _canonical(dst)
+    base = fidelity(g, src_c, dst_c, tau)
     if base < 1 - CERTIFY_TOL:
         raise NoTransfer(base, f"input has no transfer at t={tau:.12g}")
 
     # generators: negate every edge at the second source vertex,
     # at the second destination vertex, or at both (their joining edge, if any,
     # switches back to positive automatically)
+    sb, db = src_c.vertices[1], dst_c.vertices[1]
     flip_sets = [{sb}, {db}, {sb, db}]
     seen: set[tuple] = set()
     out: list[tuple[WeightedGraph, PureState, PureState]] = []
@@ -187,11 +220,10 @@ def pairplus_transforms(g: WeightedGraph, src: PureState, dst: PureState,
         seen.add(key)
         if src_t.is_parallel_to(src) and dst_t.is_parallel_to(dst) and gt.edges == g.edges:
             continue
-        f = fidelity(gt, src_t, dst_t, tau)
-        if f < 1 - CERTIFY_TOL:
-            raise QwalkError(
-                f"switched transfer failed to re-certify (fidelity {f:.12g})"
-            )
+        if not (_is_switch(gt, g, sv.d) and _is_switched_state(src_t, src_c, sv.d)
+                and _is_switched_state(dst_t, dst_c, sv.d)):
+            raise QwalkError(f"variant flipping {sorted(flips)} is not the "
+                             "switch of the input transfer")
         out.append((gt, src_t, dst_t))
     return out
 

@@ -20,7 +20,15 @@ from qwalk import (
     plus_state,
     switch,
 )
-from qwalk.errors import CommuteError, EdgeOverlap, ParseError, UnsupportedOverlap
+import qwalk.signed
+from qwalk.errors import (
+    CommuteError,
+    EdgeOverlap,
+    ParseError,
+    QwalkError,
+    UnsupportedOverlap,
+)
+from qwalk.graphs import PureState
 
 
 def test_sign_vector_validation():
@@ -29,6 +37,16 @@ def test_sign_vector_validation():
     sv = build_sign_vector({"d": [1, -1], "delta": -1})
     assert sv.d == (1, -1) and sv.delta == -1
     assert sv.to_document() == {"d": [1, -1], "delta": -1}
+
+
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_sign_vector_refuses_vertices_outside_d(vertex):
+    # a negative vertex used to wrap to the last sign, one past the end to
+    # raise a bare IndexError
+    with pytest.raises(ParseError):
+        SignVector((1, 1, -1)).apply_to_state(PureState(((vertex, 1 + 0j),)))
+    with pytest.raises(ParseError):
+        SignVector.flipping(3, [vertex])
 
 
 @pytest.mark.parametrize("doc", [
@@ -133,6 +151,101 @@ def test_pairplus_rejects_non_two_point_states():
     from qwalk import vertex_state
     with pytest.raises(UnsupportedOverlap):
         pairplus_transforms(gd.graph, vertex_state(0), gd.dst, gd.tau)
+
+
+# the benchmark's structure section: (name, kwargs) of its pairplus gadgets
+PAIRPLUS_GADGETS = (
+    ("p2_twins", {}), ("p2_twins_perturbed", {}),
+    ("p2_twins_signed_plusplus", {}), ("p2_twins_signed_pluspair", {}),
+    ("c4_quotient", {}), ("p3_twins_spur", {}), ("p3_twins_path", {}),
+    ("flyswatter", {}), ("h2p", {"p": 5}), ("h2p", {"p": 6}),
+    ("flyswatter", {"tail_len": 0}), ("p3_twins_spur", {"tail_len": 0}),
+    ("h2p", {"p": 5, "tail_len": 0}),
+)
+
+
+def _recertified_variants(g, src, dst, tau):
+    """The pair/plus variants by re-solving each one: every variant is kept
+    only if its own fidelity at tau is >= 1 - 1e-9."""
+    assert fidelity(g, src, dst, tau) >= 1 - 1e-9
+    canon = qwalk.signed._canonical
+    sb, db = canon(src).vertices[1], canon(dst).vertices[1]
+    seen, out = set(), []
+    for flips in ({sb}, {db}, {sb, db}):
+        sv = SignVector.flipping(g.n, flips)
+        gt = switch(g, sv)
+        src_t = canon(sv.apply_to_state(src))
+        dst_t = canon(sv.apply_to_state(dst))
+        key = (gt.edges, src_t.support, dst_t.support)
+        if key in seen:
+            continue
+        seen.add(key)
+        if src_t.is_parallel_to(src) and dst_t.is_parallel_to(dst) and gt.edges == g.edges:
+            continue
+        assert fidelity(gt, src_t, dst_t, tau) >= 1 - 1e-9
+        out.append((gt, src_t, dst_t))
+    return out
+
+
+@pytest.mark.parametrize("name,kw", PAIRPLUS_GADGETS,
+                         ids=[f"{n}{''.join(f'-{k}{v}' for k, v in kw.items())}"
+                              for n, kw in PAIRPLUS_GADGETS])
+def test_pairplus_matches_the_recertifying_oracle(name, kw):
+    gd = named_gadget(name, **kw)
+    out = pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)
+    assert out == _recertified_variants(gd.graph, gd.src, gd.dst, gd.tau)
+    assert out
+    for gt, src_t, dst_t in out:
+        assert gt.tails == gd.graph.tails
+        assert fidelity(gt, src_t, dst_t, gd.tau) >= 1 - 1e-9
+
+
+def test_pairplus_makes_one_spectral_solve(monkeypatch):
+    calls = []
+    solve = qwalk.signed.fidelity
+    monkeypatch.setattr(qwalk.signed, "fidelity",
+                        lambda *a, **k: calls.append(a) or solve(*a, **k))
+    for gd in (named_gadget("p2_twins"), named_gadget("flyswatter", tail_len=0)):
+        calls.clear()
+        assert len(pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)) == 3
+        assert len(calls) == 1
+
+
+def test_pairplus_reads_nudged_states_as_their_pair_plus_states():
+    # amplitudes within 1e-9 of +-1/sqrt2 stand for the exact states, which
+    # the input check and every variant use
+    gd = named_gadget("p2_twins_signed_pluspair")
+    nudge = lambda s: PureState(tuple((v, c + e * math.copysign(1, c.real))
+                                      for (v, c), e in zip(s.support, (4e-10, -4e-10))))
+    src, dst = nudge(gd.src), nudge(gd.dst)
+    assert src != gd.src and dst != gd.dst
+    assert (pairplus_transforms(gd.graph, src, dst, gd.tau)
+            == pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau))
+
+
+def test_pairplus_refuses_a_variant_that_is_not_the_switch(monkeypatch):
+    gd = named_gadget("p2_twins")
+    switched = qwalk.signed.switch
+
+    def switch_one_more_edge(g, sv):
+        gt = switched(g, sv)
+        (a, b, w), *rest = gt.edges
+        return WeightedGraph(gt.n, ((a, b, -w), *rest), gt.tails)
+
+    with monkeypatch.context() as m:
+        m.setattr(qwalk.signed, "switch", switch_one_more_edge)
+        with pytest.raises(QwalkError, match="not the switch"):
+            pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)
+
+    def drop_last_sign(sv, s):
+        *head, last = s.support
+        return PureState(tuple((v, sv.d[v] * c) for v, c in head) + (last,))
+
+    with monkeypatch.context() as m:
+        m.setattr(SignVector, "apply_to_state", drop_last_sign)
+        with pytest.raises(QwalkError, match="not the switch"):
+            pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)
+    assert len(pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)) == 3
 
 
 def test_compose_signed_basic():
