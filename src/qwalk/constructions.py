@@ -109,10 +109,18 @@ class CayleySpec:
     connection: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.moduli or any(m < 1 for m in self.moduli):
-            raise BadParam("moduli must be positive")
+        if not self.moduli:
+            raise BadParam("the group needs at least one modulus")
+        moduli = tuple(require_int(m, "modulus", 1) for m in self.moduli)
+        object.__setattr__(self, "moduli", moduli)
+        for s in self.connection:
+            # zip would silently drop or never reach the extra coordinates
+            if len(s) != len(moduli):
+                raise BadParam(f"connection element {tuple(s)} has {len(s)} "
+                               f"coordinates, the group {len(moduli)}")
         norm = tuple(
-            tuple(x % m for x, m in zip(s, self.moduli)) for s in self.connection
+            tuple(require_int(x, "connection coordinate") % m
+                  for x, m in zip(s, moduli)) for s in self.connection
         )
         object.__setattr__(self, "connection", norm)
         sset = set(norm)

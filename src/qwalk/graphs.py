@@ -88,6 +88,17 @@ class WeightedGraph:
             if any(w == 0 for w in t.prefix):
                 raise ZeroWeight("tail prefix contains a zero weight")
 
+    @classmethod
+    def _derived(cls, n: int, edges: tuple[tuple[int, int, float], ...],
+                 tails: tuple[TailSpec, ...]) -> "WeightedGraph":
+        """A graph built without the checks and the sort of __init__, for
+        edges and tails derived from a validated graph in a way that keeps
+        them valid: each edge once, in canonical order, with a nonzero finite
+        float weight (a sign flip of each weight, as switching makes)."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges, tails=tails)
+        return g
+
     # -- queries ---------------------------------------------------------
     # Derived structures are cached on first use; cached_property writes the
     # instance __dict__ directly, so it works on the frozen dataclass.

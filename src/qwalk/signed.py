@@ -15,6 +15,7 @@ floats, that its graph and states are the D-images of the input's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .spectral import fidelity
 
 COMMUTE_TOL = 1e-10
 CERTIFY_TOL = 1e-9
+_AMPLITUDE = 1 / sqrt(2)  # each amplitude of a pair or plus state, up to sign
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,10 @@ def switch(g: WeightedGraph, sv: SignVector) -> WeightedGraph:
         raise ParseError(f"sign vector length {len(sv.d)} != core size {g.n}")
     if sv.delta == -1 and g.tails:
         raise QwalkError("delta = -1 is not supported on graphs with tails")
-    edges = tuple(
-        (a, b, sv.delta * sv.d[a] * sv.d[b] * w) for a, b, w in g.edges
-    )
-    return WeightedGraph(g.n, edges, g.tails)
+    # a sign flip per weight keeps g's edges canonical, nonzero and finite
+    d, delta = sv.d, sv.delta
+    edges = tuple((a, b, delta * d[a] * d[b] * w) for a, b, w in g.edges)
+    return WeightedGraph._derived(g.n, edges, g.tails)
 
 
 def _sign_match(gt: WeightedGraph, g: WeightedGraph, target: int) -> SignVector | None:
@@ -157,7 +159,7 @@ def _two_point(s: PureState) -> tuple[int, int, int]:
         raise UnsupportedOverlap("state is not supported on exactly two vertices")
     (va, ca), (vb, cb) = s.support
     for c in (ca, cb):
-        if abs(c.imag) > 1e-12 or abs(abs(c.real) - 1 / np.sqrt(2)) > 1e-9:
+        if abs(c.imag) > 1e-12 or abs(abs(c.real) - _AMPLITUDE) > 1e-9:
             raise UnsupportedOverlap("state is not a pair or plus state")
     if ca.real < 0:
         # normalize global phase so the first amplitude is positive
@@ -165,8 +167,8 @@ def _two_point(s: PureState) -> tuple[int, int, int]:
     return va, vb, 1 if cb.real > 0 else -1
 
 
-def _canonical(s: PureState) -> PureState:
-    a, b, sign = _two_point(s)
+def _pair_or_plus(a: int, b: int, sign: int) -> PureState:
+    """(e_a + sign*e_b)/sqrt2: the canonical state _two_point decomposes."""
     return plus_state(a, b) if sign > 0 else pair_state(a, b)
 
 
@@ -197,31 +199,36 @@ def pairplus_transforms(g: WeightedGraph, src: PureState, dst: PureState,
     switching identity U_{DAD}(t) = D*U(t)*D, checked exactly on its edges,
     tails and amplitudes, so a call makes one spectral solve.
     """
-    src_c, dst_c = _canonical(src), _canonical(dst)
+    (sa, sb, s_sign), (da, db, d_sign) = _two_point(src), _two_point(dst)
+    # each state's pair and plus forms on its two vertices, by sign
+    src_as = {sign: _pair_or_plus(sa, sb, sign) for sign in (1, -1)}
+    dst_as = {sign: _pair_or_plus(da, db, sign) for sign in (1, -1)}
+    src_c, dst_c = src_as[s_sign], dst_as[d_sign]
     base = fidelity(g, src_c, dst_c, tau)
     if base < 1 - CERTIFY_TOL:
         raise NoTransfer(base, f"input has no transfer at t={tau:.12g}")
 
     # generators: negate every edge at the second source vertex,
     # at the second destination vertex, or at both (their joining edge, if any,
-    # switches back to positive automatically)
-    sb, db = src_c.vertices[1], dst_c.vertices[1]
+    # switches back to positive automatically).  D maps (e_a + sign*e_b)/sqrt2
+    # to (e_a + d_a*d_b*sign*e_b)/sqrt2, up to a global phase
     flip_sets = [{sb}, {db}, {sb, db}]
     seen: set[tuple] = set()
     out: list[tuple[WeightedGraph, PureState, PureState]] = []
     for flips in flip_sets:
         sv = SignVector.flipping(g.n, flips)
+        d = sv.d
         gt = switch(g, sv)
-        src_t = _canonical(sv.apply_to_state(src))
-        dst_t = _canonical(sv.apply_to_state(dst))
+        src_t = src_as[d[sa] * d[sb] * s_sign]
+        dst_t = dst_as[d[da] * d[db] * d_sign]
         key = (gt.edges, src_t.support, dst_t.support)
         if key in seen:
             continue
         seen.add(key)
-        if src_t.is_parallel_to(src) and dst_t.is_parallel_to(dst) and gt.edges == g.edges:
+        if src_t == src_c and dst_t == dst_c and gt.edges == g.edges:
             continue
-        if not (_is_switch(gt, g, sv.d) and _is_switched_state(src_t, src_c, sv.d)
-                and _is_switched_state(dst_t, dst_c, sv.d)):
+        if not (_is_switch(gt, g, d) and _is_switched_state(src_t, src_c, d)
+                and _is_switched_state(dst_t, dst_c, d)):
             raise QwalkError(f"variant flipping {sorted(flips)} is not the "
                              "switch of the input transfer")
         out.append((gt, src_t, dst_t))

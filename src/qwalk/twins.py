@@ -11,6 +11,16 @@ is ever paired, so A B vanishes on every tail vertex and the core residual
 ||A B - B T|| is the residual on the infinite graph.  That bounds the
 transition matrix's blocks at every time, by Duhamel's formula:
 ||e^{itA} B - B e^{itT}|| <= |t| ||A B - B T||.
+
+Detection pairs vertices whose sorted rows hold the same rounded weights:
+the rows are classed by one 1-D ``np.unique`` over the rows viewed as void
+scalars.  Its search needs, per candidate pair, the later candidates that are
+disjoint from it and consistent with it.  These compatibility rows are built
+lazily, in blocks that start at the requested candidate and double in size up
+to ROW_BLOCK entries of a table of the weights among the candidates' vertices
+(when every row fits in one block, the first block builds them all).  A
+search that expands most candidates then makes a few NumPy passes, and one
+that stops early builds few rows.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ from .partition import Partition
 
 WEIGHT_TOL = 1e-12
 CHECK_HORIZON = 2.7  # |t| up to which the block residuals are bounded
+# table entries per block of compatibility rows (64 KB of floats): that many
+# cost about one block's fixed NumPy overhead, so rows never asked for are cheap
+ROW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -151,15 +164,23 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     from and consistent with every chosen pair; ``used``, the chosen
     vertices; ``needed``, the vertices whose weights some chosen swap
     moves.  A node is a structure iff ``needed & ~used`` is empty.  The
-    bitsets of the vertices each swap moves, and of the candidates covering
-    each vertex, are built once, each from one ``np.packbits``; a
-    candidate's row of compatible later candidates is built with numpy the
-    first time a node ending in it is expanded.  Two prunes drop only
-    subtrees that hold no structure, so the order is kept: a node returns
-    when its outstanding vertices (``needed & ~used``) outnumber twice the
-    pairs left to the cap, and its next pair comes no later than the last
-    allowed candidate covering each outstanding vertex (none, if one is
-    covered by no allowed candidate).  The search stops at ``max_results``.
+    candidates come from one 1-D ``np.unique`` of the rounded, sorted rows,
+    each viewed as one void scalar.  The bitsets of the vertices each swap
+    moves, and of the candidates covering each vertex, are built once, each
+    from one ``np.packbits``.  A candidate's row of compatible later
+    candidates is needed the first time a node ending in it is expanded; it
+    is then built with the rows after it, up to the first row already built,
+    in one pass over a block of the table near[a, b] = |w(u,a) - w(v,b)| <=
+    WEIGHT_TOL of each pair (u, v), on the k vertices of the candidates.
+    Each pass takes twice the rows of the last, up to ROW_BLOCK table
+    entries; the first takes one row, or all rows if they fit in one pass.
+    Disjointness comes from the ``covers`` bitsets and "later"
+    from an int mask.  Two prunes drop only subtrees that hold no
+    structure, so the order is kept: a node returns when its outstanding
+    vertices (``needed & ~used``) outnumber twice the pairs left to the
+    cap, and its next pair comes no later than the last allowed candidate
+    covering each outstanding vertex (none, if one is covered by no allowed
+    candidate).  The search stops at ``max_results``.
     Raises BadParam unless ``cap`` and ``max_results`` are integers >= 1.
     """
     cap = require_int(cap, "cap", 1)
@@ -168,33 +189,55 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     # the swap of (u, v) maps row u onto row v, so the candidate pairs are
     # those whose rows hold the same weights (zeros sort last, as inf); a
     # tail-attach vertex is in a class of its own
-    keys = np.sort(np.where(adj != 0, np.rint(adj / WEIGHT_TOL) + 0.0, np.inf),
-                   axis=1)
-    kind = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    kind = _row_classes(np.sort(
+        np.where(adj != 0, np.rint(adj / WEIGHT_TOL), np.inf), axis=1))
     for t in g.tails:
         kind[t.attach] = -1 - t.attach
-    cu, cv = np.nonzero(np.triu(kind[:, None] == kind, 1))
+    vertex = np.arange(g.n)
+    cu, cv = np.nonzero((kind[:, None] == kind) & (vertex[:, None] < vertex))
     if not len(cu):
         return []
     candidates = list(zip(cu.tolist(), cv.tolist()))
+    m = len(candidates)
     # per candidate, the vertices whose weights its swap moves (the pair's
     # own vertices among them are used as soon as it is chosen)
-    moved = _bit_rows(np.abs(adj[cu] - adj[cv]) > WEIGHT_TOL)
+    diff = adj[cu]
+    diff -= adj[cv]
+    moved = _bit_rows(np.abs(diff, out=diff) > WEIGHT_TOL)
     # per vertex, the candidates containing it
-    vertex = np.arange(g.n)[:, None]
-    covers = _bit_rows((cu == vertex) | (cv == vertex))
-    compat: dict[int, int] = {}
+    covers = _bit_rows((cu == vertex[:, None]) | (cv == vertex[:, None]))
+    # the weights among the k vertices of the candidates, and each candidate
+    # (x, y) as rows iu, iv of that table and as entry x*k + y of a k x k one
+    ends, at = np.unique(np.concatenate((cu, cv)), return_inverse=True)
+    sub = adj[np.ix_(ends, ends)]
+    iu, iv = at[:m], at[m:]
+    pair_at = iu * len(ends) + iv
+    # one buffer, reused by every block, for ROW_BLOCK table entries or one row
+    table = np.empty((max(1, ROW_BLOCK // len(ends) ** 2), len(ends), len(ends)))
+    compat: list[int | None] = [None] * m
+    # rows in the first pass: all of them if they fit the buffer, else one
+    block = m if m <= len(table) else 1
 
     def later_compatible(i: int) -> int:
         """The candidates after i that are disjoint from and consistent with it."""
-        if i not in compat:
-            u, v = candidates[i]
-            au, av = adj[u], adj[v]
-            ju, jv = cu[i + 1:], cv[i + 1:]
-            ok = ((np.abs(au[ju] - av[jv]) <= WEIGHT_TOL)
-                  & (np.abs(au[jv] - av[ju]) <= WEIGHT_TOL)
-                  & (ju != u) & (ju != v) & (jv != u) & (jv != v))
-            compat[i] = _bit_rows(ok[None])[0] << (i + 1)
+        nonlocal block
+        if compat[i] is None:
+            # rows i, i+1, ... up to the first row already built, twice as
+            # many as the last pass and no more than the buffer holds, each
+            # over the candidates from i on.  Pairs (u, v) and (x, y) are
+            # consistent when the swaps agree on the weights between them:
+            # w(u,x) ~ w(v,y) and w(u,y) ~ w(v,x), i.e. near[x, y] and
+            # near[y, x] for near[a, b] = |w(u,a) - w(v,b)| <= WEIGHT_TOL
+            stop = min(m, i + min(block, len(table)))
+            stop = next((k for k in range(i + 1, stop) if compat[k] is not None), stop)
+            block *= 2
+            diff = np.subtract(sub[iu[i:stop], :, None], sub[iv[i:stop], None, :],
+                               out=table[:stop - i])
+            near = np.abs(diff, out=diff) <= WEIGHT_TOL
+            ok = (near & near.transpose(0, 2, 1)).reshape(len(diff), -1)
+            for k, row in enumerate(_bit_rows(np.take(ok, pair_at[i:], axis=1)), i):
+                u, v = candidates[k]
+                compat[k] = row << i & ~(covers[u] | covers[v]) & (-1 << k + 1)
         return compat[i]
 
     results: list[TwinStructure] = []
@@ -204,8 +247,7 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
         # the node whose last pair is candidate i; allowed still lacks its row
         outstanding = needed & ~used
         if pairs and not outstanding:
-            results.append(TwinStructure(g, tuple(u for u, _ in pairs),
-                                         tuple(v for _, v in pairs)))
+            results.append(TwinStructure(g, *zip(*pairs)))
         left = cap - len(pairs)
         if not left or len(results) >= max_results:
             return
@@ -238,7 +280,21 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
     return results
 
 
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """A class per row of a 2-D float array without NaN: two rows share a
+    class iff they are equal entry by entry, as in np.unique(axis=0).  Each
+    row is one void scalar, so this is a 1-D unique over bytes; adding 0.0
+    turns -0.0 into +0.0, the one pair of equal floats with different bytes,
+    and leaves a fresh C-contiguous array to view."""
+    rows = rows + 0.0
+    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+                     .ravel(), return_inverse=True)[1]
+
+
 def _bit_rows(masks: np.ndarray) -> list[int]:
-    """Each row of a 2-D boolean array as an int whose bit k is row[k]."""
+    """Each row of a 2-D boolean array with at least one column as an int
+    whose bit k is row[k]."""
     packed = np.packbits(masks, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[k:k + width], "little")
+            for k in range(0, len(data), width)]

@@ -81,6 +81,13 @@ def test_construct_cayley(capsys):
     assert doc["n"] == 6 and len(doc["edges"]) == 6
 
 
+@pytest.mark.parametrize("conn", ["(1),(3)", "(1,0,2),(3,0,2)"])
+def test_construct_cayley_rejects_elements_of_the_wrong_length(capsys, conn):
+    assert main(["construct", "cayley", "--group", "4,4", "--conn", conn]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "coordinates" in captured.err
+
+
 def test_construct_blowup(capsys):
     code = main(["construct", "blowup", "--base", "p3", "--copies", "2"])
     doc = json.loads(capsys.readouterr().out)

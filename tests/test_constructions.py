@@ -60,6 +60,20 @@ def test_cayley_validation():
         CayleySpec((5,), ((1,),))
 
 
+@pytest.mark.parametrize("moduli, connection", [
+    ((4, 4), ((1,), (3,))),              # too short: zip dropped a coordinate
+    ((4, 4), ((1, 0, 2), (3, 0, 2))),    # too long: the third never counted
+    ((4, True), ((1, 0), (3, 0))),       # a bool is no modulus
+    ((4, 4.0), ((1, 0), (3, 0))),
+    ((0, 4), ((0, 1), (0, 3))),
+    ((), ()),
+    ((4,), ((1.5,), (2.5,))),
+])
+def test_cayley_rejects_malformed_groups(moduli, connection):
+    with pytest.raises(BadParam):
+        CayleySpec(moduli, connection)
+
+
 def test_cayley_commutation_over_shared_group():
     rng = np.random.default_rng(9)
     for _ in range(5):

@@ -331,6 +331,24 @@ def test_graph_document_roundtrip(g):
     assert build_graph(json.dumps(graph_to_document(g))) == g
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_graphs(), tailed_instances().map(lambda inst: inst[0])),
+       st.integers(0, 10 ** 6))
+def test_switch_matches_a_validated_build(g, seed):
+    # switch skips WeightedGraph's checks and sort; the reference lists the
+    # same weights in reverse order with swapped ends, so __init__ must sort
+    rng = np.random.default_rng(seed)
+    delta = 1 if g.tails else int(rng.choice([-1, 1]))
+    sv = SignVector(tuple(int(x) for x in rng.choice([-1, 1], size=g.n)), delta)
+    gt = switch(g, sv)
+    built = WeightedGraph(g.n, tuple((b, a, delta * sv.d[a] * sv.d[b] * w)
+                                     for a, b, w in reversed(g.edges)), g.tails)
+    assert gt == built
+    assert all(type(w) is float for _, _, w in gt.edges)
+    assert gt.weight_map == built.weight_map
+    assert np.array_equal(gt.core_adjacency(), built.core_adjacency())
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_graphs(), st.integers(0, 10 ** 6))
 def test_switching_covariance(g, seed):

@@ -164,11 +164,18 @@ PAIRPLUS_GADGETS = (
 )
 
 
+def _canonical(s: PureState) -> PureState:
+    """The pair or plus state a two-point state with real amplitudes of equal
+    size stands for, its first amplitude positive."""
+    (a, ca), (b, cb) = s.support
+    return plus_state(a, b) if (ca.real > 0) == (cb.real > 0) else pair_state(a, b)
+
+
 def _recertified_variants(g, src, dst, tau):
     """The pair/plus variants by re-solving each one: every variant is kept
     only if its own fidelity at tau is >= 1 - 1e-9."""
     assert fidelity(g, src, dst, tau) >= 1 - 1e-9
-    canon = qwalk.signed._canonical
+    canon = _canonical
     sb, db = canon(src).vertices[1], canon(dst).vertices[1]
     seen, out = set(), []
     for flips in ({sb}, {db}, {sb, db}):
@@ -237,12 +244,12 @@ def test_pairplus_refuses_a_variant_that_is_not_the_switch(monkeypatch):
         with pytest.raises(QwalkError, match="not the switch"):
             pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)
 
-    def drop_last_sign(sv, s):
-        *head, last = s.support
-        return PureState(tuple((v, sv.d[v] * c) for v, c in head) + (last,))
-
+    # plus states come out as pair states: the input transfer is pair to
+    # pair, so only the switched variants' states are wrong
+    pair_or_plus = qwalk.signed._pair_or_plus
     with monkeypatch.context() as m:
-        m.setattr(SignVector, "apply_to_state", drop_last_sign)
+        m.setattr(qwalk.signed, "_pair_or_plus",
+                  lambda a, b, sign: pair_or_plus(a, b, -1))
         with pytest.raises(QwalkError, match="not the switch"):
             pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)
     assert len(pairplus_transforms(gd.graph, gd.src, gd.dst, gd.tau)) == 3

@@ -7,6 +7,7 @@ from qwalk import (
     WeightedGraph,
     blow_up,
     cayley,
+    complete_graph,
     compose_signed,
     cycle_graph,
     detect_twin_structures,
@@ -16,6 +17,7 @@ from qwalk import (
     verify_twin_structure,
 )
 from qwalk.errors import BadParam, StructureViolation
+from qwalk.twins import _row_classes
 
 import twin_records
 
@@ -112,14 +114,37 @@ def z6z4() -> WeightedGraph:
     return compose_signed(h, k)
 
 
+def near_zero_chords() -> WeightedGraph:
+    """The 6-cycle with chords {0,3}, {1,4}, {2,5} of weights 1e-13, -1e-13,
+    1e-13: every row key holds +0 or -0, and all six rows must class alike."""
+    return WeightedGraph(6, cycle_graph(6).edges + (
+        (0, 3, 1e-13), (1, 4, -1e-13), (2, 5, 1e-13)))
+
+
 @pytest.mark.parametrize("graph, recorded", [
     (lambda: blow_up(cycle_graph(8), 2), twin_records.BLOWUP_C8),
     (z4z4, twin_records.Z4Z4),
     (z6z4, twin_records.Z6Z4),
-], ids=["blowup_c8", "z4z4", "z6z4"])
+    (lambda: blow_up(cycle_graph(20), 2), twin_records.BLOWUP_C20),
+    (lambda: complete_graph(30), twin_records.K30),
+    (near_zero_chords, twin_records.NEAR_ZERO_CHORDS),
+], ids=["blowup_c8", "z4z4", "z6z4", "blowup_c20", "k30", "near_zero_chords"])
 def test_detect_matches_recorded_structures(graph, recorded):
     found = detect_twin_structures(graph())
     assert [(t.x1, t.x2) for t in found] == recorded
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_classes_match_unique_rows(seed):
+    # rows drawn from a few values, so that many repeat; -0.0 and +0.0 must
+    # class together, as np.unique(axis=0) compares them equal
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, np.inf, 1.0, -1.0, 3e12])
+    rows = values[rng.integers(len(values), size=(40, 1 + seed % 4))]
+    classes = _row_classes(rows)
+    reference = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    assert np.array_equal(classes[:, None] == classes, reference[:, None] == reference)
+    assert (classes[:, None] == classes).sum() > len(rows)  # some rows repeat
 
 
 def test_detect_pairs_rows_only_if_they_agree_after_rounding():
