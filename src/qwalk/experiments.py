@@ -26,7 +26,8 @@ measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, perm
+from math import perm
+from operator import add, mul
 
 import numpy as np
 
@@ -331,11 +332,13 @@ def exhaustive_tree_experiment(n: int, verify: bool = False) -> LimbReport:
         raise NotATree("the limb needs at least six vertices")
     a = [0] * (n + 1)
     b = [1] + [0] * n
+    row = [1]  # C(k - 1, j - 1) for j = 1, ..., k
     for k in range(1, n + 1):
         a[k] = k * b[k - 1] + (k * (k - 1) * (k - 2) * b[k - 3] if k >= 3 else 0)
-        b[k] = sum(comb(k - 1, j - 1) * a[j] * b[k - j] for j in range(1, k + 1))
+        b[k] = sum(map(mul, row, map(mul, a[1:k + 1], b[k - 1::-1])))
         if k >= 2:
             b[k] -= 2 * (k - 1) * b[k - 2]
+        row = [1, *map(add, row, row[1:]), 1]
     limb_free, rest = divmod(a[n] - 2 * perm(n, 5) * b[n - 5], n)
     if rest:
         raise RuntimeError(f"the rooted limb-free count on {n} vertices is not "

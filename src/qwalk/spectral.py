@@ -377,7 +377,7 @@ def _krylov(g: WeightedGraph, x: np.ndarray, t: float, tol: float, snap=None
     touches an attach vertex or the certificate cannot close.  The space
     grows until |t| ||x|| beta + ||r|| < tol (||c|| <= ||x||), and gives up
     when it fills the core or |t| ||x|| leak alone reaches tol."""
-    attach = np.array([tail.attach for tail in g.tails])
+    attach = np.array([tail.attach for tail in g.tails], dtype=np.intp)
     if _norm(x[attach]) >= tol:   # that part of x reaches a tail
         return None
     ends, other, weights = g.edge_arrays

@@ -14,14 +14,23 @@ are bounded by twice the maximum absolute degree M; all three scans
 unit time, far above that Nyquist rate, and take their candidates from one
 walker, `_scan_extrema`: the local grid extrema of `_scan` windows of at most
 PGST_WINDOW points, each window's edge point decided with the next window.
+
+A curve with two support points, such as that of a pair or plus state on
+twin P_2 arms (A B = B T spans a 2-dimensional invariant space), is one
+cosine: |f|^2 = |w0|^2 + |w1|^2 + 2 |w0 w1| cos(Delta t + phi), with
+Delta = lambda_1 - lambda_0 and phi = arg w1 - arg w0.  The walker and the
+refinement answer it in closed form, with the same grid indices, windows and
+brackets: the grid points nearest the extrema and the extrema themselves, with
+no grid evaluation and no Newton step.
 """
 
 from __future__ import annotations
 
+from cmath import phase
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, pi
+from math import ceil, cos, floor, gcd, lcm, pi
 
 import numpy as np
 
@@ -91,20 +100,57 @@ class SedentaryEstimate:
         }
 
 
+def _cosine(curve: FidelityCurve) -> tuple[float, float] | None:
+    """(Delta, phi), Delta > 0, when |curve|^2 is the single cosine
+    |w0|^2 + |w1|^2 + 2 |w0 w1| cos(Delta t + phi): two distinct eigenvalues
+    and one weight each.  None otherwise."""
+    lam, w = curve.eigenvalues, curve.weights
+    if lam.size != 2 or w.ndim != 1 or lam[0] == lam[1]:
+        return None
+    delta, phi = float(lam[1] - lam[0]), phase(complex(w[1]) * complex(w[0]).conjugate())
+    return (delta, phi) if delta > 0 else (-delta, -phi)
+
+
 def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
             ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize sign * |f| for the curve f over the brackets [lo[i], hi[i]] in
     lockstep, one curve evaluation per step for all live brackets.
 
-    Safeguarded Newton (rtsafe) on g' = 0 for g = |f|^2, whose derivatives
-    g' = 2 Re(conj(f) f') and g'' = 2 (|f'|^2 + Re(conj(f) f'')) are exact.
-    Only brackets where sign * g' falls from > 0 to < 0 iterate.  The Newton
-    step is taken where sign * g'' < 0, it lands inside the bracket and it is
-    under half the step before last; else the bracket is bisected.  A bracket
-    stops when its Newton step or width is within TIME_RESOLUTION (or one ulp
-    of t).  Returns the best of each bracket's last point and ends: the
-    times and the curve's values there."""
+    A single cosine (`_cosine`) is answered in closed form: each bracket's
+    first extremum of the kind, where Delta t + phi is in 2 pi Z (sign < 0:
+    pi + 2 pi Z), when it lies strictly inside the bracket, else the
+    midpoint; one curve evaluation for all brackets and no step.
+
+    Any other curve: safeguarded Newton (rtsafe) on g' = 0 for g = |f|^2,
+    whose derivatives g' = 2 Re(conj(f) f') and
+    g'' = 2 (|f'|^2 + Re(conj(f) f'')) are exact.  Only brackets where
+    sign * g' falls from > 0 to < 0 iterate.  The Newton step is taken where
+    sign * g'' < 0, it lands inside the bracket and it is under half the step
+    before last; else the bracket is bisected.  A bracket stops when its
+    Newton step or width is within TIME_RESOLUTION (or one ulp of t).
+
+    Returns the best of each bracket's last point and ends: the times and the
+    curve's values there."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    cosine = _cosine(curve)
+    if cosine is not None:
+        delta, phi = cosine
+        top = 0.0 if sign > 0 else pi  # the phase of the extrema sought
+        m = np.floor((delta * lo + phi - top) / (2 * pi)) + 1
+        t = (2 * pi * m + top - phi) / delta
+        t = np.where((lo < t) & (t < hi), t, (lo + hi) / 2)
+        ts = np.concatenate((t, lo, hi)).reshape(3, -1)
+        fs = curve(ts).reshape(ts.shape)
+    else:
+        ts, fs = _newton(curve, lo, hi, sign)
+    best, cols = np.argmax(sign * np.abs(fs), axis=0), np.arange(lo.size)
+    return ts[best, cols], fs[best, cols]
+
+
+def _newton(curve: FidelityCurve, lo: np.ndarray, hi: np.ndarray, sign: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """_refine's Newton iteration: the (3, brackets) times and values of each
+    bracket's last point and its two ends."""
     lam = curve.eigenvalues
     # columns f, f', f'': weights w, i lam w and -lam^2 w
     jet = FidelityCurve(lam, curve.weights[:, None] * (1j * lam[:, None]) ** np.arange(3))
@@ -136,8 +182,7 @@ def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
         before[live], last[live] = last[live], np.abs(new - x)
         t[live] = new
         f[live], d1[live], d2[live] = evaluate(new)
-    best, cols = np.argmax(sign * np.abs(fs), axis=0), np.arange(lo.size)
-    return ts[best, cols], fs[best, cols]
+    return ts, fs
 
 
 def _grid_count(points: float) -> int:
@@ -149,15 +194,21 @@ def _grid_count(points: float) -> int:
     return int(points)
 
 
-def _scan(curve, step: float, total: int, doubling: bool = False):
-    """|curve| on the grid step * (1, ..., total), in windows of PGST_WINDOW
-    points, or (doubling) of GRID_FLOOR points doubling up to PGST_WINDOW:
-    yields the values of each window."""
+def _windows(total: int, doubling: bool = False):
+    """(first, count) of each window of the grid 1, ..., total: PGST_WINDOW
+    points, or (doubling) GRID_FLOOR points doubling up to PGST_WINDOW."""
     start, size = 1, GRID_FLOOR if doubling else PGST_WINDOW
     while start <= total:
         count = min(size, PGST_WINDOW, total + 1 - start)
-        yield np.abs(curve.grid(step, count, first=start))
+        yield start, count
         start, size = start + count, 2 * size
+
+
+def _scan(curve, step: float, total: int, doubling: bool = False):
+    """|curve| on the grid step * (1, ..., total), in _windows: yields the
+    values of each window."""
+    for start, count in _windows(total, doubling):
+        yield np.abs(curve.grid(step, count, first=start))
 
 
 def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
@@ -166,7 +217,17 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
     grid indices and values of the points where |curve| has no larger
     (lowest: no smaller) neighbour, with nothing beyond both ends of the
     grid.  A window's last point is decided with the next window, so it is
-    carried across the edge."""
+    carried across the edge, and the grid's last point comes last, alone.
+
+    A single cosine that the grid resolves (`_cosine`, step * Delta < pi)
+    has one such point per period, the one nearest the extremum, and an end
+    point where |curve| runs toward that end: those indices are found in
+    closed form and the curve is evaluated there alone, one call per window.
+    """
+    cosine = _cosine(curve)
+    if cosine is not None and cosine[0] * step < pi:
+        yield from _cosine_extrema(curve, *cosine, step, total, lowest, doubling)
+        return
     pad = np.full(1, np.inf if lowest else -np.inf)
     keep = np.less_equal if lowest else np.greater_equal
     prev, first = pad, 1  # first: the grid index of ext[1]
@@ -177,6 +238,35 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
         yield k + first, mid[k]
         first += mid.size
         prev = ext[-2:]
+
+
+def _cosine_extrema(curve, delta: float, phi: float, step: float, total: int,
+                    lowest: bool, doubling: bool):
+    """_scan_extrema for the cosine cos(Delta t + phi), window by window."""
+    theta, top = delta * step, pi if lowest else 0.0
+    # the extrema sought lie at the grid positions m * period + offset
+    period, offset = 2 * pi / theta, (top - phi) / theta
+
+    def end(k, inner):  # the end point k, beside inner, is an extremum
+        ends = cos(theta * k + phi), cos(theta * inner + phi)
+        return ends[0] <= ends[1] if lowest else ends[0] >= ends[1]
+
+    def at(k):
+        return k, np.abs(curve(k * step)) if k.size else np.empty(0)
+
+    lo = 1
+    for first, count in _windows(total, doubling):
+        hi = first + count - 2  # this window decides lo, ..., hi, below total
+        # the inner points nearest the extrema, rounded half up
+        m = np.arange(floor((lo - 0.5 - offset) / period),
+                      ceil((hi + 0.5 - offset) / period) + 1)
+        k = (m * period + (offset + 0.5)).astype(np.intp)
+        k = k[(max(lo, 2) <= k) & (k <= hi)]
+        if lo == 1 and total > 1 and end(1, 2):
+            k = np.concatenate(([1], k))
+        yield at(k)
+        lo = hi + 1
+    yield at(np.arange(total, total + (total == 1 or end(total, total - 1))))
 
 
 def check_pst(g: WeightedGraph, u: PureState, v: PureState, tau: float,

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from itertools import combinations, permutations, product
-from math import e, factorial, pi
+from math import comb, e, factorial, perm, pi
 
 import numpy as np
 import pytest
@@ -210,6 +210,25 @@ def test_exact_count_matches_census():
             hits += weight * (find_p5_limb(g) is not None)
         rep = exhaustive_tree_experiment(n)
         assert (rep.sample_count, rep.hit_count) == (total, hits)
+
+
+def _limb_free_by_comb(top):
+    """The limb-free counts for n = 6, ..., top from exhaustive_tree_experiment's
+    recurrence with one math.comb per term: its earlier form, kept as an
+    oracle (a_k and b_k do not depend on n)."""
+    a = [0] * (top + 1)
+    b = [1] + [0] * top
+    for k in range(1, top + 1):
+        a[k] = k * b[k - 1] + (k * (k - 1) * (k - 2) * b[k - 3] if k >= 3 else 0)
+        b[k] = sum(comb(k - 1, j - 1) * a[j] * b[k - j] for j in range(1, k + 1))
+        if k >= 2:
+            b[k] -= 2 * (k - 1) * b[k - 2]
+    return {n: (a[n] - 2 * perm(n, 5) * b[n - 5]) // n for n in range(6, top + 1)}
+
+
+def test_limb_count_matches_the_binomial_recurrence():
+    for n, limb_free in _limb_free_by_comb(150).items():
+        assert exhaustive_tree_experiment(n).hit_count == n ** (n - 2) - limb_free, n
 
 
 def test_every_census_hit_class_verifies():

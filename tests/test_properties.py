@@ -494,24 +494,29 @@ def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
         assert f_ref - 1e-12 <= values[i] <= f_ref + 1e-12 + slack
 
 
-def _grid_counts():
-    """Patch FidelityCurve.grid to record the count of each call."""
-    counts = []
+def _grid_scans():
+    """Patch FidelityCurve.grid to record (curve, count) per call."""
+    scans = []
     grid = FidelityCurve.grid
 
     def recorded(self, step, count, first=1):
-        counts.append(count)
+        scans.append((self, count))
         return grid(self, step, count, first)
 
-    return counts, patch.object(FidelityCurve, "grid", recorded)
+    return scans, patch.object(FidelityCurve, "grid", recorded)
 
 
 def _sedentary_scan(curve, horizon):
-    """sedentary_estimate on `curve` (M = 1) and the point count of its scan."""
-    counts, recording = _grid_counts()
-    with recording, patch.object(transfer, "transfer_curve", lambda *args: (curve, None)):
+    """sedentary_estimate on `curve` (M = 1), walked on the grid (a two-point
+    curve too), and the point count of its scan.  The curve is injected where
+    sedentary_estimate builds its own, FidelityCurve.of, and every grid
+    evaluation must be of it."""
+    scans, recording = _grid_scans()
+    with recording, patch.object(FidelityCurve, "of", lambda *args: curve), \
+            patch.object(transfer, "_cosine", lambda curve: None):
         est = transfer.sedentary_estimate(path_graph(2), vertex_state(0), horizon)
-    return est, sum(counts)
+    assert scans and all(scanned is curve for scanned, _ in scans)
+    return est, sum(count for _, count in scans)
 
 
 def _lowest_points_min(curve, horizon, count):
@@ -614,6 +619,56 @@ def test_doubling_pgst_scan_matches_one_window(size, lam_max, seed, t_cap, targe
         lo, hi = sorted((got_tau, tau))
         between = np.abs(curve(np.arange(math.ceil(lo * 64), hi * 64) / 64))
         assert between.min() >= target - 0.005 - tol
+
+
+def _two_point_answers(curve, horizon, target, closed):
+    """search_pst (u != v and u = v), pgst_witness (the same) and
+    sedentary_estimate on `curve` (M = 1), with the closed form for a single
+    cosine on or off: report lists, (tau, fidelity) or best fidelity, and the
+    estimate."""
+    g, u, v = path_graph(2), vertex_state(0), vertex_state(1)
+
+    def pgst(dst):
+        try:
+            rep = transfer.pgst_witness(g, u, dst, target, horizon)
+        except Unreached as exc:
+            return None, exc.best_fidelity
+        return rep.tau, rep.fidelity
+
+    with patch.object(transfer, "transfer_curve", lambda *args: (curve, None)), \
+            patch.object(FidelityCurve, "of", lambda *args: curve), \
+            patch.object(transfer, "_cosine", transfer._cosine if closed else lambda c: None):
+        return ([transfer.search_pst(g, u, dst, horizon) for dst in (v, u)],
+                [pgst(dst) for dst in (v, u)],
+                transfer.sedentary_estimate(g, u, horizon))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1.0, 0.97]),
+       horizon=st.floats(0.5, 300.0), target=st.floats(0.3, 0.99))
+def test_two_point_curves_answer_in_closed_form_as_on_the_grid(lam, seed, scale,
+                                                               horizon, target):
+    # a two-point curve is one cosine: the closed form finds the grid's
+    # extrema and refines them to the same answers
+    assume(abs(lam[1] - lam[0]) >= 1e-3)
+    w = random_curve(2, 1.0, seed).weights * scale  # sum |w| = scale
+    assume(2 * abs(w[0] * w[1]) >= 1e-6)
+    curve = FidelityCurve(np.array(lam), w)
+    closed = _two_point_answers(curve, horizon, target, True)
+    grid = _two_point_answers(curve, horizon, target, False)
+    for got, ref in zip(closed[0], grid[0]):
+        assert [r.kind for r in got] == [r.kind for r in ref]
+        for a, b in zip(got, ref):
+            assert abs(a.tau - b.tau) <= 1e-9
+            assert abs(a.fidelity - b.fidelity) <= 1e-12
+    for (tau, fid), (ref_tau, ref_fid) in zip(closed[1], grid[1]):
+        assert (tau is None) == (ref_tau is None)
+        assert tau is None or abs(tau - ref_tau) <= 1e-9
+        assert abs(fid - ref_fid) <= 1e-12
+    est, ref = closed[2], grid[2]
+    assert (est.horizon, est.period) == (ref.horizon, ref.period)
+    assert abs(est.grid_min - ref.grid_min) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,6 +27,7 @@ from qwalk.spectral import (
     STATE,
     FidelityCurve,
     SpectralDecomposition,
+    _krylov,
     required_truncation,
     series_tail,
     transfer_curve,
@@ -206,6 +207,19 @@ def test_krylov_route_on_an_edgeless_core():
     amp, cert = transfer_amplitude(g, pair_state(1, 2), pair_state(1, 2), 2.0)
     assert cert.L == 0 and cert.dim == 1 and abs(amp - 1) < 1e-15
     assert not g.core_adjacency().any()
+
+
+def test_krylov_route_on_a_tail_free_graph():
+    # no attach vertex to index: P_4's pair state (0, 3) spans a 2-dimensional
+    # Krylov space, A (e0 - e3) = e1 - e2, and its curve there is the dense one
+    g, u = path_graph(4), pair_state(0, 3)
+    x = u.vector(g.n)
+    decomp, cert = _krylov(g, x, 10.0, 1e-9)
+    assert cert.dim == 2 and cert.L == 0
+    dense, _ = transfer_curve(g, u, u, 10.0)
+    ts = np.array([0.3, 1.7, 4.2, 9.9])
+    np.testing.assert_allclose(FidelityCurve.of(decomp, x, x)(ts), dense(ts),
+                               rtol=0, atol=1e-12)
 
 
 def test_exp_oracle_matches_spectral():

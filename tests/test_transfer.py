@@ -22,10 +22,11 @@ from qwalk import (
     vertex_state,
     WeightedGraph,
 )
+from qwalk import transfer
 from qwalk.errors import BadParam, NoTransfer, Unreached
 from qwalk.reproduce import CLAIM_SETS
 from qwalk.spectral import FidelityCurve, exp_oracle
-from qwalk.transfer import GRID_FLOOR, MAX_GRID, _grid_count, _refine
+from qwalk.transfer import GRID_FLOOR, MAX_GRID, _grid_count, _refine, _windows
 
 
 def test_check_pst_p2():
@@ -88,6 +89,10 @@ def test_search_agrees_with_exp_oracle():
         v = gd.dst.vector(a.shape[0])
         f = abs(np.conj(v) @ exp_oracle(a, r.tau) @ u)
         assert abs(f - r.fidelity) < 1e-8
+
+
+# the grid path on every curve: the closed form for single cosines off
+ON_THE_GRID = patch("qwalk.transfer._cosine", lambda curve: None)
 
 
 def _grid_windows():
@@ -204,14 +209,29 @@ FLAT = FidelityCurve(np.array([0.0, 1.0, 2.0]), np.array([1.0, 4.0, -0.5]) + 0j)
 def test_refinement_stops_where_one_ulp_exceeds_the_resolution(curve, top, max_calls,
                                                                t_tol):
     # past t = 8192 one ulp is wider than TIME_RESOLUTION; every bracket must
-    # stop there instead of looping forever
+    # stop there instead of looping forever (HALF_COS by Newton, not in
+    # closed form)
     peaks = 2 * math.pi * np.array([1432, 1910])  # t ~ 9000 and 12000
     calls, counting = _counted_curve_calls()
-    with counting:
+    with counting, ON_THE_GRID:
         ts, fs = _refine(curve, peaks - 0.01, peaks + 0.005)
     assert len(calls) <= max_calls
     np.testing.assert_allclose(ts, peaks, rtol=0, atol=t_tol)
     np.testing.assert_allclose(np.abs(fs), top, rtol=1e-15)
+
+
+def test_refinement_of_a_cosine_is_one_evaluation():
+    # HALF_COS is one cosine: every bracket's extremum, maximum or minimum,
+    # is found in closed form, with one curve evaluation for all of them
+    for sign, extrema in ((1.0, 2 * math.pi * np.array([1432, 1910])),
+                          (-1.0, math.pi * np.array([2863, 3821]))):
+        calls, counting = _counted_curve_calls()
+        with counting:
+            ts, fs = _refine(HALF_COS, extrema - 0.01, extrema + 0.005, sign)
+        assert calls == [3 * extrema.size]
+        np.testing.assert_allclose(ts, extrema, rtol=0, atol=1e-11)
+        # |f| = |cos(t/2)| moves by half the roundoff of t ~ 1e4
+        np.testing.assert_allclose(np.abs(fs), max(sign, 0.0), rtol=0, atol=1e-12)
 
 
 def test_refinement_of_no_bracket_is_empty():
@@ -291,6 +311,18 @@ def test_sedentary_refines_one_point_per_basin():
     assert np.all(np.diff(np.sort((lo + hi) / 2)) > 1.5 * step)
 
 
+def _walks():
+    """Patch transfer._scan_extrema to record (curve, total) per walk."""
+    walks = []
+    walk = transfer._scan_extrema
+
+    def recorded(curve, step, total, *args, **kwargs):
+        walks.append((curve, total))
+        return walk(curve, step, total, *args, **kwargs)
+
+    return walks, patch.object(transfer, "_scan_extrema", recorded)
+
+
 def test_sedentary_grid_follows_the_search_rule():
     # max(GRID_FLOOR, 64 M horizon) points: 64 * 3 * 30 = 5760 on h2p (M = 3)
     gd = named_gadget("h2p", p=5, tail_len=0)
@@ -298,12 +330,35 @@ def test_sedentary_grid_follows_the_search_rule():
     with recording:
         sedentary_estimate(gd.graph, vertex_state(5), 30.0)
     assert windows == [(1, 5760)]
-    # every sedentary claim case snaps to a short period: the floor
+    # every sedentary claim case snaps to a short period: the floor; each is
+    # a two-point curve, walked in closed form with no grid evaluation
     for claim, _, run in CLAIM_SETS["sedentary"]:
         windows, recording = _grid_windows()
-        with recording:
+        walks, walking = _walks()
+        with recording, walking:
             assert run()[2], claim
-        assert windows and all(w == (1, GRID_FLOOR) for w in windows), claim
+        assert windows == [], claim
+        assert walks and all(curve.eigenvalues.size == 2 and total == GRID_FLOOR
+                             for curve, total in walks), claim
+
+
+def test_cosine_walk_evaluates_no_grid():
+    # the h2p (p = 5) pair is a two-point curve: one curve evaluation at the
+    # window's 10 peaks (the last point is no peak) and one for the 10
+    # brackets, none of the grid; the flyswatter pair (three points) evaluates
+    # every window of its grid, 64 * 4 * 50 points (M = 4)
+    gd = named_gadget("h2p", p=5, tail_len=0)
+    windows, recording = _grid_windows()
+    calls, counting = _counted_curve_calls()
+    with recording, counting:
+        reps = search_pst(gd.graph, gd.src, gd.dst, 30.0)
+    assert len(reps) == 10 and windows == []
+    assert calls == [10, 3 * 10]
+    fly = named_gadget("flyswatter", tail_len=0)
+    windows, recording = _grid_windows()
+    with recording:
+        search_pst(fly.graph, fly.src, fly.dst, 50.0)
+    assert windows == list(_windows(12800)) == [(1, 12800)]
 
 
 @pytest.mark.parametrize("g, u, horizon", [
@@ -311,6 +366,28 @@ def test_sedentary_grid_follows_the_search_rule():
     (complete_graph(5), vertex_state(0), 10.0),
 ], ids=["h2p", "k5"])
 def test_windowed_sedentary_matches_one_window(g, u, horizon):
+    # on the grid: K_5's two-point curve too
+    with ON_THE_GRID:
+        _windowed_sedentary_matches_one_window(g, u, horizon)
+
+
+def test_windowed_sedentary_matches_one_window_in_closed_form():
+    # K_5's vertex state is one cosine: its windows are walked in closed form,
+    # with no grid, and answer as the grid does
+    g, u = complete_graph(5), vertex_state(0)
+    windows, recording = _grid_windows()
+    with recording:
+        est = _windowed_sedentary_matches_one_window(g, u, 10.0)
+    assert windows == []
+    with ON_THE_GRID:
+        grid = sedentary_estimate(g, u, 10.0)
+    assert (est.horizon, est.period) == (grid.horizon, grid.period)
+    assert abs(est.grid_min - grid.grid_min) <= 1e-12
+
+
+def _windowed_sedentary_matches_one_window(g, u, horizon):
+    """sedentary_estimate of (g, u) over horizon, asserted to be the same in
+    windows that cut its grid near the lowest minimum."""
     ref = sedentary_estimate(g, u, horizon)
     refined = []
 
@@ -318,10 +395,11 @@ def test_windowed_sedentary_matches_one_window(g, u, horizon):
         refined.append(_refine(curve, lo, hi, sign))
         return refined[-1]
 
-    windows, recording = _grid_windows()
-    with recording, patch("qwalk.transfer._refine", spy):
+    walks, walking = _walks()
+    with walking, patch("qwalk.transfer._refine", spy):
         assert sedentary_estimate(g, u, horizon) == ref
-    (_, count), = windows  # the reference scan is one window
+    (_, count), = walks
+    assert list(_windows(count)) == [(1, count)]  # the reference scan is one window
     # windows ending just before, at and just after the lowest minimum's grid
     # point, so the carry across a window edge decides it
     (ts, amps), = refined
@@ -329,6 +407,7 @@ def test_windowed_sedentary_matches_one_window(g, u, horizon):
     for window in (1000, k - 1, k, k + 1):
         with patch("qwalk.transfer.PGST_WINDOW", window):
             assert sedentary_estimate(g, u, horizon) == ref
+    return ref
 
 
 def _dense_random_graph():
