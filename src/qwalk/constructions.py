@@ -210,11 +210,16 @@ class RootedCollection:
 
 
 def rooted_product(rc: RootedCollection) -> WeightedGraph:
+    """The host with each attachment glued on at its host vertex.  Raises
+    BadParam unless every attachment vertex is an integer, and InvalidRoot
+    unless it is a vertex of the host."""
     g = rc.host
-    for v in sorted(rc.attachments):
+    specs = {require_int(v, "attachment vertex"): spec
+             for v, spec in rc.attachments.items()}
+    for v in sorted(specs):
         if not 0 <= v < rc.host.n:
             raise InvalidRoot(f"attachment vertex {v} not in the host")
-        spec = rc.attachments[v]
+        spec = specs[v]
         if spec == "tail":
             g = WeightedGraph(g.n, g.edges, g.tails + (TailSpec(v),))
         else:

@@ -3,24 +3,20 @@ double-P_2 limb that forces pair transfer at pi/2?
 
 Sampled surveys draw trees uniformly over labelled trees via random Pruefer
 sequences, stable per (seed, size, index): the trees of a size are the rows
-of one stream, ``np.random.PCG64(np.random.SeedSequence((seed, size)))``,
-mapped to [0, size) by our own Lemire rejection, so tree k is the same for
-any larger sample count.  Only NumPy's bit-generator stream is relied on,
-the stream NEP 19 keeps stable, not ``Generator.integers``; the rows equal
-``np.random.default_rng((seed, size)).integers``' today, which the tests
-check.  Each block of sequences is then surveyed as arrays, with no
-per-tree Python loop and no graph object: all its rows are decoded in
-lockstep to edge arrays, the limb is found from each vertex's degree and
-neighbour sum, and each hit's transfer is checked exactly: the adjacency
-must map the leaves' difference vector to the midpoints' and back, up to
-one sign, which integer products decide with no eigensolver and no
-tolerance.  The exhaustive survey counts all n^(n-2) labelled trees
-exactly: the trees without the limb are counted by their exponential
-generating function (Flajolet & Sedgewick, Analytic Combinatorics, 2009,
-VII.4), in one pass of an integer recurrence, and the rest carry it.  Both
-count uniform labelled trees: this demonstrates the transfer mechanism on a
-tractable tree model; it is not a statement about any other random-tree
-measure.
+of ``np.random.default_rng((seed, size)).integers(0, size, (samples,
+size - 2))``, so tree k is the same for any larger sample count.  Each
+block of sequences is then surveyed as arrays, with no per-tree Python loop
+and no graph object: all its rows are decoded in lockstep to edge arrays,
+the limb is found from each vertex's degree and neighbour sum, and each
+hit's transfer is checked exactly: the adjacency must map the leaves'
+difference vector to the midpoints' and back, up to one sign, which
+integer products decide with no eigensolver and no tolerance.  The
+exhaustive survey counts all n^(n-2) labelled trees exactly: the trees
+without the limb are counted by their exponential generating function
+(Flajolet & Sedgewick, Analytic Combinatorics, 2009, VII.4), in one pass of
+an integer recurrence, and the rest carry it.  Both count uniform labelled
+trees: this demonstrates the transfer mechanism on a tractable tree model;
+it is not a statement about any other random-tree measure.
 """
 
 from __future__ import annotations
@@ -39,46 +35,12 @@ from .twins import TwinStructure
 # sequence entries the survey draws per block of trees
 DRAW_BLOCK = 1 << 16
 
-_MASK32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-
 
 def _draw(n: int, seed) -> list[int]:
     """The Pruefer sequence of the tree drawn on n vertices for ``seed``, by
     NumPy's generator.  The tests pin this stream: the same seed must keep
     giving the same tree."""
     return np.random.default_rng(seed).integers(0, n, size=n - 2).tolist()
-
-
-class _Stream:
-    """Integers in [0, bound), 1 <= bound < 2^32, drawn in order from one
-    PCG64 stream seeded by ``np.random.SeedSequence(entropy)``.
-
-    Each 64-bit output gives two uint32 words, low word first, and a word x
-    is kept iff x bound mod 2^32 >= 2^32 mod bound, as x bound >> 32
-    (Lemire, ACM TOMACS 2019).  That is what ``Generator.integers(0, bound)``
-    draws from the same bit generator, but only the bit generator's stream
-    is NumPy's, the one NEP 19 keeps stable.  Values drawn past a ``take``
-    wait for the next one, so the values do not depend on how they are
-    split into takes."""
-
-    def __init__(self, entropy, bound: int):
-        self._bits = np.random.PCG64(np.random.SeedSequence(entropy))
-        self._bound = np.uint64(bound)
-        self._threshold = np.uint64((1 << 32) % bound)
-        self._spare = np.empty(0, np.int64)
-
-    def take(self, count: int) -> np.ndarray:
-        """The stream's next ``count`` values, as int64."""
-        parts, have = [self._spare], len(self._spare)
-        while have < count:
-            raw = self._bits.random_raw((count - have + 1) // 2)
-            scaled = np.stack((raw & _MASK32, raw >> _32), axis=1).ravel() * self._bound
-            values = (scaled >> _32)[(scaled & _MASK32) >= self._threshold].astype(np.int64)
-            parts.append(values)
-            have += len(values)
-        drawn = np.concatenate(parts)
-        self._spare = drawn[count:]
-        return drawn[:count]
 
 
 def _prufer_edges(seqs: np.ndarray, n: int) -> np.ndarray:
@@ -256,16 +218,18 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
                         ) -> list[LimbReport]:
     """Sample trees per size, detect the limb, and verify every hit at pi/2.
 
-    Tree k of a size is row k of ``(samples, size - 2)`` draws of one
-    ``_Stream((seed, size), size)``: the rows that
+    Tree k of a size is row k of
     ``np.random.default_rng((seed, size)).integers(0, size, (samples,
-    size - 2))`` draws, so tree k stays the same for any larger sample count.
-    The rows are taken in blocks of up to DRAW_BLOCK entries, and each block
-    is surveyed with array operations: ``_prufer_edges`` decodes its rows in
-    lockstep, ``_limbs`` finds the limbs from degrees and neighbour sums,
-    and ``_verify_hits`` checks each hit's transfer exactly, with one
-    integer product over all of the block's hits and no tolerance.  No
-    graph object and no dense matrix is built.
+    size - 2))``, so tree k stays the same for any larger sample count.  The
+    rows are drawn in blocks of up to DRAW_BLOCK entries, by consecutive
+    ``integers`` calls on that one generator: each call goes on from the
+    32-bit word that the last one left in PCG64's buffer, so the blocks give
+    the rows of one call.  Each block is surveyed with array operations:
+    ``_prufer_edges`` decodes its rows in lockstep, ``_limbs`` finds the
+    limbs from degrees and neighbour sums, and ``_verify_hits`` checks each
+    hit's transfer exactly, with one integer product over all of the
+    block's hits and no tolerance.  No graph object and no dense matrix is
+    built.
 
     Raises BadParam unless the sizes are an iterable of integers, the
     sample count a nonnegative integer of at most 2^32 (the counts the
@@ -286,12 +250,11 @@ def run_tree_experiment(sizes, samples_per_size: int, seed: int
     reports = []
     for size in sizes:
         hits = verified = 0
-        stream = _Stream((seed, size), size)
+        rng = np.random.default_rng((seed, size))
         rows = max(1, DRAW_BLOCK // (size - 2))
         for start in range(0, samples_per_size, rows):
             block = min(rows, samples_per_size - start)
-            edges = _prufer_edges(stream.take(block * (size - 2)).reshape(block, size - 2),
-                                  size)
+            edges = _prufer_edges(rng.integers(0, size, (block, size - 2)), size)
             found, arms = _limbs(edges, size)
             hits += len(found)
             verified += int(np.count_nonzero(_verify_hits(edges[found], arms, size)))

@@ -33,6 +33,14 @@ def _edge_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _vertex(x) -> int:
+    """A vertex given as a Python or NumPy integer, as an int; ParseError for
+    anything else, a bool included."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ParseError(f"vertex {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class TailSpec:
     """A semi-infinite path attached at a core vertex.
@@ -65,6 +73,8 @@ class WeightedGraph:
         seen = set()
         canon = []
         for a, b, w in self.edges:
+            if type(a) is not int or type(b) is not int:
+                a, b = _vertex(a), _vertex(b)
             if a == b:
                 raise SelfLoop(f"self-loop at vertex {a}")
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -80,6 +90,9 @@ class WeightedGraph:
             canon.append((*key, float(w)))
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
+        if any(type(t.attach) is not int for t in self.tails):
+            object.__setattr__(self, "tails", tuple(
+                TailSpec(_vertex(t.attach), t.prefix) for t in self.tails))
         for t in self.tails:
             if not 0 <= t.attach < self.n:
                 raise ParseError(f"tail attach vertex {t.attach} out of range")
@@ -163,12 +176,6 @@ class WeightedGraph:
         a[ends, other] = w
         return a
 
-    # -- transforms ------------------------------------------------------
-
-    def with_weights(self, weights: dict[tuple[int, int], float]) -> "WeightedGraph":
-        edges = tuple((a, b, w) for (a, b), w in weights.items() if w != 0)
-        return WeightedGraph(self.n, edges, self.tails)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
@@ -244,14 +251,16 @@ def degree_profile(g: WeightedGraph) -> DegreeProfile:
 
 
 def negate_edges(g: WeightedGraph, edges) -> WeightedGraph:
-    """Multiply the weights of the listed edges by -1."""
-    wm = dict(g.weight_map)
+    """Multiply the weights of the listed edges by -1; an edge listed twice
+    keeps its sign."""
+    flip: set[tuple[int, int]] = set()
     for a, b in edges:
         key = _edge_key(a, b)
-        if key not in wm:
+        if key not in g.weight_map:
             raise MissingEdge(f"edge {key} not present")
-        wm[key] = -wm[key]
-    return g.with_weights(wm)
+        flip ^= {key}
+    return WeightedGraph._derived(
+        g.n, tuple((a, b, -w if (a, b) in flip else w) for a, b, w in g.edges), g.tails)
 
 
 # -- interchange format --------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -49,18 +50,16 @@ class Partition:
         if len(seen) != n:
             raise NotAPartition("cells do not cover the vertex set")
 
-    def cell_of(self, n: int) -> list[int]:
-        idx = [-1] * n
-        for j, cell in enumerate(self.cells):
-            for v in cell:
-                idx[v] = j
-        return idx
+    def labels(self, n: int) -> np.ndarray:
+        """Each vertex's cell index, for cells that partition 0..n-1."""
+        labels = np.empty(n, np.intp)
+        labels[list(chain.from_iterable(self.cells))] = np.repeat(
+            np.arange(len(self.cells)), [len(c) for c in self.cells])
+        return labels
 
     def characteristic_matrix(self, n: int) -> np.ndarray:
-        c = np.zeros((n, len(self.cells)))
-        for j, cell in enumerate(self.cells):
-            c[list(cell), j] = 1.0 / np.sqrt(len(cell))
-        return c
+        c = np.eye(len(self.cells))[self.labels(n)]
+        return c / np.sqrt(c.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,9 @@ class EquitableFailure:
 def _core_matrix(g: WeightedGraph, p: Partition) -> np.ndarray:
     p.validate(g.n)
     if g.tails:
-        cell_idx = p.cell_of(g.n)
+        labels = p.labels(g.n)
         for t in g.tails:
-            if len(p.cells[cell_idx[t.attach]]) != 1:
+            if len(p.cells[labels[t.attach]]) != 1:
                 raise NotAPartition(
                     f"tail attach vertex {t.attach} must be a singleton cell"
                 )
@@ -94,20 +93,19 @@ def _core_matrix(g: WeightedGraph, p: Partition) -> np.ndarray:
 
 
 def _check_on_matrix(a: np.ndarray, p: Partition):
-    n = a.shape[0]
-    d = len(p.cells)
-    sums = np.zeros((n, d))
-    for k, cell in enumerate(p.cells):
-        sums[:, k] = a[:, list(cell)].sum(axis=1)
-    constants = np.zeros((d, d))
-    for j, cell in enumerate(p.cells):
-        ref = cell[0]
-        constants[j] = sums[ref]
-        for v in cell[1:]:
-            bad = np.nonzero(np.abs(sums[v] - sums[ref]) > CELL_SUM_TOL)[0]
-            if bad.size:
-                return EquitableFailure(j, int(bad[0]), ref, v)
-    return constants
+    """The constants c[j, k] when every vertex's sums into the cells equal
+    those of its cell's first vertex at CELL_SUM_TOL, else the failure of the
+    first vertex in (cell, vertex) order that differs, at its first column."""
+    labels = p.labels(a.shape[0])
+    first = np.array([cell[0] for cell in p.cells], np.intp)
+    sums = a @ np.eye(len(p.cells))[labels]
+    bad = np.abs(sums - sums[first[labels]]) > CELL_SUM_TOL
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        v = rows[np.argmin(labels[rows])]
+        j = labels[v]
+        return EquitableFailure(int(j), int(np.argmax(bad[v])), int(first[j]), int(v))
+    return sums[first]
 
 
 def check_equitable(g: WeightedGraph, p: Partition):
@@ -125,34 +123,23 @@ def check_equitable(g: WeightedGraph, p: Partition):
 
 
 def coarsest_equitable(g: WeightedGraph, seed: Partition) -> EquitableData:
-    """Coarsest equitable partition refining seed, by iterated signature splitting.
+    """Coarsest equitable partition refining seed, by colour refinement.
 
-    Signatures quantize weighted cell sums to a 1e-9 grid; ties break by cell
-    index, so the result is deterministic.
+    Each round classes the vertices by their cell and their weighted sums
+    into every cell, rounded to multiples of SIGNATURE_QUANTUM: one product
+    and one ``_row_classes``.  The rounds stop when no cell splits.  Two
+    vertices share a cell of the result iff they shared one in every round,
+    so the result depends on no order of cells or vertices.
     """
     a = _core_matrix(g, seed)
-    cells = [list(c) for c in seed.cells]
-    changed = True
-    while changed:
-        changed = False
-        new_cells: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sigs: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple(
-                    int(round(a[v, other].sum() / SIGNATURE_QUANTUM))
-                    for other in cells
-                )
-                sigs.setdefault(sig, []).append(v)
-            if len(sigs) > 1:
-                changed = True
-            for sig in sorted(sigs):
-                new_cells.append(sigs[sig])
-        cells = new_cells
-    result = check_equitable(g, Partition.of(cells))
+    labels, count, last = seed.labels(g.n), len(seed.cells), None
+    while count != last:
+        sig = np.rint(a @ np.eye(count)[labels] / SIGNATURE_QUANTUM)
+        labels = _row_classes(np.column_stack((labels, sig)))
+        last, count = count, int(labels.max(initial=-1)) + 1
+    order = np.argsort(labels, kind="stable")
+    cells = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    result = check_equitable(g, Partition.of(c.tolist() for c in cells if c.size))
     if isinstance(result, EquitableFailure):
         raise QwalkError("refinement did not reach an equitable partition")
     return result
@@ -182,3 +169,14 @@ def quotient(ed: EquitableData) -> np.ndarray:
     if np.max(np.abs(a @ cm - cm @ b)) > CELL_SUM_TOL:
         raise QwalkError("quotient intertwining A C = C B failed")
     return b
+
+
+def _row_classes(rows: np.ndarray) -> np.ndarray:
+    """A class per row of a 2-D float array without NaN: two rows share a
+    class iff they are equal entry by entry, as in np.unique(axis=0).  Each
+    row is one void scalar, so this is a 1-D unique over bytes; adding 0.0
+    turns -0.0 into +0.0, the one pair of equal floats with different bytes,
+    and leaves a fresh C-contiguous array to view."""
+    rows = rows + 0.0
+    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+                     .ravel(), return_inverse=True)[1]

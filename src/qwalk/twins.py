@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import StructureViolation, require_int
 from .graphs import WeightedGraph
-from .partition import Partition
+from .partition import Partition, _row_classes
 
 WEIGHT_TOL = 1e-12
 CHECK_HORIZON = 2.7  # |t| up to which the block residuals are bounded
@@ -278,17 +278,6 @@ def detect_twin_structures(g: WeightedGraph, cap: int = 6,
 
     dfs(-1, (1 << len(candidates)) - 1, 0, 0)
     return results
-
-
-def _row_classes(rows: np.ndarray) -> np.ndarray:
-    """A class per row of a 2-D float array without NaN: two rows share a
-    class iff they are equal entry by entry, as in np.unique(axis=0).  Each
-    row is one void scalar, so this is a 1-D unique over bytes; adding 0.0
-    turns -0.0 into +0.0, the one pair of equal floats with different bytes,
-    and leaves a fresh C-contiguous array to view."""
-    rows = rows + 0.0
-    return np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-                     .ravel(), return_inverse=True)[1]
 
 
 def _bit_rows(masks: np.ndarray) -> list[int]:

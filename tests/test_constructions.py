@@ -4,6 +4,7 @@ import pytest
 from qwalk import (
     CayleySpec,
     RootedCollection,
+    TailSpec,
     blow_up,
     cayley,
     complete_graph,
@@ -108,6 +109,18 @@ def test_rooted_product_matches_gadget():
     assert sorted(np.linalg.eigvalsh(a).round(9)) == \
         sorted(np.linalg.eigvalsh(b).round(9))
     assert len(g.tails) == 1
+
+
+@pytest.mark.parametrize("vertex", [1.5, True, "1"])
+def test_rooted_product_refuses_a_non_integer_attachment_vertex(vertex):
+    # 1.5 once passed the range check, and the tail's queries failed later
+    with pytest.raises(BadParam, match="attachment vertex"):
+        rooted_product(RootedCollection(path_graph(3), {vertex: "tail"}))
+
+
+def test_rooted_product_takes_numpy_integer_attachment_vertices():
+    g = rooted_product(RootedCollection(path_graph(3), {np.int64(1): "tail"}))
+    assert g.tails == (TailSpec(1),) and type(g.tails[0].attach) is int
 
 
 def test_h2p_matchings_frozen():

@@ -24,8 +24,8 @@ from qwalk import (
 )
 from qwalk import experiments, spectral
 from qwalk.errors import BadParam, NoTransfer, NotATree
-from qwalk.experiments import (_limbs, _prufer_edges, _Stream, _tree_edges, _verify_hits,
-                               limb_tree, prufer_decode)
+from qwalk.experiments import (_limbs, _prufer_edges, _tree_edges, _verify_hits, limb_tree,
+                               prufer_decode)
 from qwalk.graphs import pair_state
 from qwalk.spectral import transfer_amplitude, transfer_curve
 from qwalk.transfer import check_pst
@@ -593,7 +593,7 @@ def test_survey_builds_no_graph(monkeypatch):
 
 # -- the survey's draws against NumPy's generator, their reference
 
-# row k of the survey's stream for seed 2024 at size n: the same seeds must
+# row k of the survey's rows for seed 2024 at size n: the same seeds must
 # keep giving the same trees
 RECORDED_ROWS = {
     (6, 1): [5, 4, 5, 4],
@@ -608,44 +608,6 @@ def _numpy_rows(seed, bound, rows, count):
     return np.random.default_rng(seed).integers(0, bound, (rows, count))
 
 
-def _taken_rows(stream, splits, count):
-    """The rows a stream gives when taken in blocks of ``splits`` rows."""
-    rows = [stream.take(block * count).reshape(block, count) for block in splits]
-    assert all(r.dtype == np.int64 for r in rows)
-    return np.concatenate(rows)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 11, 3 ** 40, 2 ** 64])
-def test_pinned_integers_match_numpy(seed):
-    # 2 ** 32 and up give the seed two or three entropy words; the takes
-    # split the rows at odd word counts, so values wait across them
-    splits = (2, 1, 37, 20)
-    for size in range(2, 65):
-        got = _taken_rows(_Stream((seed, size), size), splits, size - 2)
-        assert np.array_equal(got, _numpy_rows((seed, size), size, sum(splits), size - 2)), \
-            (seed, size)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bound, count", [
-    (3 * 2 ** 30 + 1, 50),      # ~25 % of words rejected: most takes draw again
-    (4252017623, 49),           # ~1 % rejected: some takes draw again
-])
-def test_pinned_integers_reject_like_numpy(bound, count):
-    splits = (5, 1, 34)
-    got = _taken_rows(_Stream((2024, 7), bound), splits, count)
-    assert np.array_equal(got, _numpy_rows((2024, 7), bound, sum(splits), count))
-
-
-def test_pinned_integers_keep_recorded_draws():
-    # the survey's own stream gives the recorded rows, not only NumPy's
-    for (n, k), seq in RECORDED_ROWS.items():
-        rows = _taken_rows(_Stream((2024, n), n), (k, 1), n - 2)
-        assert rows[k].tolist() == seq
-        assert _numpy_rows((2024, n), n, k + 1, n - 2)[k].tolist() == seq
-
-
 def _survey_rows(monkeypatch, sizes, samples, seed):
     """The Pruefer rows the survey decodes, per size."""
     rows = {}
@@ -657,6 +619,29 @@ def _survey_rows(monkeypatch, sizes, samples, seed):
     monkeypatch.setattr(experiments, "_prufer_edges", record)
     run_tree_experiment(sizes, samples, seed)
     return {n: np.concatenate(blocks) for n, blocks in rows.items()}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 11, 3 ** 40, 2 ** 64])
+def test_pinned_integers_match_numpy(seed, monkeypatch):
+    # 2 ** 32 and up give the seed two or three entropy words; blocks of 97
+    # entries hold 24, 19, ..., 1 rows, and at odd sizes often an odd number
+    # of entries, so a drawn word waits in PCG64's buffer for the next block
+    monkeypatch.setattr(experiments, "DRAW_BLOCK", 97)
+    sizes = range(6, 65)
+    rows = _survey_rows(monkeypatch, sizes, 60, seed)
+    for size in sizes:
+        assert rows[size].dtype == np.int64
+        assert np.array_equal(rows[size], _numpy_rows((seed, size), size, 60, size - 2)), \
+            (seed, size)
+
+
+def test_pinned_integers_keep_recorded_draws(monkeypatch):
+    # the survey's own rows are the recorded ones, not only NumPy's
+    rows = _survey_rows(monkeypatch, (6, 8, 12, 24), 5, 2024)
+    for (n, k), seq in RECORDED_ROWS.items():
+        assert rows[n][k].tolist() == seq
+        assert _numpy_rows((2024, n), n, k + 1, n - 2)[k].tolist() == seq
 
 
 @pytest.mark.parametrize("block", [40, 97, experiments.DRAW_BLOCK])
@@ -674,28 +659,31 @@ def test_survey_rows_are_one_stream_per_size(block, monkeypatch):
 def test_survey_blocks_match_per_tree_path(monkeypatch):
     # 40 entries per block: blocks of 10, 1 and 1 trees for sizes 6, 24 and 40
     monkeypatch.setattr(experiments, "DRAW_BLOCK", 40)
-    takes = []
-    take = _Stream.take
-
-    def record(stream, count):
-        takes.append((int(stream._bound), count))
-        return take(stream, count)
-
-    monkeypatch.setattr(_Stream, "take", record)
     expected, _ = _per_tree_survey((6, 24, 40), 23, 2 ** 32 + 11)
+    blocks = []
+
+    def record(seqs, n):
+        blocks.append((n, len(seqs)))
+        return _prufer_edges(seqs, n)
+
+    monkeypatch.setattr(experiments, "_prufer_edges", record)
     assert run_tree_experiment((6, 24, 40), 23, 2 ** 32 + 11) == expected
-    assert [c for n, c in takes if n == 6] == [40, 40, 12]
-    assert [c for n, c in takes if n == 40] == [38] * 23
+    assert [rows for n, rows in blocks if n == 6] == [10, 10, 3]
+    assert [rows for n, rows in blocks if n == 40] == [1] * 23
 
 
-def test_survey_builds_no_generator(monkeypatch):
+def test_survey_builds_one_generator_per_size(monkeypatch):
     expected, _ = _per_tree_survey((8, 24), 50, 99)
+    seeds = []
+    default_rng = np.random.default_rng
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the survey built a per-tree generator")
+    def record(seed):
+        seeds.append(seed)
+        return default_rng(seed)
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "default_rng", record)
     assert run_tree_experiment((8, 24), 50, 99) == expected
+    assert seeds == [(99, 8), (99, 24)]
 
 
 def test_survey_refuses_more_samples_than_one_entropy_word(monkeypatch):
@@ -706,8 +694,8 @@ def test_survey_refuses_more_samples_than_one_entropy_word(monkeypatch):
         raise Drawn
 
     # the cap stays where tree k's seed had to fit one entropy word; the
-    # patched draw stops the survey of 2^32 trees at its first block
-    monkeypatch.setattr(_Stream, "take", draw)
+    # patched generator stops the survey of 2^32 trees before its first block
+    monkeypatch.setattr(np.random, "default_rng", draw)
     with pytest.raises(BadParam):
         run_tree_experiment((8,), 2 ** 32 + 1, 1)
     with pytest.raises(Drawn):
@@ -719,6 +707,6 @@ def test_survey_refuses_a_small_size_before_any_draw(monkeypatch):
     def draw(*args):
         raise AssertionError("drew trees before checking every size")
 
-    monkeypatch.setattr(_Stream, "take", draw)
+    monkeypatch.setattr(np.random, "default_rng", draw)
     with pytest.raises(NotATree):
         run_tree_experiment((24, 5), 3000, 1)

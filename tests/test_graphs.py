@@ -140,3 +140,24 @@ def test_negate_edges():
     assert g2.weight(1, 2) == 1.0
     with pytest.raises(MissingEdge):
         negate_edges(g, [(0, 2)])
+
+
+@pytest.mark.parametrize("edges, tails", [
+    (((0, 1.5, 1.0), (1, 2, 1.0)), ()),  # once read as the edge (0, 1)
+    (((0, True, 1.0),), ()),             # once stored as True
+    (((0, 1, 1.0),), (TailSpec(1.5),)),  # once passed the range check
+    (((0, 1, 1.0),), (TailSpec(False),)),
+    ((("0", 1, 1.0),), ()),
+])
+def test_non_integer_vertices_are_refused(edges, tails):
+    with pytest.raises(ParseError, match="is not an integer"):
+        WeightedGraph(3, edges, tails)
+
+
+def test_numpy_integer_vertices_are_stored_as_int():
+    g = WeightedGraph(3, ((np.int64(2), np.int32(0), 1.0), (1, np.uint8(2), 1.0)),
+                      (TailSpec(np.int64(1), (2.0,)),))
+    assert g.edges == ((0, 2, 1.0), (1, 2, 1.0))
+    assert g.tails == (TailSpec(1, (2.0,)),)
+    assert {type(v) for a, b, _ in g.edges for v in (a, b)} == {int}
+    assert type(g.tails[0].attach) is int

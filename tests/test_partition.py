@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qwalk import (
     coarsest_equitable,
     cycle_graph,
     named_gadget,
+    path_graph,
     quotient,
 )
 from qwalk.errors import NotAPartition, QwalkError, SignInconsistency
@@ -44,6 +47,31 @@ def test_coarsest_equitable_refines_seed():
     ed = coarsest_equitable(g, Partition.single(6))
     # a cycle is regular: the whole vertex set stays one cell
     assert ed.partition.cells == (tuple(range(6)),)
+
+
+def test_labels_give_each_vertex_its_cell():
+    p = Partition.of([(4, 0), (2,), (1, 3, 5)])
+    assert p.labels(6).tolist() == [0, 1, 2, 1, 0, 1]
+    assert Partition.of([]).labels(0).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_refinement_of_the_smallest_graphs(n):
+    g, p = WeightedGraph(n, ()), Partition.of([range(n)] if n else [])
+    for ed in (coarsest_equitable(g, p), check_equitable(g, p)):
+        assert ed.partition == p
+        assert ed.constants.shape == ed.charmatrix.shape == (n, n)
+        assert not ed.constants.any()
+
+
+def test_refinement_of_a_long_path_takes_one_product_per_round():
+    # the mirror cells {i, 199 - i}, after 100 rounds; splitting cells
+    # vertex by vertex took about 4 s here
+    start = time.perf_counter()
+    ed = coarsest_equitable(path_graph(200), Partition.single(200))
+    elapsed = time.perf_counter() - start
+    assert ed.partition == Partition.of([(i, 199 - i) for i in range(100)])
+    assert elapsed < 1.0
 
 
 def test_quotient_of_demo_graph_is_scaled_cycle():

@@ -2,9 +2,11 @@
 
 import json
 import math
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qwalk import (
@@ -26,6 +28,7 @@ from qwalk import (
     exp_oracle,
     fidelity,
     graph_to_document,
+    negate_edges,
     pair_state,
     path_graph,
     plus_state,
@@ -35,9 +38,11 @@ from qwalk import (
     verify_twin_structure,
     vertex_state,
 )
-from qwalk.errors import Unreached
+from qwalk.errors import MissingEdge, Unreached
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import (
+    CELL_SUM_TOL,
+    SIGNATURE_QUANTUM,
     EquitableData,
     EquitableFailure,
     _check_on_matrix,
@@ -808,6 +813,124 @@ def test_core_equitability_decides_the_tailed_graph(inst):
     ext = Partition.of(list(p.cells) + [(v,) for v in range(g.n, a.shape[0])])
     assert (isinstance(check_equitable(g, p), EquitableFailure)
             == isinstance(_check_on_matrix(a, ext), EquitableFailure))
+
+
+def _check_by_cells(a: np.ndarray, p: Partition):
+    """_check_on_matrix as a loop over cells and vertices: the constants,
+    or the failure of the first vertex, in (cell, vertex) order, whose sums
+    differ from its cell's first vertex, at its first column."""
+    n = a.shape[0]
+    d = len(p.cells)
+    sums = np.zeros((n, d))
+    for k, cell in enumerate(p.cells):
+        sums[:, k] = a[:, list(cell)].sum(axis=1)
+    constants = np.zeros((d, d))
+    for j, cell in enumerate(p.cells):
+        ref = cell[0]
+        constants[j] = sums[ref]
+        for v in cell[1:]:
+            bad = np.nonzero(np.abs(sums[v] - sums[ref]) > CELL_SUM_TOL)[0]
+            if bad.size:
+                return EquitableFailure(j, int(bad[0]), ref, v)
+    return constants
+
+
+def _coarsest_by_cells(a: np.ndarray, seed: Partition) -> Partition:
+    """coarsest_equitable's partition by splitting each cell, vertex by
+    vertex, on its sums into the last round's cells, until none splits."""
+    cells = [list(c) for c in seed.cells]
+    changed = True
+    while changed:
+        changed = False
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sigs: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple(int(round(a[v, other].sum() / SIGNATURE_QUANTUM))
+                            for other in cells)
+                sigs.setdefault(sig, []).append(v)
+            if len(sigs) > 1:
+                changed = True
+            for sig in sorted(sigs):
+                new_cells.append(sigs[sig])
+        cells = new_cells
+    return Partition.of(cells)
+
+
+DYADIC = st.sampled_from([1.0, -1.0, 2.0, 0.5])
+DECIMAL = st.sampled_from([0.1, -0.3, 0.7, 1.1, -2.2])
+
+
+@st.composite
+def seeded_graphs(draw):
+    """A graph on 0 to 9 vertices with dyadic, decimal or arbitrary weights,
+    0 to 2 tails, and a seed partition with every attach vertex a singleton
+    (random cells, or one cell besides those); and whether every weighted
+    sum is exact in floating point."""
+    n = draw(st.integers(0, 9))
+    exact = draw(st.booleans())
+    arbitrary = st.floats(-3.0, 3.0).filter(lambda w: abs(w) > 1e-3)
+    weights = DYADIC if exact else draw(st.sampled_from([DECIMAL, arbitrary]))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = tuple((a, b, draw(weights)) for a, b in chosen)
+    attach = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)) if n else []
+    tails = tuple(TailSpec(x, tuple(draw(st.lists(DYADIC, max_size=2)))) for x in attach)
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(-1 - v if v in attach else labels[v], []).append(v)
+    return WeightedGraph(n, edges, tails), Partition.of(cells.values()), exact
+
+
+def _same_constants(got: np.ndarray, ref: np.ndarray, exact: bool) -> None:
+    # with exact sums every order of summation gives the same bits; else the
+    # product may sum a row in another order than the loop over cells
+    assert got.shape == ref.shape
+    if exact:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeded_graphs())
+@example((path_graph(9), Partition.single(9), True))
+@example((WeightedGraph(0, ()), Partition.of([]), True))
+@example((blow_up(cycle_graph(4), 2), Partition.single(8), True))
+def test_refinement_matches_the_loops_over_cells(inst):
+    g, p, exact = inst
+    a = g.core_adjacency()
+    got, ref = _check_on_matrix(a, p), _check_by_cells(a, p)
+    if isinstance(ref, EquitableFailure):
+        assert got == ref
+    else:
+        _same_constants(got, ref, exact)
+    ed = coarsest_equitable(g, p)
+    assert ed.partition == _coarsest_by_cells(a, p)
+    _same_constants(ed.constants, _check_by_cells(a, ed.partition), exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maybe_tailed_graphs(), st.data())
+def test_negate_edges_matches_the_validating_constructor(g, data):
+    # present edges either way round, repeated, and now and then a pair
+    # with no edge
+    listed = data.draw(st.lists(st.sampled_from(
+        [(a, b) for a, b, _ in g.edges] + [(b, a) for a, b, _ in g.edges]
+        + [(a, b) for a in range(g.n) for b in range(g.n) if a != b]), max_size=6))
+    if any(g.weight(a, b) == 0 for a, b in listed):
+        with pytest.raises(MissingEdge):
+            negate_edges(g, listed)
+        return
+    counts = Counter(tuple(sorted(e)) for e in listed)
+    odd = {key for key, count in counts.items() if count % 2}
+    ref = WeightedGraph(g.n, tuple((a, b, -w if (a, b) in odd else w)
+                                   for a, b, w in g.edges), g.tails)
+    assert negate_edges(g, listed) == ref
 
 
 @settings(max_examples=30, deadline=None)

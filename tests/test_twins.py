@@ -17,7 +17,7 @@ from qwalk import (
     verify_twin_structure,
 )
 from qwalk.errors import BadParam, StructureViolation
-from qwalk.twins import _row_classes
+from qwalk.partition import _row_classes
 
 import twin_records
 
