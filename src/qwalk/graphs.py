@@ -194,7 +194,12 @@ class PureState:
     support: tuple[tuple[int, complex], ...]
 
     def __post_init__(self):
+        if any(type(v) is not int for v, _ in self.support):
+            object.__setattr__(self, "support", tuple(
+                (_vertex(v), c) for v, c in self.support))
         verts = [v for v, _ in self.support]
+        if min(verts, default=0) < 0:
+            raise ParseError(f"state vertex {min(verts)} is negative")
         if len(set(verts)) != len(verts):
             raise ParseError("pure state support vertices must be distinct")
         norm2 = sum(abs(c) ** 2 for _, c in self.support)

@@ -21,7 +21,8 @@ class Partition:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        canon = tuple(sorted((tuple(sorted(c)) for c in self.cells), key=lambda c: c[0]))
+        # an empty cell sorts first, for validate to refuse
+        canon = tuple(sorted((tuple(sorted(c)) for c in self.cells), key=lambda c: c[:1]))
         object.__setattr__(self, "cells", canon)
 
     @classmethod
@@ -34,7 +35,7 @@ class Partition:
 
     @classmethod
     def single(cls, n: int) -> "Partition":
-        return cls((tuple(range(n)),))
+        return cls((tuple(range(n)),) if n else ())
 
     def validate(self, n: int) -> None:
         seen: set[int] = set()

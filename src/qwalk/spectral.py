@@ -29,10 +29,11 @@ walk needs L+1 steps to reach tail depth L+1, where the two graphs first
 differ, and L+1 more to come back to the core.  So the two expansions share
 every term up to order L for the evolved state U(t)u, and up to order 2L+1 for
 an amplitude v* U(t) u between core states.  Each later term differs by at
-most 4|J_k(Mt)| <= 4 (M|t|/2)^k / k!  (DLMF 10.14.4), and the certified depth
-is the smallest L whose summed tail is below the tolerance: `prepare`
-certifies amplitudes, which is all that the transfer detectors read, and
-`evolve` certifies the 2-norm of the full state.
+most 4|J_k(Mt)| <= 4 (M|t|/2)^k / k!  (DLMF 10.14.4).  `truncation_bound`
+bounds their tail in closed form, and the certified depth is the smallest L
+where that is below the tolerance: `prepare` certifies amplitudes, which is
+all that the transfer detectors read, and `evolve` certifies the 2-norm of
+the full state.
 
 `transfer_curve` is the one entry point of the transfer detectors: it returns
 the fidelity curve of (u, v) with the certificate of the route that built it.
@@ -214,47 +215,40 @@ class TruncationCertificate:
     residual: float
 
 
-def series_tail(x: float, k0: int) -> float:
-    """An upper bound, tight to double precision, on the sum of x^k / k! for
-    k >= k0 (x >= 0); inf when that sum overflows or x is not finite."""
-    if not 0 <= x < math.inf:
-        return math.inf
-    if x == 0:
-        return 0.0 if k0 > 0 else 1.0
-    total = 0.0
-    logx = math.log(x)
-    k = k0
-    while True:
-        exponent = k * logx - math.lgamma(k + 1)
-        if exponent > 700.0:  # exp() would overflow; the tail is huge anyway
-            return math.inf
-        term = math.exp(exponent)
-        total += term
-        # past the peak the terms fall at least geometrically, by r per step;
-        # the slack covers the roundoff of the exponents and of the sum
-        if k > x and term <= total * 1e-18:
-            r = x / (k + 1)
-            slack = 4e-16 * (k * abs(logx) + math.lgamma(k + 1) + k + 1)
-            return (total + term * r / (1 - r)) * (1 + slack)
-        k += 1
-
-
 def truncation_bound(m: float, t: float, order: int) -> float:
     """Error bound of a truncation whose Chebyshev expansion agrees with the
-    infinite graph's up to `order`: 4 sum_{k > order} (m|t|/2)^k / k!."""
-    return 4.0 * series_tail(m * abs(t) / 2.0, order + 1)
+    infinite graph's up to `order`: 4 sum_{j >= k} x^j / j!  for x = m|t|/2
+    and k = order + 1.  The sum is at most e^x, and when k > x its terms
+    fall by at least r = x/(k+1) per step, so it is at most
+    x^k / k! / (1 - r).  The bound does not grow with `order`; it is inf
+    when x is not finite or the bound overflows."""
+    x, k = m * abs(t) / 2.0, order + 1
+    if not 0 <= x < math.inf:
+        return math.inf
+    # the whole series, inf where exp() would overflow
+    bound = 4.0 * math.exp(x) * (1 + 4e-16) if x <= 700.0 else math.inf
+    if k > x:
+        if x == 0:
+            return 0.0
+        logx = math.log(x)
+        exponent = k * logx - math.lgamma(k + 1) - math.log1p(-x / (k + 1))
+        if exponent <= 700.0:
+            # the slack covers the roundoff of the exponent
+            slack = 4e-16 * (k * abs(logx) + math.lgamma(k + 1) + k + 1)
+            bound = min(bound, 4.0 * math.exp(exponent) * (1 + slack))
+    return bound
 
 
-def _bisect(pred, lo: int, hi: int) -> tuple[int, int]:
-    """Narrow (lo, hi], pred(hi) true, to hi = lo + 1 with pred(hi) still true;
-    lo moves only onto depths where pred is false."""
+def _bisect(pred, lo: int, hi: int) -> int:
+    """The smallest depth in (lo, hi] where pred holds, for pred monotone and
+    true at hi."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if pred(mid):
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return hi
 
 
 def required_truncation(m: float, t: float, tol: float, legs: int,
@@ -262,34 +256,14 @@ def required_truncation(m: float, t: float, tol: float, legs: int,
     """Smallest depth L >= 1 with certified error below tol, for a walk from
     the core with `legs` legs (STATE or AMPLITUDE): its expansion is exact up
     to order legs*(L+1) - 1."""
-    x = m * abs(t) / 2.0
-    logx = math.log(x) if x else -math.inf
-
     def certified(L: int) -> bool:
         return truncation_bound(m, t, legs * (L + 1) - 1) < tol
-
-    def first_term_small(L: int) -> bool:
-        # 4 x^k / k! < tol, with the term computed as series_tail sums it, so
-        # certified(L) implies it
-        k = legs * (L + 1)
-        exponent = k * logx - math.lgamma(k + 1)
-        return exponent <= 700.0 and 4.0 * math.exp(exponent) < tol
 
     if not certified(cap):
         raise NonConvergent(
             f"truncation beyond {cap} needed for t={t} (M={m}, tol={tol})"
         )
-    # The terms x^k / k! peak at k ~ x, and a depth below the peak sums every
-    # term up to it.  Past the peak a tail is mostly its first term, which
-    # costs one lgamma: bisect on that from the peak for a close lower bound
-    # (every depth where it fails is uncertified), then gallop and bisect on
-    # the certificate itself.
-    lo = min(int(x) // legs, cap)
-    lo, hi = _bisect(first_term_small, 0 if first_term_small(lo) else lo, cap)
-    step = 1
-    while not certified(hi):
-        lo, hi, step = hi, min(hi + step, cap), 2 * step
-    return _bisect(certified, lo, hi)[1]
+    return _bisect(certified, 0, cap)
 
 
 def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:

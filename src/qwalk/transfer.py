@@ -214,10 +214,13 @@ def _scan(curve, step: float, total: int, doubling: bool = False):
 def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
                   doubling: bool = False):
     """Walk _scan's windows (doubling as there) and yield, per window, the
-    grid indices and values of the points where |curve| has no larger
-    (lowest: no smaller) neighbour, with nothing beyond both ends of the
-    grid.  A window's last point is decided with the next window, so it is
-    carried across the edge, and the grid's last point comes last, alone.
+    grid indices and values of the points where |curve| is above its left
+    neighbour and no lower than its right one (lowest: below, no higher),
+    with nothing beyond both ends of the grid.  So a run of equal values
+    yields its first point alone: the flat curve of a state in the kernel
+    gives one candidate, not one per grid point.  A window's last point is
+    decided with the next window, so it is carried across the edge, and the
+    grid's last point comes last, alone.
 
     A single cosine that the grid resolves (`_cosine`, step * Delta < pi)
     has one such point per period, the one nearest the extremum, and an end
@@ -229,12 +232,12 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
         yield from _cosine_extrema(curve, *cosine, step, total, lowest, doubling)
         return
     pad = np.full(1, np.inf if lowest else -np.inf)
-    keep = np.less_equal if lowest else np.greater_equal
+    beat, keep = (np.less, np.less_equal) if lowest else (np.greater, np.greater_equal)
     prev, first = pad, 1  # first: the grid index of ext[1]
     for f in chain(_scan(curve, step, total, doubling), [pad]):
         ext = np.concatenate((prev, f))
         mid = ext[1:-1]
-        k = np.flatnonzero(keep(mid, ext[:-2]) & keep(mid, ext[2:]))
+        k = np.flatnonzero(beat(mid, ext[:-2]) & keep(mid, ext[2:]))
         yield k + first, mid[k]
         first += mid.size
         prev = ext[-2:]
@@ -327,7 +330,7 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
     curves that is earlier (still at or above the target) than the highest
     maximum of its stretch of near-target points.  This only witnesses high
     fidelity at a finite time; it does not decide the limiting behaviour.  For
-    u parallel to v the initial plateau, up to the first local grid minimum,
+    u parallel to v the initial plateau, before the first local grid minimum,
     is skipped.  The grid has n = ceil(64 M t_cap) points of step
     t_cap / n (M the maximum absolute degree); BadParam when n exceeds
     MAX_GRID = 2^32.  _scan_extrema walks it in windows that double from
@@ -347,7 +350,9 @@ def pgst_witness(g: WeightedGraph, u: PureState, v: PureState,
                                                      doubling=True) if k.size)
         plateau, best_f = int(k[0]), float(f[0])
     for k, f in _scan_extrema(curve, step, n, doubling=True):
-        f = np.where(k > plateau, f, -np.inf)
+        # a maximum at the plateau's end is the first point of a curve that
+        # is flat from the start, such as that of a state in the kernel
+        f = np.where(k >= plateau, f, -np.inf)
         best_f = max(best_f, float(f.max(initial=0.0)))
         peaks = k[f >= near] * step
         if not peaks.size:

@@ -12,6 +12,10 @@ is ever paired, so A B vanishes on every tail vertex and the core residual
 transition matrix's blocks at every time, by Duhamel's formula:
 ||e^{itA} B - B e^{itT}|| <= |t| ||A B - B T||.
 
+Validation is one pass over x1: the swap pi is an involution, so it is an
+automorphism iff w(f(a), pi(y)) = w(a, y) within WEIGHT_TOL for every a in x1
+and every vertex y (an edge at f(a) is the image of one at a).
+
 Detection pairs vertices whose sorted rows hold the same rounded weights:
 the rows are classed by one 1-D ``np.unique`` over the rows viewed as void
 scalars.  Its search needs, per candidate pair, the later candidates that are
@@ -58,8 +62,11 @@ class TwinStructure:
         return self.x2[self.x1.index(a)]
 
     def validate(self) -> None:
-        g = self.graph
-        x1, x2 = self.x1, self.x2
+        """Raise StructureViolation unless the swap pi, a <-> f(a), is an
+        automorphism that moves no tail-attach vertex (see the module
+        docstring): only y in N(a) or in pi(N(f(a))) can carry a nonzero
+        weight w(a, y) or w(f(a), pi(y))."""
+        g, x1, x2 = self.graph, self.x1, self.x2
         if len(x1) != len(x2):
             raise StructureViolation("x1 and x2 have different sizes")
         if len(set(x1) | set(x2)) != 2 * len(x1):
@@ -67,34 +74,17 @@ class TwinStructure:
         for v in x1 + x2:
             if not 0 <= v < g.n:
                 raise StructureViolation(f"vertex {v} outside the core")
-        inside = set(x1) | set(x2)
-        for i, a in enumerate(x1):
-            for j, b in enumerate(x1):
-                if abs(g.weight(x2[i], x2[j]) - g.weight(a, b)) > WEIGHT_TOL:
-                    raise StructureViolation(
-                        f"isomorphism broken: w({x2[i]},{x2[j]}) != w({a},{b})"
-                    )
+        swap = dict(zip(x1 + x2, x2 + x1))
+        for t in g.tails:
+            if t.attach in swap:
+                raise StructureViolation(f"tail at {t.attach} breaks the swap symmetry")
         nbrs = g.adjacency_lists
-        for i, a in enumerate(x1):
-            # only a neighbour of a or f(a) can carry a nonzero weight
-            for y in sorted(set(nbrs[a]).union(nbrs[x2[i]]) - inside):
-                if abs(g.weight(x2[i], y) - g.weight(a, y)) > WEIGHT_TOL:
+        for a, b in zip(x1, x2):
+            for y in sorted(set(nbrs[a]).union(swap.get(z, z) for z in nbrs[b])):
+                py = swap.get(y, y)
+                if abs(g.weight(b, py) - g.weight(a, y)) > WEIGHT_TOL:
                     raise StructureViolation(
-                        f"outside attachment broken: w({x2[i]},{y}) != w({a},{y})"
-                    )
-            for t in g.tails:
-                in1 = 1.0 if t.attach == a else 0.0
-                in2 = 1.0 if t.attach == x2[i] else 0.0
-                if in1 != in2:
-                    raise StructureViolation(
-                        f"tail at {t.attach} breaks the swap symmetry"
-                    )
-        for i, a in enumerate(x1):
-            for j, b in enumerate(x1):
-                if abs(g.weight(a, x2[j]) - g.weight(x2[i], b)) > WEIGHT_TOL:
-                    raise StructureViolation(
-                        f"cross-edge symmetry broken at ({a},{x2[j]})"
-                    )
+                        f"swap breaks a weight: w({b},{py}) != w({a},{y})")
 
     def pair_partition(self) -> Partition:
         """Pairs {a, f(a)} as cells, all other core vertices as singletons."""

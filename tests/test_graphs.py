@@ -161,3 +161,18 @@ def test_numpy_integer_vertices_are_stored_as_int():
     assert g.tails == (TailSpec(1, (2.0,)),)
     assert {type(v) for a, b, _ in g.edges for v in (a, b)} == {int}
     assert type(g.tails[0].attach) is int
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0, -1, "0"])
+def test_state_vertices_are_checked(vertex):
+    # True was read as vertex 1, a float failed deep in the spectral layer,
+    # and -1 was wrapped to the last index of .vector(dim)
+    with pytest.raises(ParseError):
+        PureState(((vertex, 1.0 + 0j),))
+
+
+def test_numpy_integer_state_vertices_are_stored_as_int():
+    s = pair_state(np.int64(0), np.uint8(3))
+    assert s.vertices == (0, 3)
+    assert {type(v) for v in s.vertices} == {int}
+    assert json.loads(json.dumps(state_to_document(s))) == state_to_document(s)

@@ -27,6 +27,14 @@ def test_partition_validation():
         Partition.of([(0,)]).validate(2)
 
 
+def test_empty_cells_reach_validation():
+    # sorting the cells by their first vertex once failed on an empty cell
+    assert Partition.single(0) == Partition.of([])
+    p = Partition.of([(), (0,)])
+    with pytest.raises(NotAPartition, match="empty cell"):
+        p.validate(1)
+
+
 def test_characteristic_matrix_orthonormal():
     p = Partition.of([(0, 1, 2), (3,), (4, 5)])
     c = p.characteristic_matrix(6)
@@ -57,7 +65,7 @@ def test_labels_give_each_vertex_its_cell():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_refinement_of_the_smallest_graphs(n):
-    g, p = WeightedGraph(n, ()), Partition.of([range(n)] if n else [])
+    g, p = WeightedGraph(n, ()), Partition.single(n)
     for ed in (coarsest_equitable(g, p), check_equitable(g, p)):
         assert ed.partition == p
         assert ed.constants.shape == ed.charmatrix.shape == (n, n)

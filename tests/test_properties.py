@@ -38,7 +38,7 @@ from qwalk import (
     verify_twin_structure,
     vertex_state,
 )
-from qwalk.errors import MissingEdge, Unreached
+from qwalk.errors import MissingEdge, StructureViolation, Unreached
 from qwalk.experiments import find_p5_limb, prufer_decode
 from qwalk.partition import (
     CELL_SUM_TOL,
@@ -442,8 +442,10 @@ GOLDEN = (math.sqrt(5.0) - 1) / 2
 def _scalar_golden_max(f, lo, hi):
     """Reference: golden section over one bracket with a scalar f, then a
     parabolic polish; the routine that safeguarded Newton replaced.  Returns
-    the better of the golden and the polished point: the polish's difference
-    quotients can land it off a maximum that golden section had found."""
+    the best of the golden point, the polished point and both ends, as
+    _refine does: the polish's difference quotients can land it off a
+    maximum that golden section had found, and where f dips inside the
+    bracket golden section may converge to the lower end."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
@@ -458,7 +460,7 @@ def _scalar_golden_max(f, lo, hi):
             c = b - GOLDEN * (b - a)
             fc = f(c)
     t = (a + b) / 2
-    best = t, f(t)
+    points = [(t, f(t)), (lo, f(lo)), (hi, f(hi))]
     h = min(1e-5 * max(1.0, abs(t)), (hi - lo) / 8)
     if lo + h < t < hi - h:
         fm, f0, fp = f(t - h), f(t), f(t + h)
@@ -466,8 +468,8 @@ def _scalar_golden_max(f, lo, hi):
         if denom < 0:
             shift = 0.5 * h * (fm - fp) / denom
             if abs(shift) < h:
-                return max(best, (t + shift, f(t + shift)), key=lambda p: p[1])
-    return best
+                points.append((t + shift, f(t + shift)))
+    return max(points, key=lambda p: p[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,6 +478,9 @@ def _scalar_golden_max(f, lo, hi):
        sign=st.sampled_from([1.0, -1.0]))
 # the parabolic polish lands 5e-10 off this minimum, 2.8e-11 above it
 @example(size=25, lam_max=6.90625, seed=1112, brackets=12, sign=-1.0)
+# on bracket 29 |f| dips inside: the maximum is the left end, while golden
+# section converges to the lower right end
+@example(size=18, lam_max=2.748456556019053, seed=148224, brackets=30, sign=1.0)
 def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
                                                          brackets, sign):
     curve = random_curve(size, lam_max, seed)
@@ -968,6 +973,78 @@ def test_twin_transport_matches_reduced_hamiltonian(seed):
         f_small = abs(v @ red.unitary(t) @ u)
         f_big = abs((bmat @ v) @ big.unitary(t) @ (bmat @ u))
         assert abs(f_small - f_big) < 1e-9
+
+
+def _validate_by_slices(ts: TwinStructure) -> None:
+    """Reference: the three double loops that checked the swap one slice at a
+    time (X1 onto X2, the outside attachment with the tails, the cross
+    edges), after the same checks of sizes, disjointness and range."""
+    g, x1, x2 = ts.graph, ts.x1, ts.x2
+    if len(x1) != len(x2) or len(set(x1) | set(x2)) != 2 * len(x1):
+        raise StructureViolation("sizes")
+    if not all(0 <= v < g.n for v in x1 + x2):
+        raise StructureViolation("range")
+    inside = set(x1) | set(x2)
+    for i, a in enumerate(x1):
+        for j, b in enumerate(x1):
+            if abs(g.weight(x2[i], x2[j]) - g.weight(a, b)) > WEIGHT_TOL:
+                raise StructureViolation("isomorphism")
+    nbrs = g.adjacency_lists
+    for i, a in enumerate(x1):
+        for y in sorted(set(nbrs[a]).union(nbrs[x2[i]]) - inside):
+            if abs(g.weight(x2[i], y) - g.weight(a, y)) > WEIGHT_TOL:
+                raise StructureViolation("outside attachment")
+        for t in g.tails:
+            if (t.attach == a) != (t.attach == x2[i]):
+                raise StructureViolation("tail")
+    for i, a in enumerate(x1):
+        for j, b in enumerate(x1):
+            if abs(g.weight(a, x2[j]) - g.weight(x2[i], b)) > WEIGHT_TOL:
+                raise StructureViolation("cross edge")
+
+
+def _refuses(check, ts: TwinStructure) -> bool:
+    try:
+        check(ts)
+    except StructureViolation:
+        return True
+    return False
+
+
+@st.composite
+def perturbed_twins(draw):
+    """A planted twin instance with up to three weights moved (by less than,
+    about, or more than WEIGHT_TOL; an edge can appear or vanish), half of
+    them between twins, and with probability 1/4 each: a tail anywhere, x2
+    reordered, one listed vertex replaced (perhaps by one off the core)."""
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 9)))
+    ts = random_twin_instance(rng)
+    n, x1, x2 = ts.graph.n, list(ts.x1), list(ts.x2)
+
+    def end() -> int:
+        return int(rng.choice(x1 + x2) if rng.random() < 0.5 else rng.integers(n))
+
+    weights = {(a, b): w for a, b, w in ts.graph.edges}
+    for _ in range(rng.integers(4)):
+        a, b = sorted((end(), end()))
+        if a != b:
+            w = weights.pop((a, b), 0.0)
+            w += rng.choice([4e-13, -9e-13, 1e-12, 2e-12, 0.5, -1.0, -w])
+            if w != 0:
+                weights[a, b] = float(w)
+    tails = (TailSpec(int(rng.integers(n))),) if rng.random() < 0.25 else ()
+    if rng.random() < 0.25:
+        x2 = list(rng.permutation(x2))
+    if rng.random() < 0.25:
+        x1[rng.integers(len(x1))] = int(rng.integers(-1, n + 1))
+    graph = WeightedGraph(n, tuple((a, b, w) for (a, b), w in weights.items()), tails)
+    return TwinStructure(graph, tuple(map(int, x1)), tuple(map(int, x2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_twins())
+def test_one_pass_validation_matches_the_three_loops(ts):
+    assert _refuses(TwinStructure.validate, ts) == _refuses(_validate_by_slices, ts)
 
 
 def test_pure_state_norm_tolerance():

@@ -1,7 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwalk import (
     TailSpec,
@@ -29,7 +31,6 @@ from qwalk.spectral import (
     SpectralDecomposition,
     _krylov,
     required_truncation,
-    series_tail,
     transfer_curve,
     truncation_bound,
 )
@@ -67,21 +68,50 @@ def test_p3_end_to_end_oracle():
     assert f >= 1 - 1e-12
 
 
-def test_series_tail_and_bound():
-    # full series at k0=0 is e^x
-    np.testing.assert_allclose(series_tail(2.0, 0), math.exp(2.0), rtol=1e-12)
+def test_truncation_bound():
+    # the whole series, 4 e^x, bounds every tail up to the peak
+    np.testing.assert_allclose(truncation_bound(4.0, 1.0, 0), 4 * math.exp(2.0), rtol=1e-15)
     assert truncation_bound(3.0, 1.0, 64) < 1e-50
     assert truncation_bound(3.0, 1.0, 2) > truncation_bound(3.0, 1.0, 8)
+    assert truncation_bound(0.0, 5.0, 3) == 0.0
+    assert truncation_bound(math.nan, 1.0, 3) == math.inf
+    assert truncation_bound(2e6, 1.0, 10) == math.inf
 
 
-def test_series_tail_is_an_upper_bound():
-    # the geometric remainder keeps the truncated sum above the exact tail
-    for x, k0 in ((0.5, 3), (9.6, 10), (40.0, 41), (40.0, 120)):
-        exact = math.fsum(math.exp(k * math.log(x) - math.lgamma(k + 1))
-                          for k in range(k0, k0 + 2000))
-        assert exact <= series_tail(x, k0) <= exact * (1 + 1e-11)
-    assert series_tail(math.nan, 3) == math.inf
-    assert series_tail(1e6, 10) == math.inf
+def _exact_terms(x: float, k: int) -> list[float]:
+    """x^j / j! for j >= k, each computed to 50 digits by the recurrence and
+    rounded once, up to where the rest is below 1e-30 of the sum."""
+    terms = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        term, dx, j = Decimal(1), Decimal(x), 0
+        while j < k or j <= 2 * x or term > Decimal(1e-30) * sum(terms, Decimal(0)):
+            if j >= k:
+                terms.append(term)
+            j += 1
+            term = term * dx / j
+    return [float(t) for t in terms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(0.0, 600.0), order=st.integers(0, 1500))
+def test_truncation_bound_covers_the_exact_tail(x, order):
+    # m = 2, t = x: the series variable m|t|/2 is x exactly
+    bound = truncation_bound(2.0, x, order)
+    assert bound >= 4 * math.fsum(_exact_terms(x, order + 1))
+    assert truncation_bound(2.0, x, order + 1) <= bound
+
+
+@pytest.mark.parametrize("m, t, tol, legs, cap, depth", [
+    (3.0, 30.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 70),
+    (4.0, 50.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 145),
+    (3.0, 300.0, 1e-9, STATE, MAX_TRUNCATION, 1241),
+    (2.0, 1400.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 1911),
+    (2.0, -1400.0, 1e-12, STATE, 2 * MAX_TRUNCATION, 3829),
+])
+def test_required_truncation_keeps_its_depths(m, t, tol, legs, cap, depth):
+    # the depths that the term-by-term sum of the series gave
+    assert required_truncation(m, t, tol, legs, cap) == depth
 
 
 def test_required_truncation_is_minimal():

@@ -143,6 +143,36 @@ def test_pgst_autocorrelation_skips_t0():
     assert rep.tau > 0.5  # the t=0 plateau is excluded
 
 
+def test_scan_extrema_take_a_plateau_once():
+    # |f| = 0 1 1 1 0 2 2 on the grid 1..7, in windows of 3: each plateau
+    # gives its first point alone, as maximum or as minimum
+    three = FidelityCurve(np.array([0.0, 1.0, 3.0]), np.ones(3, dtype=complex))
+    values = [np.array([0.0, 1, 1]), np.array([1.0, 0, 2]), np.array([2.0])]
+
+    def walk(lowest):
+        with patch.object(transfer, "_scan", lambda *args: iter(values)):
+            return np.concatenate([k for k, _ in transfer._scan_extrema(
+                three, 1.0, 7, lowest)]).tolist()
+
+    assert walk(False) == [2, 6]
+    assert walk(True) == [1, 5]
+
+
+def test_a_state_in_the_kernel_gives_one_report():
+    # the frozen pair of the perturbed P_2 twins is an eigenvector with
+    # eigenvalue 0: its curve is flat at 1, and every grid point was once a
+    # report
+    g = named_gadget("p2_twins_perturbed").graph
+    state = pair_state(0, 4)
+    reps = search_pst(g, state, state, 10.0)
+    assert len(reps) == 1 and reps[0].fidelity >= 1 - 1e-12
+    # the whole curve is its initial plateau; its first point is a witness
+    rep = pgst_witness(g, state, state, 0.999, 10.0)
+    step = 10.0 / math.ceil(64 * 10.0 * degree_profile(g).m)
+    assert 0 < rep.tau <= 2 * step
+    assert abs(sedentary_estimate(g, state, 10.0).grid_min - 1) <= 1e-12
+
+
 def test_pgst_autocorrelation_plateau_ends_at_the_first_minimum():
     # K_8 from a vertex to itself: |f(t)| = |7 e^(-it) + e^(7it)| / 8 never
     # falls below 0.75, dips to it at pi/8 and returns to 1 at pi/4
