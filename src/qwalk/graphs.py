@@ -140,6 +140,28 @@ class WeightedGraph:
         return np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
 
     @cached_property
+    def two_colouring(self) -> np.ndarray | None:
+        """Each core vertex's side, 0 or 1, in a 2-colouring of the core
+        (side 0 holds the smallest vertex of each component), or None when
+        the core has an odd cycle.  A tail is a path, so it keeps the
+        colouring: its vertices alternate from the attach vertex's side."""
+        side = [-1] * self.n
+        adj = self.adjacency_lists
+        for root in range(self.n):
+            if side[root] >= 0:
+                continue
+            side[root], stack = 0, [root]
+            while stack:
+                a = stack.pop()
+                for b in adj[a]:
+                    if side[b] < 0:
+                        side[b] = 1 - side[a]
+                        stack.append(b)
+                    elif side[b] == side[a]:
+                        return None
+        return np.array(side, dtype=np.intp)
+
+    @cached_property
     def degree_profile(self) -> DegreeProfile:
         """Signed and absolute core degrees, and the maximum absolute degree
         with tails included."""

@@ -29,11 +29,14 @@ walk needs L+1 steps to reach tail depth L+1, where the two graphs first
 differ, and L+1 more to come back to the core.  So the two expansions share
 every term up to order L for the evolved state U(t)u, and up to order 2L+1 for
 an amplitude v* U(t) u between core states.  Each later term differs by at
-most 4|J_k(Mt)| <= 4 (M|t|/2)^k / k!  (DLMF 10.14.4).  `truncation_bound`
-bounds their tail in closed form, and the certified depth is the smallest L
-where that is below the tolerance: `prepare` certifies amplitudes, which is
-all that the transfer detectors read, and `evolve` certifies the 2-norm of
-the full state.
+most 4|J_k(Mt)|.  `truncation_bound` bounds their tail in closed form, by the
+smaller of two bounds on |J_k|: (M|t|/2)^k / k! (DLMF 10.14.4), and Kapteyn's
+inequality (DLMF 10.14.8), much sharper where k is near M|t|.  The certified
+depth is the smallest L where that is below the tolerance: `prepare`
+certifies amplitudes, which is all that the transfer detectors read, and
+`evolve` certifies the 2-norm of the full state.  Most of the paper's hosts
+are bipartite, and so are their truncations; `SpectralDecomposition.of`
+solves such a matrix by the SVD of its half-size biadjacency block.
 
 `transfer_curve` is the one entry point of the transfer detectors: it returns
 the fidelity curve of (u, v) with the certificate of the route that built it.
@@ -57,6 +60,11 @@ STATE, AMPLITUDE = 1, 2   # legs of a core walk that a truncation must certify
 EIGEN_MERGE = 1e-12     # adjacent eigenvalues closer than this share an eigenspace
 ZERO_WEIGHT = 1e-17     # curve weights at or below this are roundoff
 CURVE_BLOCK = 1 << 18   # phase-matrix entries evaluated per block
+_PHASE_TABLE_MIN = 512   # grid-table entries from which _phases uses anchors
+# dimension from which a bipartite matrix is solved by SVD: below it,
+# assembling the eigenvectors costs more than eigh saves (measured on paths
+# and trees, one BLAS thread)
+_SVD_MIN_DIM = 64
 
 
 def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
@@ -90,15 +98,40 @@ def adjacency(g: WeightedGraph, L: int = 0) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors, as columns, of a
-    symmetric matrix or of its restriction to an invariant subspace."""
+    symmetric matrix or of its restriction to an invariant subspace.
+
+    `of` takes the matrix's two sides when it is bipartite, A = [[0, B],
+    [B^T, 0]] up to the order of the indices, and then solves it by the SVD
+    B = U S V^T of the half-size block: each singular value s gives the
+    eigenvalues -s and s with eigenvectors (u, -v)/sqrt(2) and (u, v)/sqrt(2),
+    and the null vectors of B^T and of B, from the full U and V, are
+    eigenvectors of eigenvalue 0.  Signed weights live in B, so signed graphs
+    qualify."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @classmethod
-    def of(cls, a: np.ndarray) -> "SpectralDecomposition":
-        vals, vecs = np.linalg.eigh(a)
-        return cls(vals, vecs)
+    def of(cls, a: np.ndarray, parts: tuple[np.ndarray, np.ndarray] | None = None
+           ) -> "SpectralDecomposition":
+        """The decomposition of the symmetric matrix a; parts (p, q), the
+        index arrays of a's two sides, when every nonzero entry joins p to q.
+        """
+        if parts is None:
+            return cls(*np.linalg.eigh(a))
+        p, q = parts
+        u, s, vt = np.linalg.svd(a[p[:, None], q])
+        n, r, top = len(a), s.size, len(p)
+        # ascending: -s, the null space, then s; s comes descending
+        lam = np.concatenate((-s, np.zeros(n - 2 * r), s[::-1]))
+        x, y = u[:, :r] * math.sqrt(0.5), vt[:r].T * math.sqrt(0.5)
+        side = np.zeros((n, n))   # rows p, then rows q
+        side[:top, :r], side[top:, :r] = x, -y
+        side[:top, n - r:], side[top:, n - r:] = x[:, ::-1], y[:, ::-1]
+        side[:top, r:top], side[top:, top:n - r] = u[:, r:], vt[r:].T
+        vecs = np.empty((n, n))
+        vecs[np.concatenate((p, q))] = side
+        return cls(lam, vecs)
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(itA) from the decomposition, as two real products:
@@ -147,7 +180,7 @@ class FidelityCurve:
         w = p[:, 1].conj() * p[:, 0]
         lam = decomp.eigenvalues
         # eigenvalues split only by eigensolver roundoff share an eigenspace
-        starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > EIGEN_MERGE)
+        starts = np.flatnonzero(np.concatenate(([True], lam[1:] - lam[:-1] > EIGEN_MERGE)))
         w = np.add.reduceat(w, starts)
         keep = np.abs(w) > ZERO_WEIGHT
         return cls(lam[starts[keep]], w[keep])
@@ -172,25 +205,46 @@ class FidelityCurve:
         exp(i k h lam) = exp(i (first + g*B) h lam) exp(i j h lam), so each
         block of giant steps is one product of its (giant x support) block of
         weighted phases with the (support x B) baby table.  B is about
-        sqrt(count); the table and every block hold at most CURVE_BLOCK
-        entries.
+        sqrt(count); the table and every block hold about CURVE_BLOCK entries
+        at most.
+
+        Each entry of the baby table and of a giant block is the product of
+        two correctly rounded exponentials (`_phases`), an anchor every
+        ceil(sqrt(rows)) rows and a near power, so a table of n rows costs
+        about 2 sqrt(n) exponentials per support point, not n.
         """
         lam = 1j * self.eigenvalues
         per = max(1, CURVE_BLOCK // max(1, lam.size))
         baby_n = max(1, min(math.isqrt(count), per))
         giant_n = -(-count // baby_n)
-        # exponentials, weights and products in place: each table is
-        # allocated once
-        baby = np.multiply.outer(lam, np.arange(baby_n) * step)
-        np.exp(baby, out=baby)
+        baby = _phases(lam, step, 0, 1, baby_n).T
         out = np.empty((giant_n, baby_n), dtype=complex)
         for g in range(0, giant_n, per):
-            ks = first + baby_n * np.arange(g, min(g + per, giant_n))
-            coef = np.multiply.outer(ks * step, lam)
-            np.exp(coef, out=coef)
+            coef = _phases(lam, step, first + baby_n * g, baby_n, min(per, giant_n - g))
             coef *= self.weights
             np.matmul(coef, baby, out=out[g:g + per])
         return out.ravel()[:count]
+
+
+def _phases(lam: np.ndarray, step: float, start: int, stride: int, n: int) -> np.ndarray:
+    """The (n, support) table exp((start + j*stride) * step * lam), j < n.
+
+    Row a*c + b, for b < c, is the product of two correctly rounded
+    exponentials: the anchor exp((start + a*c*stride) step lam) and the near
+    power exp(b*stride*step*lam).  That is n/c + c exponentials per support
+    point, fewest at c = ceil(sqrt(n)), and each entry keeps the roundoff
+    of its phase's argument and of about three operations.  A table of
+    fewer than _PHASE_TABLE_MIN entries takes one exponential per entry: the
+    extra pass over the table costs more than the exponentials it saves.
+    """
+    if n * lam.size < _PHASE_TABLE_MIN:
+        return np.exp(np.multiply.outer(np.arange(start, start + n * stride, stride) * step, lam))
+    c = math.isqrt(max(n - 1, 0)) + 1
+    e = np.exp(np.multiply.outer(np.concatenate((
+        np.arange(start, start + n * stride, c * stride), np.arange(0, c * stride, stride)
+    )) * step, lam))
+    anchors = len(e) - c
+    return (e[:anchors, None] * e[anchors:]).reshape(anchors * c, lam.size)[:n]
 
 
 @dataclass(frozen=True)
@@ -217,24 +271,42 @@ class TruncationCertificate:
 
 def truncation_bound(m: float, t: float, order: int) -> float:
     """Error bound of a truncation whose Chebyshev expansion agrees with the
-    infinite graph's up to `order`: 4 sum_{j >= k} x^j / j!  for x = m|t|/2
-    and k = order + 1.  The sum is at most e^x, and when k > x its terms
-    fall by at least r = x/(k+1) per step, so it is at most
-    x^k / k! / (1 - r).  The bound does not grow with `order`; it is inf
-    when x is not finite or the bound overflows."""
-    x, k = m * abs(t) / 2.0, order + 1
+    infinite graph's up to `order`: 4 sum_{j >= k} |J_j(y)| for y = m|t| and
+    k = order + 1, bounded in closed form two ways and the smaller taken.
+
+    DLMF 10.14.4: |J_j(y)| <= x^j / j! for x = y/2.  Their sum is at most
+    e^x, and when k > x its terms fall by at least r = x/(k+1) per step, so
+    it is at most x^k / k! / (1 - r).
+
+    Kapteyn, DLMF 10.14.8: for k > y, with z = y/k, s = sqrt(1 - z^2) and
+    rho = z/(1 + s), |J_k(y)| <= b_k = (rho e^s)^k.  As d ln b_k / dk = ln rho
+    and rho falls as k grows, b_{k+1} <= rho b_k, and the sum is at most
+    b_k / (1 - rho).
+
+    Neither grows with `order`, so neither does the bound; it is inf when y
+    is not finite or the bound overflows."""
+    y, k = m * abs(t), order + 1
+    x = y / 2.0
     if not 0 <= x < math.inf:
         return math.inf
     # the whole series, inf where exp() would overflow
     bound = 4.0 * math.exp(x) * (1 + 4e-16) if x <= 700.0 else math.inf
+    # each slack covers the roundoff of its exponent
     if k > x:
         if x == 0:
             return 0.0
         logx = math.log(x)
         exponent = k * logx - math.lgamma(k + 1) - math.log1p(-x / (k + 1))
         if exponent <= 700.0:
-            # the slack covers the roundoff of the exponent
             slack = 4e-16 * (k * abs(logx) + math.lgamma(k + 1) + k + 1)
+            bound = min(bound, 4.0 * math.exp(exponent) * (1 + slack))
+    if k > y:
+        ks = math.sqrt((k - y) * (k + y))   # k s, without cancellation
+        rho = max(y / (k + ks), math.ulp(0.0))   # a larger rho only loosens it
+        log_rho = math.log(rho)
+        exponent = k * log_rho + ks - math.log1p(-rho)
+        if exponent <= 700.0:
+            slack = 4e-16 * (k * (abs(log_rho) + 4) + ks + 4 / (1 - rho))
             bound = min(bound, 4.0 * math.exp(exponent) * (1 + slack))
     return bound
 
@@ -300,7 +372,20 @@ def _prepare(g: WeightedGraph, t: float, tol: float, legs: int
     if g.tails:
         bound = max(truncation_bound(profile.m, t, legs * (L + 1) - 1), bound)
     a = adjacency(g, L)
-    return SpectralDecomposition.of(a), TruncationCertificate(L, t, bound, dim, 0.0)
+    parts = _sides(g, L) if dim >= _SVD_MIN_DIM else None
+    return SpectralDecomposition.of(a, parts), TruncationCertificate(L, t, bound, dim, 0.0)
+
+
+def _sides(g: WeightedGraph, L: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two sides of the depth-L truncation of a bipartite graph, in
+    `adjacency`'s order, or None: each tail alternates from the side of its
+    attach vertex."""
+    side = g.two_colouring
+    if side is None:
+        return None
+    depth = np.arange(1, L + 1)
+    side = np.concatenate([side] + [(side[tail.attach] + depth) % 2 for tail in g.tails])
+    return np.flatnonzero(side == 0), np.flatnonzero(side)
 
 
 def _lanczos(times_a, start: np.ndarray):

@@ -21,7 +21,9 @@ cosine: |f|^2 = |w0|^2 + |w1|^2 + 2 |w0 w1| cos(Delta t + phi), with
 Delta = lambda_1 - lambda_0 and phi = arg w1 - arg w0.  The walker and the
 refinement answer it in closed form, with the same grid indices, windows and
 brackets: the grid points nearest the extrema and the extrema themselves, with
-no grid evaluation and no Newton step.
+no grid evaluation and no Newton step.  A curve with one support point, such
+as that of a stationary state, is the cosine with Delta = 0 and no amplitude:
+a constant, whose walk yields its first grid point alone.
 """
 
 from __future__ import annotations
@@ -103,10 +105,13 @@ class SedentaryEstimate:
 def _cosine(curve: FidelityCurve) -> tuple[float, float] | None:
     """(Delta, phi), Delta > 0, when |curve|^2 is the single cosine
     |w0|^2 + |w1|^2 + 2 |w0 w1| cos(Delta t + phi): two distinct eigenvalues
-    and one weight each.  None otherwise."""
+    and one weight each.  (0.0, 0.0) for one eigenvalue, where |curve| is
+    the constant |w0|.  None otherwise."""
     lam, w = curve.eigenvalues, curve.weights
-    if lam.size != 2 or w.ndim != 1 or lam[0] == lam[1]:
+    if w.ndim != 1 or lam.size not in (1, 2) or lam.size == 2 and lam[0] == lam[1]:
         return None
+    if lam.size == 1:
+        return 0.0, 0.0
     delta, phi = float(lam[1] - lam[0]), phase(complex(w[1]) * complex(w[0]).conjugate())
     return (delta, phi) if delta > 0 else (-delta, -phi)
 
@@ -118,8 +123,9 @@ def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
 
     A single cosine (`_cosine`) is answered in closed form: each bracket's
     first extremum of the kind, where Delta t + phi is in 2 pi Z (sign < 0:
-    pi + 2 pi Z), when it lies strictly inside the bracket, else the
-    midpoint; one curve evaluation for all brackets and no step.
+    pi + 2 pi Z), when it lies strictly inside the bracket, else (and for a
+    constant) the midpoint; one curve evaluation for all brackets and no
+    step.
 
     Any other curve: safeguarded Newton (rtsafe) on g' = 0 for g = |f|^2,
     whose derivatives g' = 2 Re(conj(f) f') and
@@ -136,10 +142,12 @@ def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
     if cosine is not None:
         delta, phi = cosine
         top = 0.0 if sign > 0 else pi  # the phase of the extrema sought
-        m = np.floor((delta * lo + phi - top) / (2 * pi)) + 1
-        t = (2 * pi * m + top - phi) / delta
-        t = np.where((lo < t) & (t < hi), t, (lo + hi) / 2)
-        ts = np.concatenate((t, lo, hi)).reshape(3, -1)
+        mid = (lo + hi) / 2
+        if delta:
+            m = np.floor((delta * lo + phi - top) / (2 * pi)) + 1
+            t = (2 * pi * m + top - phi) / delta
+            mid = np.where((lo < t) & (t < hi), t, mid)
+        ts = np.concatenate((mid, lo, hi)).reshape(3, -1)
         fs = curve(ts).reshape(ts.shape)
     else:
         ts, fs = _newton(curve, lo, hi, sign)
@@ -226,6 +234,7 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
     has one such point per period, the one nearest the extremum, and an end
     point where |curve| runs toward that end: those indices are found in
     closed form and the curve is evaluated there alone, one call per window.
+    A constant (Delta = 0) is one run of equal values: its first point.
     """
     cosine = _cosine(curve)
     if cosine is not None and cosine[0] * step < pi:
@@ -246,6 +255,12 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
 def _cosine_extrema(curve, delta: float, phi: float, step: float, total: int,
                     lowest: bool, doubling: bool):
     """_scan_extrema for the cosine cos(Delta t + phi), window by window."""
+    def at(k):
+        return k, np.abs(curve(k * step)) if k.size else np.empty(0)
+
+    if not delta:   # a constant
+        yield at(np.ones(1, dtype=np.intp))
+        return
     theta, top = delta * step, pi if lowest else 0.0
     # the extrema sought lie at the grid positions m * period + offset
     period, offset = 2 * pi / theta, (top - phi) / theta
@@ -253,9 +268,6 @@ def _cosine_extrema(curve, delta: float, phi: float, step: float, total: int,
     def end(k, inner):  # the end point k, beside inner, is an extremum
         ends = cos(theta * k + phi), cos(theta * inner + phi)
         return ends[0] <= ends[1] if lowest else ends[0] >= ends[1]
-
-    def at(k):
-        return k, np.abs(curve(k * step)) if k.size else np.empty(0)
 
     lo = 1
     for first, count in _windows(total, doubling):

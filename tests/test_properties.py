@@ -423,6 +423,20 @@ def test_grid_matches_pointwise_curve(size, lam_max, seed, count, first, frac, b
 @example(size=60, lam_max=4.0, seed=2, count=2500, t_end=1e4, block=960)
 def test_grid_matches_pointwise_curve_at_long_horizons(size, lam_max, seed, count,
                                                         t_end, block):
+    _long_horizon_grid_matches(size, lam_max, seed, count, t_end, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 3000), t_end=st.floats(1.0, 1e4), **curve_args)
+def test_anchored_tables_match_pointwise_curve_at_long_horizons(size, lam_max, seed, count,
+                                                                t_end, block):
+    # every table built from anchors and near powers, however small: each
+    # entry is the product of two exponentials, within the same roundoff
+    with patch.object(spectral, "_PHASE_TABLE_MIN", 0):
+        _long_horizon_grid_matches(size, lam_max, seed, count, t_end, block)
+
+
+def _long_horizon_grid_matches(size, lam_max, seed, count, t_end, block):
     # pgst_witness's grid (step 1/(64 M)) out to t ~ 1e4: the phases carry a
     # roundoff of a few ulps of t * lam, so the tolerance scales with it
     curve = random_curve(size, lam_max, seed)

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qwalk import (
     TailSpec,
@@ -21,6 +21,7 @@ from qwalk import (
     transfer_amplitude,
     vertex_state,
 )
+from qwalk import spectral
 from qwalk.errors import NonConvergent, TailsRequireTruncation
 from qwalk.spectral import (
     AMPLITUDE,
@@ -78,40 +79,96 @@ def test_truncation_bound():
     assert truncation_bound(2e6, 1.0, 10) == math.inf
 
 
-def _exact_terms(x: float, k: int) -> list[float]:
-    """x^j / j! for j >= k, each computed to 50 digits by the recurrence and
-    rounded once, up to where the rest is below 1e-30 of the sum."""
-    terms = []
+def _bessel(y: float, top: int) -> list[Decimal]:
+    """J_0(y), ..., J_top(y) to about 40 digits, for y >= 0: Miller's
+    backward recurrence J_{n-1} = (2n/y) J_n - J_{n+1}, started far enough
+    above top and y that the start's error has died out, and normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.12.4 at angle 0)."""
+    if y == 0:
+        return [Decimal(1)] + [Decimal(0)] * top
+    start = max(top, 2 * math.ceil(y)) + 60
     with localcontext() as ctx:
         ctx.prec = 50
-        term, dx, j = Decimal(1), Decimal(x), 0
-        while j < k or j <= 2 * x or term > Decimal(1e-30) * sum(terms, Decimal(0)):
-            if j >= k:
-                terms.append(term)
-            j += 1
-            term = term * dx / j
-    return [float(t) for t in terms]
+        dy, j = Decimal(y), [Decimal(0)] * (start + 2)
+        j[start] = Decimal(10) ** -300
+        for n in range(start, 0, -1):
+            j[n - 1] = 2 * n / dy * j[n] - j[n + 1]
+        norm = j[0] + 2 * sum(j[2:start + 1:2])
+        return [x / norm for x in j[:top + 1]]
+
+
+def _bessel_tail(y: float, k: int) -> float:
+    """4 sum_{j >= k} |J_j(y)|, to about 30 digits."""
+    js = _bessel(y, max(k, 2 * math.ceil(y)) + 40)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(4 * sum(abs(x) for x in js[k:]))
+
+
+def _factorial_bound(m: float, t: float, order: int) -> float:
+    """The tail bound from |J_j(y)| <= (y/2)^j / j! (DLMF 10.14.4) alone:
+    truncation_bound may only be sharper, and no depth it certifies deeper."""
+    x, k = m * abs(t) / 2.0, order + 1
+    if not 0 <= x < math.inf:
+        return math.inf
+    bound = 4.0 * math.exp(x) * (1 + 4e-16) if x <= 700.0 else math.inf
+    if k > x:
+        if x == 0:
+            return 0.0
+        logx = math.log(x)
+        exponent = k * logx - math.lgamma(k + 1) - math.log1p(-x / (k + 1))
+        if exponent <= 700.0:
+            slack = 4e-16 * (k * abs(logx) + math.lgamma(k + 1) + k + 1)
+            bound = min(bound, 4.0 * math.exp(exponent) * (1 + slack))
+    return bound
+
+
+def test_bessel_oracle_matches_tabulated_values():
+    for n, y, value in ((0, 1.0, 0.7651976865579666), (1, 1.0, 0.44005058574493355),
+                        (5, 10.0, -0.2340615281867936), (30, 25.0, 0.01180902612426896),
+                        (100, 80.0, 4.606553064823471e-06)):
+        assert float(_bessel(y, n)[n]) == pytest.approx(value, rel=1e-14)
 
 
 @settings(max_examples=150, deadline=None)
-@given(x=st.floats(0.0, 600.0), order=st.integers(0, 1500))
-def test_truncation_bound_covers_the_exact_tail(x, order):
-    # m = 2, t = x: the series variable m|t|/2 is x exactly
+@given(x=st.floats(0.0, 600.0), order=st.integers(0, 1500), near=st.booleans())
+def test_truncation_bound_covers_the_exact_tail(x, order, near):
+    # m = 2, t = x: the Bessel argument m|t| is 2x exactly.  The bound is
+    # never below the true tail of the Bessel series, never above the
+    # factorial bound alone, and never grows with the order.  `near` puts
+    # the order less than 200 above 2x, where Kapteyn's bound is the sharper
+    if near:
+        order = int(2 * x) + order % 200
     bound = truncation_bound(2.0, x, order)
-    assert bound >= 4 * math.fsum(_exact_terms(x, order + 1))
+    assert bound >= _bessel_tail(2 * x, order + 1)
+    assert bound <= _factorial_bound(2.0, x, order)
     assert truncation_bound(2.0, x, order + 1) <= bound
 
 
 @pytest.mark.parametrize("m, t, tol, legs, cap, depth", [
-    (3.0, 30.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 70),
-    (4.0, 50.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 145),
-    (3.0, 300.0, 1e-9, STATE, MAX_TRUNCATION, 1241),
-    (2.0, 1400.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 1911),
-    (2.0, -1400.0, 1e-12, STATE, 2 * MAX_TRUNCATION, 3829),
+    (3.0, 30.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 63),
+    (4.0, 50.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 124),
+    (3.0, 300.0, 1e-9, STATE, MAX_TRUNCATION, 981),
+    (2.0, 1400.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 1460),
+    (2.0, -1400.0, 1e-12, STATE, 2 * MAX_TRUNCATION, 2942),
+    # M|t| = 15: here the factorial bound is the sharper, Kapteyn's alone
+    # would certify 18
+    (3.0, 5.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 17),
 ])
 def test_required_truncation_keeps_its_depths(m, t, tol, legs, cap, depth):
-    # the depths that the term-by-term sum of the series gave
     assert required_truncation(m, t, tol, legs, cap) == depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(0.5, 8.0), t=st.floats(-3000.0, 3000.0),
+       tol=st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]), legs=st.sampled_from([STATE, AMPLITUDE]))
+def test_no_certified_depth_is_deeper_than_the_factorial_bounds(m, t, tol, legs):
+    cap = 4 * MAX_TRUNCATION
+    try:
+        old = _doubling_truncation(m, t, tol, legs, cap, _factorial_bound)
+    except NonConvergent:
+        return
+    assert required_truncation(m, t, tol, legs, cap) <= old
 
 
 def test_required_truncation_is_minimal():
@@ -135,10 +192,10 @@ def test_required_truncation_is_minimal():
         required_truncation(1e6, 1e6, 1e-9, STATE, cap=64)
 
 
-def _doubling_truncation(m, t, tol, legs, cap=MAX_TRUNCATION):
+def _doubling_truncation(m, t, tol, legs, cap=MAX_TRUNCATION, bound=truncation_bound):
     """Reference: the search by doubling from L = 1, then bisection."""
     def certified(L):
-        return truncation_bound(m, t, legs * (L + 1) - 1) < tol
+        return bound(m, t, legs * (L + 1) - 1) < tol
 
     if not certified(cap):
         raise NonConvergent("reference")
@@ -340,3 +397,89 @@ def test_kn_degenerate_eigenspace_merged(n):
     assert abs(est.period - 2 * math.pi / n) < 1e-12
     assert abs(est.horizon - est.period) < 1e-12
     assert abs(est.grid_min - (n - 2) / n) < 1e-9
+
+
+def test_two_colouring():
+    # C_6 with a pendant and an isolated vertex; each component's smallest
+    # vertex is on side 0.  An odd cycle has none.
+    g = WeightedGraph(8, tuple((i, (i + 1) % 6, 1.0) for i in range(6)) + ((2, 6, -1.0),))
+    assert g.two_colouring.tolist() == [0, 1, 0, 1, 0, 1, 1, 0]
+    assert complete_graph(3).two_colouring is None
+    assert WeightedGraph(0, ()).two_colouring.size == 0
+    # the sides of a truncation: each tail alternates from its attach vertex
+    tailed = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0)), (TailSpec(1), TailSpec(2, (2.0,))))
+    p, q = spectral._sides(tailed, 3)
+    assert p.tolist() == [0, 2, 3, 5, 7] and q.tolist() == [1, 4, 6, 8]
+    assert spectral._sides(WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)),
+                                         (TailSpec(0),)), 2) is None
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A signed bipartite graph with parts of 0 to 7 vertices (the sides
+    interleaved by a random labelling) and its biadjacency block B: random
+    entries, many of them 0 (isolated vertices and zero singular values),
+    or a signed permutation or a rank-one block (repeated singular values);
+    one or two tails half of the time."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    assume(rows + cols > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "permutation", "rank one"]))
+    signs = rng.choice([1.0, -1.0], size=(rows, cols))
+    if kind == "random":
+        b = rng.choice([0.0, 0.0, 1.0, 2.0, 0.5], size=(rows, cols)) * signs
+    elif kind == "permutation":
+        b = np.eye(rows, cols)[:, rng.permutation(cols)] * signs
+    else:
+        b = np.outer(rng.choice([0.0, 1.0, 2.0], rows), rng.choice([0.0, 1.0, -1.0], cols))
+    label = rng.permutation(rows + cols)
+    edges = tuple((int(label[i]), int(label[rows + j]), float(b[i, j]))
+                  for i in range(rows) for j in range(cols) if b[i, j])
+    tails = ()
+    if draw(st.booleans()):
+        tails = tuple(TailSpec(int(rng.integers(rows + cols)),
+                               tuple(rng.choice([1.0, -1.0, 2.0], int(rng.integers(3)))))
+                      for _ in range(draw(st.integers(1, 2))))
+    return WeightedGraph(rows + cols, edges, tails)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=bipartite_graphs(), t=st.floats(0.1, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_bipartite_svd_matches_eigh(g, t, seed):
+    # the truncation that _prepare certifies, solved by the SVD of its
+    # biadjacency block (at every dimension) and by eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_SVD_MIN_DIM", 0)
+        svd, cert = spectral._prepare(g, t, 1e-9, AMPLITUDE)
+    a = adjacency(g, cert.L)
+    ref = SpectralDecomposition.of(a)
+    lam, vecs = svd.eigenvalues, svd.eigenvectors
+    tol = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+    assert np.all(np.diff(lam) >= 0)
+    np.testing.assert_allclose(lam, ref.eigenvalues, rtol=0, atol=tol)
+    assert np.linalg.norm(a @ vecs - vecs * lam) <= tol
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(len(a))) <= tol
+    rng = np.random.default_rng(seed)
+    u, v = (np.pad(x / np.linalg.norm(x), (0, len(a) - g.n))
+            for x in rng.normal(size=(2, g.n)) + 1j * rng.normal(size=(2, g.n)))
+    ts = np.linspace(0.0, t, 7)
+    np.testing.assert_allclose(FidelityCurve.of(svd, u, v)(ts), FidelityCurve.of(ref, u, v)(ts),
+                               rtol=0, atol=tol)
+
+
+def test_bipartite_truncations_from_the_crossover_take_the_svd(monkeypatch):
+    svd, sizes = np.linalg.svd, []
+
+    def record(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    h2p = named_gadget("h2p", p=5, tail_len=0).graph   # bipartite, 13 + L vertices
+    _, cert = prepare(h2p, 30.0)
+    assert cert.dim >= spectral._SVD_MIN_DIM and sizes
+    assert sum(sizes[0]) == cert.dim
+    sizes.clear()
+    prepare(h2p, 0.5)   # below the crossover: eigh
+    prepare(complete_graph(80), 1.0)   # not bipartite: eigh
+    assert not sizes

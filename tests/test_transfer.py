@@ -173,6 +173,31 @@ def test_a_state_in_the_kernel_gives_one_report():
     assert abs(sedentary_estimate(g, state, 10.0).grid_min - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("g, state", [
+    (path_graph(2), plus_state(0, 1)),         # eigenvalue 1
+    (complete_graph(4), pair_state(0, 1)),     # eigenvalue -1
+], ids=["p2-plus", "k4-pair"])
+def test_a_stationary_state_gives_one_report(g, state):
+    # an eigenvector of eigenvalue lam != 0 has the one-point curve
+    # e^(i lam t): its modulus is 1, but jitters in the last bits on the grid,
+    # where hundreds of grid points are strict local maxima.  The walk
+    # answers it in closed form: its first grid point alone
+    reps = search_pst(g, state, state, 10.0)
+    step = 10.0 / (64 * 10.0 * degree_profile(g).m)
+    assert len(reps) == 1 and 0 < reps[0].tau <= 2 * step
+    assert reps[0].fidelity >= 1 - 1e-12 and reps[0].kind == "periodic"
+    windows, recording = _grid_windows()
+    with recording:
+        rep = pgst_witness(g, state, state, 0.999, 10.0)
+        est = sedentary_estimate(g, state, 10.0)
+    assert windows == [] and 0 < rep.tau <= 2 * step
+    assert abs(est.grid_min - 1) <= 1e-12
+    # on the grid, the jitter: many reports, each within roundoff of 1
+    with ON_THE_GRID:
+        grid = search_pst(g, state, state, 10.0)
+    assert len(grid) > 100 and min(r.fidelity for r in grid) >= 1 - 1e-12
+
+
 def test_pgst_autocorrelation_plateau_ends_at_the_first_minimum():
     # K_8 from a vertex to itself: |f(t)| = |7 e^(-it) + e^(7it)| / 8 never
     # falls below 0.75, dips to it at pi/8 and returns to 1 at pi/4
