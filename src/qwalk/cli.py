@@ -227,7 +227,8 @@ def cmd_check(args) -> int:
         horizon = 20.0 if args.horizon == "auto" else parse_time(args.horizon)
         est = sedentary_estimate(g, src, horizon)
         period = "none" if est.period is None else f"{est.period:.12g}"
-        print(f"grid_min={est.grid_min:.9f} horizon={est.horizon:.12g} "
+        bracket = "" if est.bracket is None else "bracket=[{:.12g},{:.12g}] ".format(*est.bracket)
+        print(f"grid_min={est.grid_min:.9f} {bracket}horizon={est.horizon:.12g} "
               f"period={period}")
         return 0
     if args.mode == "pgst":

@@ -327,15 +327,40 @@ def required_truncation(m: float, t: float, tol: float, legs: int,
                         cap: int = MAX_TRUNCATION) -> int:
     """Smallest depth L >= 1 with certified error below tol, for a walk from
     the core with `legs` legs (STATE or AMPLITUDE): its expansion is exact up
-    to order legs*(L+1) - 1."""
+    to order legs*(L+1) - 1.
+
+    The search starts from the depth that Kapteyn's bound predicts.  Near
+    order k = y + d, for y = m|t| and d << y, ln b_k is about
+    -(2 sqrt(2) / 3) d^(3/2) / sqrt(y) and 1 - rho about sqrt(2 d / y), so
+    4 b_k / (1 - rho) < tol at about d = (1.06 l)^(2/3) y^(1/3), for
+    l = ln(4 / tol) + ln(y / (2 d)) / 2, with d on the right from l =
+    ln(4 / tol).  Steps that double from there bracket the depth, and
+    `_bisect` closes the bracket: a few evaluations of `truncation_bound`,
+    not log2(cap)."""
     def certified(L: int) -> bool:
         return truncation_bound(m, t, legs * (L + 1) - 1) < tol
 
-    if not certified(cap):
+    y, start = m * abs(t), cap
+    if y < math.inf and tol > 0:
+        log_tol = max(math.log(4 / tol), 0.0)
+        d = (1.06 * log_tol) ** (2 / 3) * y ** (1 / 3)
+        if d > 0:
+            d = (1.06 * (log_tol + math.log(max(y / (2 * d), 1.0)) / 2)) ** (2 / 3) * y ** (1 / 3)
+        start = min(cap, max(1, math.ceil((y + d + 1) / legs) - 1))
+    if certified(start):   # step down to an uncertified depth, or 0
+        hi, step = start, 1
+        while hi > step and certified(hi - step):
+            hi, step = hi - step, 2 * step
+        return _bisect(certified, max(hi - step, 0), hi)
+    lo, step = start, 1   # step up to a certified depth, at most cap
+    while lo + step < cap and not certified(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = min(lo + step, cap)
+    if hi == lo or hi == cap and not certified(cap):
         raise NonConvergent(
             f"truncation beyond {cap} needed for t={t} (M={m}, tol={tol})"
         )
-    return _bisect(certified, 0, cap)
+    return _bisect(certified, lo, hi)
 
 
 def _finite_bound(profile: DegreeProfile, dim: int, t: float) -> float:

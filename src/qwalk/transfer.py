@@ -54,6 +54,7 @@ DEDUP_TIME = 1e-6
 PGST_WINDOW = 200_000  # grid points evaluated per window of a scan
 GRID_FLOOR = 4096  # fewest points of a search or sedentary grid; pgst_witness's first window
 MAX_GRID = 1 << 32  # grid points a scan may walk: about 2 minutes at 4e7 points/s
+_DENOMINATORS = np.arange(1.0, 1001.0)  # of the rational fits _exact_period admits
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,8 @@ class SedentaryEstimate:
     grid_min: float
     horizon: float
     period: float | None
+    # (lo, hi): grid times between which the curve provably reaches 0
+    bracket: tuple[float, float] | None = None
 
     def to_document(self) -> dict:
         return {
@@ -99,6 +102,7 @@ class SedentaryEstimate:
             "grid_min": self.grid_min,
             "horizon": float(f"{self.horizon:.12g}"),
             "period": None if self.period is None else float(f"{self.period:.12g}"),
+            "bracket": None if self.bracket is None else list(self.bracket),
         }
 
 
@@ -130,10 +134,12 @@ def _refine(curve: FidelityCurve, lo, hi, sign: float = 1.0
     Any other curve: safeguarded Newton (rtsafe) on g' = 0 for g = |f|^2,
     whose derivatives g' = 2 Re(conj(f) f') and
     g'' = 2 (|f'|^2 + Re(conj(f) f'')) are exact.  Only brackets where
-    sign * g' falls from > 0 to < 0 iterate.  The Newton step is taken where
-    sign * g'' < 0, it lands inside the bracket and it is under half the step
-    before last; else the bracket is bisected.  A bracket stops when its
-    Newton step or width is within TIME_RESOLUTION (or one ulp of t).
+    sign * g' falls from > 0 to < 0 across a half of (lo, mid, hi) iterate,
+    from mid, and their first step keeps that half: a maximum inside
+    [mid, hi] is refined when sign * g' is -, +, - there.  The Newton step is
+    taken where sign * g'' < 0, it lands inside the bracket and it is under
+    half the step before last; else the bracket is bisected.  A bracket stops
+    when its Newton step or width is within TIME_RESOLUTION (or one ulp of t).
 
     Returns the best of each bracket's last point and ends: the times and the
     curve's values there."""
@@ -170,7 +176,8 @@ def _newton(curve: FidelityCurve, lo: np.ndarray, hi: np.ndarray, sign: float
 
     ts = np.stack(((lo + hi) / 2, lo, hi))
     fs, d1, d2 = (v.reshape(ts.shape) for v in evaluate(ts))
-    live = np.flatnonzero((d1[1] > 0) & (d1[2] < 0))
+    # sign * g' falls across [lo, mid] or [mid, hi]; rows mid, lo, hi
+    live = np.flatnonzero(((d1[1] > 0) | (d1[0] > 0)) & ((d1[0] < 0) | (d1[2] < 0)))
     t, f, d1, d2 = ts[0], fs[0], d1[0], d2[0]  # the interior points, in place
     a, b, last, before = lo.copy(), hi.copy(), hi - lo, hi - lo  # and the last 2 steps
     while True:
@@ -212,15 +219,20 @@ def _windows(total: int, doubling: bool = False):
         start, size = start + count, 2 * size
 
 
-def _scan(curve, step: float, total: int, doubling: bool = False):
+def _scan(curve, step: float, total: int, doubling: bool = False, watch=None):
     """|curve| on the grid step * (1, ..., total), in _windows: yields the
-    values of each window."""
+    values of each window, once watch, when given, has seen its curve
+    values."""
     for start, count in _windows(total, doubling):
-        yield np.abs(curve.grid(step, count, first=start))
+        f = curve.grid(step, count, first=start)
+        if watch is not None:
+            watch(f)
+        f = np.abs(f)   # the complex values are freed before the yield
+        yield f
 
 
 def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
-                  doubling: bool = False):
+                  doubling: bool = False, watch=None):
     """Walk _scan's windows (doubling as there) and yield, per window, the
     grid indices and values of the points where |curve| is above its left
     neighbour and no lower than its right one (lowest: below, no higher),
@@ -228,13 +240,15 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
     yields its first point alone: the flat curve of a state in the kernel
     gives one candidate, not one per grid point.  A window's last point is
     decided with the next window, so it is carried across the edge, and the
-    grid's last point comes last, alone.
+    grid's last point comes last, alone.  watch, when given, sees each
+    window's curve values (`_scan`) before that window's extrema are yielded.
 
     A single cosine that the grid resolves (`_cosine`, step * Delta < pi)
     has one such point per period, the one nearest the extremum, and an end
     point where |curve| runs toward that end: those indices are found in
-    closed form and the curve is evaluated there alone, one call per window.
-    A constant (Delta = 0) is one run of equal values: its first point.
+    closed form and the curve is evaluated there alone, one call per window,
+    and watch is never called.  A constant (Delta = 0) is one run of equal
+    values: its first point.
     """
     cosine = _cosine(curve)
     if cosine is not None and cosine[0] * step < pi:
@@ -243,7 +257,7 @@ def _scan_extrema(curve, step: float, total: int, lowest: bool = False,
     pad = np.full(1, np.inf if lowest else -np.inf)
     beat, keep = (np.less, np.less_equal) if lowest else (np.greater, np.greater_equal)
     prev, first = pad, 1  # first: the grid index of ext[1]
-    for f in chain(_scan(curve, step, total, doubling), [pad]):
+    for f in chain(_scan(curve, step, total, doubling, watch), [pad]):
         ext = np.concatenate((prev, f))
         mid = ext[1:-1]
         k = np.flatnonzero(beat(mid, ext[:-2]) & keep(mid, ext[2:]))
@@ -389,12 +403,18 @@ def _exact_period(support: np.ndarray) -> float | None:
         return None
     diffs = vals[1:] - vals[0]
     f0 = diffs[0]
-    fracs = []
-    for d in diffs:
+    fracs = [Fraction(1)]
+    for d in diffs[1:]:
         # small denominators only: a rational fit with a large denominator is
-        # indistinguishable from an irrational ratio at double precision
-        fr = Fraction(d / f0).limit_denominator(1000)
-        if abs(d / f0 - fr) > 1e-9:
+        # indistinguishable from an irrational ratio at double precision.
+        # No p/q with q <= 1000 within 1e-9, beyond the roundoff of x q: the
+        # closest, which limit_denominator finds, fails too
+        x = d / f0
+        xq = x * _DENOMINATORS
+        if np.min(np.abs(xq - np.rint(xq)) / _DENOMINATORS) > 1e-9 + 4e-16 * (1 + abs(x)):
+            return None
+        fr = Fraction(x).limit_denominator(1000)
+        if abs(x - fr) > 1e-9:
             return None
         fracs.append(fr)
     q = lcm(*(fr.denominator for fr in fracs))
@@ -403,6 +423,22 @@ def _exact_period(support: np.ndarray) -> float | None:
     gg = gcd(*(fr.numerator * (q // fr.denominator) for fr in fracs))
     period = 2 * pi * q / (f0 * gg)
     return period if period < 1e6 else None
+
+
+def _one_sided(g: WeightedGraph, u: PureState) -> bool:
+    """Whether u is real and lies on one side of a bipartite g, so that its
+    autocorrelation is real (see sedentary_estimate)."""
+    side = g.two_colouring
+    return (side is not None and all(complex(c).imag == 0 for _, c in u.support)
+            and len({int(side[v]) for v in u.vertices}) == 1)
+
+
+def _curve_error(curve: FidelityCurve, cert: TruncationCertificate, horizon: float
+                 ) -> float:
+    """E, the error of the curve's grid values on (0, horizon]: the bound of
+    its certificate plus the roundoff of its phases t lam."""
+    return cert.bound + (1e-15 * (1 + horizon * np.abs(curve.eigenvalues).max(initial=0.0))
+                         * np.abs(curve.weights).sum())
 
 
 def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
@@ -426,6 +462,18 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
     width of the eigenvalue support, S = sum |w|), so with step h the
     result's square exceeds the infimum of g over [h, horizon] by at most
     spread^2 S^2 h^2 / 8.
+
+    A zero proven by sign change: on a bipartite g (tails keep the
+    bipartition), D A D = -A for D = diag(+-1) by side, so
+    D U(t) D = conj U(t); for a real u on one side, D u = +-u and
+    f = u* U(t) u is real.  The curve's error E is the certificate's bound
+    plus the roundoff of its phases, 1e-15 (1 + horizon max |lam|) S.  The
+    walk stops at the first pair of grid points where Re f has opposite
+    signs and |Re f| > E at both, provided |Im f| <= E over that window (a
+    guard against a complex curve): the true curve then reaches 0 between
+    them, and grid_min is exactly 0.0, with that bracket and no refinement.
+    A single cosine, walked in closed form, evaluates no grid and keeps the
+    refined minimum, as does every other curve.
     """
     if not horizon > 0:
         raise BadParam(f"horizon must be positive, got {horizon}")
@@ -436,8 +484,8 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
 
     # the Krylov route finds the period before it certifies, and certifies
     # at the snapped horizon
-    decomp, _, (x,) = _reduce(g, (u,), horizon, tol, AMPLITUDE,
-                              lambda curve: min(horizon, period_of(curve) or horizon))
+    decomp, cert, (x,) = _reduce(g, (u,), horizon, tol, AMPLITUDE,
+                                 lambda curve: min(horizon, period_of(curve) or horizon))
     curve = FidelityCurve.of(decomp, x, x)
     period = period_of(curve)
     if period is not None and (period < horizon or not g.tails):
@@ -447,9 +495,26 @@ def sedentary_estimate(g: WeightedGraph, u: PureState, horizon: float,
 
     n = max(GRID_FLOOR, _grid_count(64 * horizon * max(degree_profile(g).m, 1.0)))
     step = horizon / n
+    err = _curve_error(curve, cert, horizon)
+    bracket, last, seen = None, np.empty(0), 0   # last: the previous window's last Re f
+
+    def sign_change(f):   # sets bracket at the first proven zero
+        nonlocal bracket, last, seen
+        re = np.concatenate((last, f.real))
+        guarded = np.abs(f.imag).max() <= err
+        far = np.abs(re) > err
+        j = np.flatnonzero(far[:-1] & far[1:] & ((re[:-1] > 0) != (re[1:] > 0)))
+        if guarded and j.size:
+            k = seen + 1 - last.size + int(j[0])   # the grid index of re[j[0]]
+            bracket = (float(k * step), float((k + 1) * step))
+        last, seen = re[-1:] if guarded else np.empty(0), seen + f.size
+
     # the 32 lowest local minima, one per basin; the lowest grid point is one
     low_k, low_f = np.empty(0, dtype=np.intp), np.empty(0)
-    for k, f in _scan_extrema(curve, step, n, lowest=True):
+    for k, f in _scan_extrema(curve, step, n, lowest=True,
+                              watch=sign_change if _one_sided(g, u) else None):
+        if bracket is not None:
+            return SedentaryEstimate(u, 0.0, horizon, period, bracket)
         low_k, low_f = np.concatenate((low_k, k)), np.concatenate((low_f, f))
         if low_f.size > 32:
             keep = np.argpartition(low_f, 31)[:32]

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -39,7 +40,7 @@ from qwalk import (
     vertex_state,
 )
 from qwalk.errors import MissingEdge, StructureViolation, Unreached
-from qwalk.experiments import find_p5_limb, prufer_decode
+from qwalk.experiments import find_p5_limb, prufer_decode, random_tree
 from qwalk.partition import (
     CELL_SUM_TOL,
     SIGNATURE_QUANTUM,
@@ -495,6 +496,9 @@ def _scalar_golden_max(f, lo, hi):
 # on bracket 29 |f| dips inside: the maximum is the left end, while golden
 # section converges to the lower right end
 @example(size=18, lam_max=2.748456556019053, seed=148224, brackets=30, sign=1.0)
+# bracket 19 starts downhill: sign * g'/2 is -1.3e-4, +8.7e-5 and -6.8e-5 at
+# lo, mid and hi, and its maximum inside [mid, hi] must still be refined
+@example(size=12, lam_max=6.34765625, seed=164, brackets=25, sign=1.0)
 def test_newton_refinement_beats_grid_and_matches_golden(size, lam_max, seed,
                                                          brackets, sign):
     curve = random_curve(size, lam_max, seed)
@@ -601,6 +605,88 @@ def test_sedentary_scan_is_within_its_step_bound(size, seed, horizon):
     bound = (lam.max() - lam.min()) ** 2 * scale ** 2 * h ** 2 / 8
     # squares of values <= 1, each off by the phase roundoff
     assert est.grid_min ** 2 <= ref ** 2 + bound + 4 * _phase_roundoff(curve, est.horizon)
+
+
+def _fraction_period(support):
+    """Reference: _exact_period with one Fraction.limit_denominator(1000)
+    per eigenvalue ratio."""
+    vals = support[np.diff(support, prepend=-np.inf) > 1e-8]
+    if vals.size < 2:
+        return None
+    diffs = vals[1:] - vals[0]
+    f0 = diffs[0]
+    fracs = []
+    for d in diffs:
+        fr = Fraction(d / f0).limit_denominator(1000)
+        if abs(d / f0 - fr) > 1e-9:
+            return None
+        fracs.append(fr)
+    q = math.lcm(*(fr.denominator for fr in fracs))
+    if q > 10 ** 6:
+        return None
+    gg = math.gcd(*(fr.numerator * (q // fr.denominator) for fr in fracs))
+    period = 2 * math.pi * q / (f0 * gg)
+    return period if period < 1e6 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset=st.floats(-3.0, 3.0), scale=st.floats(0.01, 5.0),
+       ratios=st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 1200)),
+                       max_size=6),
+       # off p/q by about the 1e-9 fit tolerance, or by far more
+       shift=st.sampled_from([0.0, 0.5e-9, 0.999e-9, 1.001e-9, 2e-9, 1e-6, math.sqrt(2)]),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_exact_period_matches_the_fraction_loop(offset, scale, ratios, shift, sign):
+    # the vectorised rejection of an irrational ratio changes no period
+    x = [0.0, 1.0] + [1.0 + p / q + sign * shift for p, q in ratios]
+    support = np.sort(offset + scale * np.array(x))
+    assert transfer._exact_period(support) == _fraction_period(support)
+
+
+@st.composite
+def one_sided_instances(draw):
+    """A bipartite host (a random tree or an even cycle, with no tail or one
+    unit tail), a real state on one side of it (a vertex, pair or plus
+    state) and a horizon."""
+    if draw(st.booleans()):
+        g = random_tree(draw(st.integers(2, 9)), draw(st.integers(0, 10 ** 6)))
+    else:
+        g = cycle_graph(2 * draw(st.integers(2, 5)))
+    tails = tuple(TailSpec(draw(st.integers(0, g.n - 1)))
+                  for _ in range(draw(st.integers(0, 1))))
+    g = WeightedGraph(g.n, g.edges, tails)
+    a = draw(st.integers(0, g.n - 1))
+    side = g.two_colouring
+    same = [b for b in range(g.n) if b != a and side[b] == side[a]]
+    kind = draw(st.sampled_from([vertex_state, pair_state, plus_state]))
+    u = vertex_state(a)
+    if kind is not vertex_state and same:
+        u = kind(a, draw(st.sampled_from(same)))
+    return g, u, draw(st.floats(0.5, 8.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_sided_instances())
+def test_a_zero_proven_by_sign_change_is_the_refined_minimum(inst):
+    # a real curve: a proven zero is what the refinement of the lowest basins
+    # finds, within twice the curve's error E; with no zero proven, the
+    # estimate is the refinement's, bit for bit
+    g, u, horizon = inst
+    assert transfer._one_sided(g, u)
+    errors, error = [], transfer._curve_error
+    with patch.object(transfer, "_curve_error",
+                      lambda *args: errors.append(error(*args)) or errors[-1]):
+        est = transfer.sedentary_estimate(g, u, horizon)
+    with patch.object(transfer, "_one_sided", lambda g, u: False):
+        old = transfer.sedentary_estimate(g, u, horizon)
+    if est.bracket is None:
+        assert est == old
+        return
+    (err,) = errors
+    lo, hi = est.bracket
+    assert est.grid_min == 0.0 and 0 < lo < hi <= est.horizon
+    assert (est.horizon, est.period) == (old.horizon, old.period)
+    assert old.bracket is None and old.grid_min <= 2 * err
 
 
 def _pgst_outcome(curve, dst, target, t_cap, window):

@@ -155,8 +155,14 @@ def test_truncation_bound_covers_the_exact_tail(x, order, near):
     # would certify 18
     (3.0, 5.0, 1e-9, AMPLITUDE, MAX_TRUNCATION, 17),
 ])
-def test_required_truncation_keeps_its_depths(m, t, tol, legs, cap, depth):
+def test_required_truncation_keeps_its_depths(m, t, tol, legs, cap, depth, monkeypatch):
+    # from Kapteyn's predicted depth, the search evaluates the bound at most
+    # 4 times, where bisecting (0, cap] evaluated it 13 times
+    calls = []
+    monkeypatch.setattr(spectral, "truncation_bound",
+                        lambda *args: calls.append(args) or truncation_bound(*args))
     assert required_truncation(m, t, tol, legs, cap) == depth
+    assert len(calls) <= 4
 
 
 @settings(max_examples=100, deadline=None)

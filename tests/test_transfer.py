@@ -25,7 +25,7 @@ from qwalk import (
 from qwalk import transfer
 from qwalk.errors import BadParam, NoTransfer, Unreached
 from qwalk.reproduce import CLAIM_SETS
-from qwalk.spectral import FidelityCurve, exp_oracle
+from qwalk.spectral import FidelityCurve, adjacency, exp_oracle, prepare
 from qwalk.transfer import GRID_FLOOR, MAX_GRID, _grid_count, _refine, _windows
 
 
@@ -93,6 +93,9 @@ def test_search_agrees_with_exp_oracle():
 
 # the grid path on every curve: the closed form for single cosines off
 ON_THE_GRID = patch("qwalk.transfer._cosine", lambda curve: None)
+# sedentary_estimate without the proof of a zero by sign change: every
+# curve takes the refinement of its lowest basins
+NO_SIGN_PROOF = patch("qwalk.transfer._one_sided", lambda g, u: False)
 
 
 def _grid_windows():
@@ -358,7 +361,9 @@ def test_sedentary_refines_one_point_per_basin():
         return _refine(curve, lo, hi, sign)
 
     windows, recording = _grid_windows()
-    with recording, patch("qwalk.transfer._refine", spy):
+    # the curve is real and reaches 0: the refinement runs only without the
+    # proof by sign change
+    with recording, patch("qwalk.transfer._refine", spy), NO_SIGN_PROOF:
         est = sedentary_estimate(gd.graph, vertex_state(5), 30.0)
     (lo, hi), = brackets
     (_, count), = windows
@@ -421,8 +426,9 @@ def test_cosine_walk_evaluates_no_grid():
     (complete_graph(5), vertex_state(0), 10.0),
 ], ids=["h2p", "k5"])
 def test_windowed_sedentary_matches_one_window(g, u, horizon):
-    # on the grid: K_5's two-point curve too
-    with ON_THE_GRID:
+    # on the grid: K_5's two-point curve too; h2p's real curve refined, not
+    # proven to reach 0
+    with ON_THE_GRID, NO_SIGN_PROOF:
         _windowed_sedentary_matches_one_window(g, u, horizon)
 
 
@@ -463,6 +469,81 @@ def _windowed_sedentary_matches_one_window(g, u, horizon):
         with patch("qwalk.transfer.PGST_WINDOW", window):
             assert sedentary_estimate(g, u, horizon) == ref
     return ref
+
+
+def _refine_spy():
+    """Patch transfer._refine to record the number of brackets per call."""
+    calls = []
+
+    def spy(curve, lo, hi, sign=1.0):
+        calls.append(np.size(lo))
+        return _refine(curve, lo, hi, sign)
+
+    return calls, patch("qwalk.transfer._refine", spy)
+
+
+def test_sedentary_proves_a_zero_by_sign_change():
+    # h2p is bipartite, and so is its infinite tail: the attach vertex's
+    # autocorrelation is real, and it changes sign between two grid points
+    # far beyond its error.  grid_min is exactly 0, with no refinement
+    gd, u = named_gadget("h2p", p=5, tail_len=0), vertex_state(5)
+    assert transfer._one_sided(gd.graph, u)
+    calls, spying = _refine_spy()
+    windows, recording = _grid_windows()
+    with spying, recording:
+        est = sedentary_estimate(gd.graph, u, 30.0)
+    assert calls == [] and windows == [(1, 5760)]
+    assert est.grid_min == 0.0 and (est.horizon, est.period) == (30.0, None)
+    lo, hi = est.bracket
+    step = 30.0 / 5760
+    k = round(lo / step)
+    assert (lo, hi) == (k * step, (k + 1) * step) and 0 < lo < hi <= 30.0
+    assert est.to_document()["bracket"] == [lo, hi]
+    # an independent oracle on the certified truncation: the real parts at
+    # the two ends have opposite signs, beyond the certificate's bound
+    _, cert = prepare(gd.graph, 30.0)
+    a = adjacency(gd.graph, cert.L)
+    ends = np.array([exp_oracle(a, t)[5, 5] for t in (lo, hi)])
+    assert ends[0].real * ends[1].real < 0
+    assert np.all(np.abs(ends.real) > cert.bound) and np.all(np.abs(ends.imag) <= 1e-12)
+    # a window edge at or beside the bracket: the same proof, and the walk
+    # stops at the window that holds it
+    for window in (k - 1, k, k + 1):
+        windows, recording = _grid_windows()
+        with recording, patch("qwalk.transfer.PGST_WINDOW", window):
+            assert sedentary_estimate(gd.graph, u, 30.0) == est
+            assert windows == list(_windows(5760))[:2 if window <= k else 1]
+    # the refinement reaches that zero to roundoff
+    with NO_SIGN_PROOF:
+        old = sedentary_estimate(gd.graph, u, 30.0)
+    assert old.bracket is None and 0 < old.grid_min <= 1e-12
+
+
+# a complex curve, whose real part changes sign: 0.5 cos t dominates it
+COMPLEX = FidelityCurve(np.array([-1.0, 0.3, 0.9]), np.array([0.5, 0.3j, 0.2]))
+
+
+@pytest.mark.parametrize("g, u, curve", [
+    (complete_graph(5), vertex_state(0), None),   # an odd cycle
+    (path_graph(5), plus_state(0, 1), None),      # both sides
+    (path_graph(2), vertex_state(0), COMPLEX),    # the guard on Im f
+], ids=["k5", "two-sided-plus", "complex-curve-on-p2"])
+def test_sedentary_refines_without_a_proof(g, u, curve):
+    # each takes the refinement of its lowest basins, unchanged; K_5's
+    # cosine is walked on the grid, as a curve of more points would be
+    assert transfer._one_sided(g, u) == (curve is not None)
+    of = FidelityCurve.of if curve is None else (lambda *args: curve)
+
+    def estimate():
+        with ON_THE_GRID, patch.object(FidelityCurve, "of", of):
+            return sedentary_estimate(g, u, 10.0)
+
+    calls, spying = _refine_spy()
+    with spying:
+        est = estimate()
+    with NO_SIGN_PROOF:
+        old = estimate()
+    assert len(calls) == 1 and est.bracket is None and est == old
 
 
 def _dense_random_graph():
